@@ -47,9 +47,6 @@ class Certificate:
     def canonical_json(self) -> str:
         return json.dumps(self.body(), sort_keys=True, separators=(",", ":")) + "\n"
 
-    def pretty_json(self) -> str:
-        return json.dumps(self.body(), sort_keys=True, indent=2) + "\n"
-
 
 def negative_verdict(cert: Certificate) -> bool:
     """True when the certificate reports the unwanted outcome (exit code 2)."""

@@ -19,6 +19,7 @@ from .certificates import Certificate, negative_verdict, rational_entry
 from .graphs import brute_force_opt, build_pvc_lp, load_graph, make_clique, make_star
 from .hierarchy import (
     ENUM_ORDER_FINGERPRINT,
+    WorkerFailed,
     generate_sa1_lp,
     verify_sa,
     verify_sap,
@@ -41,6 +42,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CLAIMS = {"sa": "theorem-1", "sap": "theorem-5-sap", "xyn": "theorem-5-xyn"}
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _default_p(n: int, r: int, t: int):
@@ -248,8 +261,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--level", choices=("sa", "sap", "xyn"), required=True)
     common(p)
     p.add_argument("--p", default=None, help="override p (default t / C(n-2r, 2))")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--sample", type=_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 
@@ -264,7 +277,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gap-table", help="CSV sweep of lifting levels and demands")
     p.add_argument("--grid", required=True, help="semicolon/space separated n,r,t triples")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_gap_table)
 
@@ -284,7 +297,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, WorkerFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,15 +17,17 @@ seeded sample), which is the executable form of the stronger SDP claim.
 Pairs are enumerated by |Y u N| ascending, then by the lexicographic
 order of the union as a sorted code tuple, then by Y-mask ascending
 (bit i of the mask selects the i-th union element into Y).  Violation
-witnesses are minimal in that order, independent of worker count.
+witnesses are minimal in that order, and `constraints_checked` counts the
+rows up to and including the witness, independent of worker count.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .graphs import Graph, brute_force_opt, build_pvc_lp
@@ -37,10 +39,14 @@ from .moments import (
     cond_weight,
     moment,
 )
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ONE, ZERO
 from .simplex import LinearProgram
 
 ENUM_ORDER_FINGERPRINT = "size-asc/union-lex/ymask-asc;rows=edges,demand,box0,box1;v1"
+
+
+class WorkerFailed(RuntimeError):
+    """A process-pool worker died before returning its chunk."""
 
 
 @dataclass(frozen=True)
@@ -169,33 +175,31 @@ def _validate(graph: Graph, t: int, r: int, params: DistParams) -> None:
         raise ValueError("params were built for a different graph")
 
 
-# -- multiprocessing workers (top level so they pickle) ----------------------
+# -- the first-failure scan driver ------------------------------------------
 
 
-def _sa_chunk(args):
-    graph, p_str, t, r, lo, hi = args
-    params = DistParams(graph, as_rational(p_str))
+def _scan_chunk(job):
+    """(first violation or None, items checked up to it) over flat pair indices.
+
+    An item is one lifted multiplier pair (its rows count) or, for the
+    `xyn` family, one conditioned moment matrix (it counts once).
+    Top level so it pickles for pool workers.
+    """
+    params, t, max_size, xyn, indices = job
+    m = params.graph.var_count
     checked = 0
-    for idx, (y, n) in enumerate(
-        islice(yn_pairs(graph.var_count, r), lo, hi), start=lo
-    ):
-        violation, c = _scan_pair(params, t, y, n)
+    for flat in indices:
+        y, n = yn_pair_at(m, max_size, flat)
+        if xyn:
+            verdict = psd_check(build_cond_matrix(params, y, n).matrix)
+            violation = None if verdict.is_psd else Violation("xyn:psd", y, n, verdict.value, ZERO)
+            c = 1
+        else:
+            violation, c = _scan_pair(params, t, y, n)
         checked += c
         if violation is not None:
-            return idx, violation, checked
-    return None, None, checked
-
-
-def _xyn_chunk(args):
-    graph, p_str, indices, max_size = args
-    params = DistParams(graph, as_rational(p_str))
-    for pos, flat_index in indices:
-        y, n = yn_pair_at(graph.var_count, max_size, flat_index)
-        cm = build_cond_matrix(params, y, n)
-        verdict = psd_check(cm.matrix)
-        if not verdict.is_psd:
-            return pos, (y, n, verdict.value), len(indices)
-    return None, None, len(indices)
+            return violation, checked
+    return None, checked
 
 
 def _chunk_ranges(total: int, pieces: int):
@@ -203,36 +207,37 @@ def _chunk_ranges(total: int, pieces: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-# -- public verifiers ---------------------------------------------------------
+def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool, threads: int):
+    """Scan `indices` in order and stop at the first violation.
 
-
-def verify_sa(graph: Graph, t: int, r: int, params: DistParams, threads: int = 1) -> SaVerdict:
-    """Exact level-r product-lifting feasibility of the moment vector."""
-    _validate(graph, t, r, params)
-    m = graph.var_count
-    total = yn_pair_count(m, r)
-    violation = None
-    checked = 0
+    With threads > 1 the indices are split into ordered chunks run by a
+    process pool; the counts of whole chunks before the first failing one
+    are added to its own count, so the result is the serial one for any
+    worker count: rows (or matrices) up to and including the first
+    violation in canonical order.
+    """
     if threads <= 1:
-        for y, n in yn_pairs(m, r):
-            violation, c = _scan_pair(params, t, y, n)
-            checked += c
-            if violation is not None:
-                break
-    else:
-        p_str = f"{params.p.numerator}/{params.p.denominator}"
-        jobs = [
-            (graph, p_str, t, r, lo, hi)
-            for lo, hi in _chunk_ranges(total, threads * 4)
-        ]
-        best = None
+        return _scan_chunk((params, t, max_size, xyn, indices))
+    # chunks carry params with an empty memo rather than pickling the caller's
+    fresh = DistParams(params.graph, params.p, params.support_cap)
+    jobs = [
+        (fresh, t, max_size, xyn, indices[lo:hi])
+        for lo, hi in _chunk_ranges(len(indices), threads * 4)
+    ]
+    checked = 0
+    try:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for idx, vio, c in pool.map(_sa_chunk, jobs):
+            for violation, c in pool.map(_scan_chunk, jobs):
                 checked += c
-                if idx is not None and (best is None or idx < best[0]):
-                    best = (idx, vio)
-        if best is not None:
-            violation = best[1]
+                if violation is not None:
+                    pool.shutdown(cancel_futures=True)  # drop chunks not yet started
+                    return violation, checked
+    except BrokenProcessPool as exc:
+        raise WorkerFailed(f"a worker process died during the scan: {exc}") from exc
+    return None, checked
+
+
+def _verdict(graph: Graph, t: int, params: DistParams, violation, checked: int) -> SaVerdict:
     objective, gap = _objective_and_gap(graph, t, params)
     return SaVerdict(
         feasible=violation is None,
@@ -241,6 +246,16 @@ def verify_sa(graph: Graph, t: int, r: int, params: DistParams, threads: int = 1
         objective_value=objective,
         integrality_gap_lower_bound=gap if violation is None else None,
     )
+
+
+# -- public verifiers ---------------------------------------------------------
+
+
+def verify_sa(graph: Graph, t: int, r: int, params: DistParams, threads: int = 1) -> SaVerdict:
+    """Exact level-r product-lifting feasibility of the moment vector."""
+    _validate(graph, t, r, params)
+    indices = range(yn_pair_count(graph.var_count, r))
+    return _verdict(graph, t, params, *_first_failure(params, t, r, indices, False, threads))
 
 
 def verify_sap(graph: Graph, t: int, r: int, params: DistParams, threads: int = 1) -> SaVerdict:
@@ -273,52 +288,10 @@ def verify_xyn_family(
     empty and the verdict is trivially feasible.
     """
     _validate(graph, t, r, params)
-    m = graph.var_count
-    max_size = r - 1
-    if max_size < 0:
-        flat_indices: list = []
-    else:
-        total = yn_pair_count(m, max_size)
-        if sample is not None and sample < total:
-            rng = random.Random(seed)
-            flat_indices = sorted(rng.sample(range(total), sample))
-        else:
-            flat_indices = list(range(total))
-    violation = None
-    checked = 0
-    if threads <= 1 or len(flat_indices) < 2:
-        for flat in flat_indices:
-            y, n = yn_pair_at(m, max_size, flat)
-            cm = build_cond_matrix(params, y, n)
-            verdict = psd_check(cm.matrix)
-            checked += 1
-            if not verdict.is_psd:
-                violation = Violation("xyn:psd", y, n, verdict.value, ZERO)
-                break
-    else:
-        p_str = f"{params.p.numerator}/{params.p.denominator}"
-        positions = list(enumerate(flat_indices))
-        jobs = [
-            (graph, p_str, positions[lo:hi], max_size)
-            for lo, hi in _chunk_ranges(len(positions), threads * 4)
-        ]
-        best = None
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for pos, vio, c in pool.map(_xyn_chunk, jobs):
-                checked += c
-                if pos is not None and (best is None or pos < best[0]):
-                    best = (pos, vio)
-        if best is not None:
-            y, n, value = best[1]
-            violation = Violation("xyn:psd", y, n, value, ZERO)
-    objective, gap = _objective_and_gap(graph, t, params)
-    return SaVerdict(
-        feasible=violation is None,
-        violated=violation,
-        constraints_checked=checked,
-        objective_value=objective,
-        integrality_gap_lower_bound=gap if violation is None else None,
-    )
+    indices = range(yn_pair_count(graph.var_count, r - 1))
+    if sample is not None and sample < len(indices):
+        indices = sorted(random.Random(seed).sample(indices, sample))
+    return _verdict(graph, t, params, *_first_failure(params, t, r - 1, indices, True, threads))
 
 
 # -- explicit level-1 lifted LP ----------------------------------------------

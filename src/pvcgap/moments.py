@@ -2,18 +2,19 @@
 
 The underlying experiment: every vertex joins the solution independently
 with probability p, and an edge counts as covered exactly when one of its
-endpoints joined.  A moment is the probability that a given set of
-vertex/edge variables is all-ones under that experiment; it is computed
-by enumerating the Bernoulli assignments of the set's support closure
-(the vertices mentioned, plus endpoints of mentioned edges), which keeps
-everything rational and independently checkable.
+endpoints joined.  One kernel, `_enumerate_on_off`, computes the
+probability that a set of vertex/edge variables is all ones while another
+set is all zeros, by enumerating the Bernoulli assignments of their
+support closure (the vertices mentioned, plus endpoints of mentioned
+edges); that keeps everything rational and independently checkable.  A
+moment is the kernel with nothing required off, memoized per params.
 
 `cond_weight` evaluates the linearized product weight
 w(Y, N) = sum over T subset of N of (-1)^|T| * moment(Y u T)
 two ways on every call: by that inclusion-exclusion sum over memoized
-moments, and by direct enumeration of the event "all of Y on, all of N
-off".  The two must agree exactly; the equality is asserted at runtime so
-the identity behind the verifier is re-proved on every use.
+moments, and by a direct run of the kernel on the event "all of Y on, all
+of N off".  The two must agree exactly; the equality is asserted at
+runtime so the identity behind the verifier is re-proved on every use.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph
 from .linalg import SymMatrix
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ZERO, Rat, as_rational
 
 DEFAULT_SUPPORT_CAP = 26
 
@@ -59,10 +60,6 @@ def canonical_set(graph: Graph, items) -> tuple:
     return tuple(codes)
 
 
-def set_names(graph: Graph, codes) -> tuple:
-    return tuple(graph.var_name(c) for c in codes)
-
-
 def _closure(graph: Graph, codes) -> tuple:
     """(vertex closure, edge code list): vertices mentioned or incident."""
     verts = set()
@@ -78,48 +75,6 @@ def _closure(graph: Graph, codes) -> tuple:
     return verts, edges
 
 
-def moment(params: DistParams, a) -> object:
-    """Probability that every variable in `a` is one.  Memoized per params."""
-    g = params.graph
-    key = canonical_set(g, a)
-    memo = params._memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    verts, edges = _closure(g, key)
-    if len(verts) > params.support_cap:
-        raise SupportTooLarge(
-            f"support closure has {len(verts)} vertices (cap {params.support_cap})"
-        )
-    forced = {c for c in key if g.is_vertex_code(c)}
-    free = sorted(verts - forced)
-    pos = {v: k for k, v in enumerate(free)}
-    todo = []  # edges not already covered by a forced vertex
-    for a_, b_ in edges:
-        if a_ in forced or b_ in forced:
-            continue
-        mask = 0
-        if a_ in pos:
-            mask |= 1 << pos[a_]
-        if b_ in pos:
-            mask |= 1 << pos[b_]
-        todo.append(mask)
-    nf = len(free)
-    counts = [0] * (nf + 1)
-    for assign in range(1 << nf):
-        if all(assign & m for m in todo):
-            counts[assign.bit_count()] += 1
-    p = params.p
-    q = ONE - p
-    total = ZERO
-    for k, cnt in enumerate(counts):
-        if cnt:
-            total += cnt * p**k * q ** (nf - k)
-    value = p ** len(forced) * total
-    memo[key] = value
-    return value
-
-
 def _enumerate_on_off(params: DistParams, on, off) -> object:
     """P[all of `on` are one and all of `off` are zero], by enumeration."""
     g = params.graph
@@ -132,45 +87,44 @@ def _enumerate_on_off(params: DistParams, on, off) -> object:
         )
     forced1 = {c for c in on if g.is_vertex_code(c)}
     forced0 = {c for c in off if g.is_vertex_code(c)}
+    for a_, b_ in edges_off:  # an edge stays off only if both endpoints do
+        forced0.add(a_)
+        forced0.add(b_)
     if forced1 & forced0:
         return ZERO
     free = sorted(verts - forced1 - forced0)
     pos = {v: k for k, v in enumerate(free)}
-
-    def vmask(a_, b_):
-        m = 0
-        if a_ in pos:
-            m |= 1 << pos[a_]
-        if b_ in pos:
-            m |= 1 << pos[b_]
-        return m
-
     need_cover = []
     for a_, b_ in edges_on:
         if a_ in forced1 or b_ in forced1:
             continue
         if a_ in forced0 and b_ in forced0:
             return ZERO
-        need_cover.append(vmask(a_, b_))
-    forbid = 0
-    for a_, b_ in edges_off:
-        if a_ in forced1 or b_ in forced1:
-            return ZERO  # an endpoint is already on, the edge cannot stay off
-        forbid |= vmask(a_, b_)
-    p = params.p
-    q = ONE - p
+        mask = 0
+        if a_ in pos:
+            mask |= 1 << pos[a_]
+        if b_ in pos:
+            mask |= 1 << pos[b_]
+        need_cover.append(mask)
     nf = len(free)
     counts = [0] * (nf + 1)
     for assign in range(1 << nf):
-        if assign & forbid:
-            continue
         if all(assign & m for m in need_cover):
             counts[assign.bit_count()] += 1
-    acc = ZERO
-    for k, cnt in enumerate(counts):
-        if cnt:
-            acc += cnt * p**k * q ** (nf - k)
-    return p ** len(forced1) * q ** len(forced0) * acc
+    # with p = a/b the probability is an integer over b^|support|; sum in integers
+    a, b = params.p.numerator, params.p.denominator
+    acc = sum(cnt * a**k * (b - a) ** (nf - k) for k, cnt in enumerate(counts) if cnt)
+    return Rat(a ** len(forced1) * (b - a) ** len(forced0) * acc, b ** len(verts))
+
+
+def moment(params: DistParams, a) -> object:
+    """Probability that every variable in `a` is one.  Memoized per params."""
+    key = canonical_set(params.graph, a)
+    memo = params._memo
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _enumerate_on_off(params, key, ())
+    return value
 
 
 def cond_weight(params: DistParams, y, n) -> object:
@@ -183,11 +137,13 @@ def cond_weight(params: DistParams, y, n) -> object:
     ns = canonical_set(g, n)
     if set(ys) & set(ns):
         raise ValueError("Y and N must be disjoint")
-    value = _cond_weight_inner(params, ys, ns)
-    return value
+    return _weight_overlap_ok(params, ys, ns)
 
 
-def _cond_weight_inner(params: DistParams, ys: tuple, ns: tuple) -> object:
+def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> object:
+    """w(Y, N) extended to overlapping arguments (telescopes to zero)."""
+    if set(ys) & set(ns):
+        return ZERO
     total = ZERO
     k = len(ns)
     for mask in range(1 << k):
@@ -200,13 +156,6 @@ def _cond_weight_inner(params: DistParams, ys: tuple, ns: tuple) -> object:
             f"inclusion-exclusion {total} != enumeration {direct} at Y={ys} N={ns}"
         )
     return total
-
-
-def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> object:
-    """w(Y, N) extended to overlapping arguments (telescopes to zero)."""
-    if set(ys) & set(ns):
-        return ZERO
-    return _cond_weight_inner(params, ys, ns)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,15 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
+
+from pvcgap import hierarchy
+from pvcgap.cli import main
 
 PY = [sys.executable, "-m", "pvcgap.cli"]
 
@@ -123,3 +130,27 @@ def test_usage_errors_exit_one():
     assert r.returncode == 1
     r = run("verify", "--level", "sa", "--n", "8", "--r", "1", "--t", "1", "--p", "zzz")
     assert r.returncode == 1
+    for bad in (
+        ["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "0"],
+        ["gap-table", "--grid", "6,1,1", "--threads", "0"],
+        ["verify", "--level", "xyn", "--n", "6", "--r", "2", "--t", "1", "--sample", "-1"],
+    ):
+        r = run(*bad)
+        assert r.returncode == 1, bad
+        assert r.stderr.startswith("usage error:") and "Traceback" not in r.stderr, bad
+
+
+def _die(*_args):
+    os._exit(3)
+
+
+def test_dead_worker_exits_one_with_message(monkeypatch, capsys):
+    # forked workers inherit the patched scan, so each one dies on its first pair
+    monkeypatch.setattr(hierarchy, "_scan_pair", _die)
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=fork))
+    code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died")

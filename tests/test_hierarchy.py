@@ -85,13 +85,14 @@ def test_violation_witness_reproduces_at_higher_level():
     assert not higher.feasible and higher.violated == v
 
 
-def test_threaded_run_matches_single_thread():
-    g, params = _clique_params(8, 1, 1)
-    solo = verify_sa(g, 1, 1, params)
-    multi = verify_sa(g, 1, 1, DistParams(g, params.p), threads=3)
-    assert solo.feasible == multi.feasible
-    assert solo.objective_value == multi.objective_value
-    assert solo.constraints_checked == multi.constraints_checked
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("p", [Rat(1, 15), ZERO, Rat(1, 100)], ids=["feasible", "p0", "p1_100"])
+@pytest.mark.parametrize("verify", [verify_sa, verify_sap], ids=["sa", "sap"])
+def test_threaded_run_matches_single_thread(verify, p, threads):
+    g = make_clique(8)
+    solo = verify(g, 1, 1, DistParams(g, p))
+    multi = verify(g, 1, 1, DistParams(g, p), threads=threads)
+    assert multi == solo
 
 
 def test_plus_variant_adds_one_psd_check():

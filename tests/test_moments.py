@@ -82,6 +82,16 @@ def test_inclusion_exclusion_matches_enumeration_500_cases():
         assert cond_weight(params, y, n) == total
 
 
+def test_cross_check_catches_a_wrong_moment():
+    params = _params()
+    g = params.graph
+    y, n = (g.vertex_code(1),), (g.vertex_code(2),)
+    # the inclusion-exclusion sum reads moment({v1, v2}) from the memo
+    params._memo[tuple(sorted(y + n))] = Rat(1, 2)
+    with pytest.raises(MomentMismatch):
+        cond_weight(params, y, n)
+
+
 def test_partition_weights_sum_to_one():
     rng = random.Random(31415)
     params = _params(8, Rat(1, 3))
