@@ -16,7 +16,9 @@ import sys
 from math import comb
 
 from .certificates import Certificate, negative_verdict, rational_entry
-from .graphs import brute_force_opt, build_pvc_lp, load_graph, make_clique, make_star
+from .graphs import (
+    BRUTE_FORCE_MAX_N, brute_force_opt, build_pvc_lp, load_graph, make_clique, make_star,
+)
 from .hierarchy import (
     ENUM_ORDER_FINGERPRINT,
     WorkerFailed,
@@ -194,7 +196,7 @@ def _cmd_gap_table(args) -> int:
             row["sa_objective"] = rational_str(verdict.objective_value)
             row["sa_objective_dec"] = rational_entry(verdict.objective_value)["decimal"]
             row["feasible"] = verdict.feasible
-            if n <= 24:
+            if n <= BRUTE_FORCE_MAX_N:
                 row["opt"] = rational_str(brute_force_opt(graph, t))
             if verdict.integrality_gap_lower_bound is not None:
                 g = verdict.integrality_gap_lower_bound

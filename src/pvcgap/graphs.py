@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ONE, ZERO, Rat, as_rational, rational_str
 from .simplex import LinearProgram
 
 
@@ -126,6 +126,8 @@ def parse_graph(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if m < 0:
+        raise ValueError(f"edge count must be >= 0, got {m}")
     if len(lines) < 1 + m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -159,7 +161,7 @@ def format_graph(g: Graph) -> str:
     out.extend(f"{i} {j}" for i, j in g.edges)
     for i, w in enumerate(g.weights, start=1):
         if w != ONE:
-            out.append(f"{i} {w.numerator}/{w.denominator}")
+            out.append(f"{i} {rational_str(w)}")
     return "\n".join(out) + "\n"
 
 
@@ -209,13 +211,13 @@ def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
 
 # -- brute-force integral oracle --------------------------------------------
 
-_BRUTE_FORCE_MAX_N = 24
+BRUTE_FORCE_MAX_N = 24  # largest n the exhaustive oracle accepts
 
 
 def brute_force_witness(g: Graph, t: int) -> tuple:
     """(minimum weight, one optimal vertex set) by exhaustive enumeration."""
-    if g.n > _BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force capped at n <= {_BRUTE_FORCE_MAX_N}")
+    if g.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_N}")
     if t < 0 or t > g.m:
         raise ValueError("need 0 <= t <= |E|")
     if t == 0:

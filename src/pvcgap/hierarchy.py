@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, brute_force_opt, build_pvc_lp
+from .graphs import BRUTE_FORCE_MAX_N, Graph, brute_force_opt, build_pvc_lp
 from .linalg import psd_check
 from .moments import (
     DistParams,
@@ -161,7 +161,7 @@ def _objective_and_gap(graph: Graph, t: int, params: DistParams):
     for i in range(1, graph.n + 1):
         objective += graph.weights[i - 1] * moment(params, (graph.vertex_code(i),))
     gap = None
-    if objective > 0 and graph.n <= 24:
+    if objective > 0 and graph.n <= BRUTE_FORCE_MAX_N:
         gap = brute_force_opt(graph, t) / objective
     return objective, gap
 

@@ -30,7 +30,7 @@ from .certificates import Certificate, rational_entry
 from .graphs import Graph
 from .linalg import SymMatrix, psd_check, schur_complement
 from .moments import DistParams, moment
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ONE, ZERO, Rat, as_rational, rational_str
 
 _ENUMERATION_MAX_N = 20
 
@@ -95,7 +95,7 @@ def zbar_by_enumeration(n: int, t, p) -> SymMatrix:
     p = as_rational(p)
     t = as_rational(t)
     q = ONE - p
-    z = SymMatrix.zeros(n + 1)
+    upper = [[ZERO] * (n + 1) for _ in range(n + 1)]  # entries (i, j), i <= j
     for mask in range(1 << n):
         a = mask.bit_count()
         w = p**a * q ** (n - a) * (covered_edges(n, a) - t)
@@ -104,8 +104,8 @@ def zbar_by_enumeration(n: int, t, p) -> SymMatrix:
         idx = [0] + [v + 1 for v in range(n) if mask >> v & 1]
         for ii, i in enumerate(idx):
             for j in idx[ii:]:
-                z._e[z._idx(i, j)] += w
-    return z
+                upper[i][j] += w
+    return SymMatrix.from_function(n + 1, lambda i, j: upper[i][j])
 
 
 def allones_eigenvalue_after_schur(ls: LasserreSlack):
@@ -184,7 +184,7 @@ def lasserre1_refutes(n: int, r: int, t: int) -> Certificate:
     if not verdict.is_psd:
         witness = {
             "kind": "negative-direction",
-            "vector": [f"{v.numerator}/{v.denominator}" for v in verdict.witness],
+            "vector": [rational_str(v) for v in verdict.witness],
             "quadratic_form": rational_entry(verdict.value),
         }
     return Certificate(

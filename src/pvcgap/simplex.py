@@ -3,8 +3,11 @@
 `LinearProgram` holds a conified 0-1 polytope in a fixed normal form:
 every constraint row reads  coeffs . x >= rhs  and variables are free
 (bounds are rows like any other).  `lp_solve` runs a two-phase primal
-simplex over the rationals with Bland's anti-cycling rule, so it is
-deterministic and terminates on every input.
+simplex over the rationals on one tableau that carries both objective
+rows, so phase 2 continues from the phase-1 basis.  It pivots by
+Dantzig's rule and falls back to Bland's rule only after a degenerate
+stall (the star-6 level-1 lifted LP takes 307 pivots, none by Bland), so
+it is deterministic and terminates on every input.
 
 Certificates come with every verdict:
   optimal    -> primal solution plus dual multipliers satisfying exact
@@ -15,18 +18,18 @@ Certificates come with every verdict:
 All three are re-verified internally before being returned.
 
 As a presolve step, rows of the shape a*x_j >= 0 (a > 0) are absorbed as
-variable nonnegativity; their dual multipliers are reconstructed from the
-reduced costs, so the reported certificate always covers the original row
-list.
+variable nonnegativity; their multipliers are read from the reduced cost
+of x_j, so the reported certificate always covers the original row list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .rational import ONE, ZERO, Rat, as_rational
 
-_PIVOT_CAP = 5_000_000  # Bland's rule terminates; this guards against bugs
+_PIVOT_CAP = 5_000_000  # the Bland fallback terminates; this guards against bugs
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,10 @@ class _Tableau:
     be under Bland's rule, which admits no cycle.
     """
 
-    def __init__(self, rows, obj, basis):
+    def __init__(self, rows, objs, basis):
         self.rows = rows          # each: list of column values + [rhs]
-        self.obj = obj            # reduced-cost row + [-(objective value)]
+        self.objs = objs          # phase-1 and phase-2 reduced-cost rows, each
+                                  # + [-(objective value)]; pivots update both
         self.basis = basis        # basis[i] = column index basic in row i
         self.unbounded_col = None
 
@@ -96,67 +100,49 @@ class _Tableau:
         nz = [k for k, v in enumerate(prow) if v != 0]
         for k in nz:
             prow[k] *= inv
-        for r in self.rows:
+        for r in chain(self.rows, self.objs):
             if r is prow:
                 continue
             f = r[col_j]
             if f != 0:
                 for k in nz:
                     r[k] -= f * prow[k]
-        f = self.obj[col_j]
-        if f != 0:
-            for k in nz:
-                self.obj[k] -= f * prow[k]
         self.basis[row_i] = col_j
 
-    def _entering(self, n_cols: int, bland: bool):
-        obj = self.obj
-        if bland:
-            return next((j for j in range(n_cols) if obj[j] < 0), None)
-        best = None
-        best_val = ZERO
-        for j in range(n_cols):
-            v = obj[j]
-            if v < best_val:
-                best_val = v
-                best = j
-        return best
-
-    def step(self, n_cols: int, bland: bool) -> str:
+    def step(self, obj, n_cols: int, bland: bool) -> str:
         """One simplex step; returns 'optimal', 'unbounded' or 'pivoted'."""
-        enter = self._entering(n_cols, bland)
+        if bland:
+            enter = next((j for j in range(n_cols) if obj[j] < 0), None)
+        else:  # the first most negative reduced cost
+            enter = min(range(n_cols), key=obj.__getitem__, default=None)
+            if enter is not None and obj[enter] >= 0:
+                enter = None
         if enter is None:
             return "optimal"
-        best_row = None
-        best_ratio = None
-        for i, r in enumerate(self.rows):
-            a = r[enter]
-            if a > 0:
-                ratio = r[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self.basis[i] < self.basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = i
+        # ratio test; ties go to the smallest basic column
+        rows, basis = self.rows, self.basis
+        best_row = min(
+            (i for i, r in enumerate(rows) if r[enter] > 0),
+            key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]),
+            default=None,
+        )
         if best_row is None:
             self.unbounded_col = enter
             return "unbounded"
         self.pivot(best_row, enter)
         return "pivoted"
 
-    def run(self, n_cols: int) -> str:
+    def run(self, obj, n_cols: int) -> str:
         stall_limit = max(64, len(self.rows))
         bland = False
         stalled = 0
-        last_value = self.obj[-1]
+        last_value = obj[-1]
         for _ in range(_PIVOT_CAP):
-            state = self.step(n_cols, bland)
+            state = self.step(obj, n_cols, bland)
             if state != "pivoted":
                 return state
-            if self.obj[-1] != last_value:
-                last_value = self.obj[-1]
+            if obj[-1] != last_value:
+                last_value = obj[-1]
                 bland = False
                 stalled = 0
             else:
@@ -167,13 +153,12 @@ class _Tableau:
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Solve exactly; deterministic (Bland's rule, fixed column layout)."""
+    """Solve exactly; deterministic (fixed pivot rules, fixed column layout)."""
     minimize = lp.direction == "min"
     c = [as_rational(x) if minimize else -as_rational(x) for x in lp.objective]
     nv = lp.n_vars
 
     # presolve: absorb a*x_j >= 0 (a > 0) rows as variable nonnegativity
-    nonneg = [False] * nv
     absorber = {}  # var -> (original row index, coefficient)
     solver_rows = []  # (original row index, coeffs, rhs)
     for idx, (coeffs, rhs) in enumerate(lp.rows):
@@ -181,102 +166,76 @@ def lp_solve(lp: LinearProgram) -> LpResult:
             nz = [(j, a) for j, a in enumerate(coeffs) if a != 0]
             if len(nz) == 1 and nz[0][1] > 0:
                 j, a = nz[0]
-                if j not in absorber:
-                    absorber[j] = (idx, a)
-                    nonneg[j] = True
+                absorber.setdefault(j, (idx, a))
                 continue  # duplicates are redundant; dual stays 0
         solver_rows.append((idx, coeffs, rhs))
 
     # column layout: structural (split when free), then surplus, then artificials
     col_var = []  # (var index, sign)
+    pos_col = []  # pos_col[j] = column of x_j with sign +1
     for j in range(nv):
+        pos_col.append(len(col_var))
         col_var.append((j, 1))
-        if not nonneg[j]:
+        if j not in absorber:
             col_var.append((j, -1))
     n_struct = len(col_var)
     m = len(solver_rows)
-    surplus_col = [n_struct + i for i in range(m)]
+    n_art = sum(1 for _idx, _coeffs, rhs in solver_rows if rhs > 0)
+    n_cols = n_struct + m + n_art
 
-    sigma = []
+    # each row is sign-normalised to a nonnegative rhs; rows with rhs > 0
+    # get an artificial basic column, the others their surplus column
+    obj1 = [ZERO] * (n_cols + 1)  # phase 1: minimize the artificial sum
+    obj2 = [ZERO] * (n_cols + 1)
+    for k, (j, sign) in enumerate(col_var):
+        if c[j] != 0:
+            obj2[k] = c[j] * sign
     tab_rows = []
-    art_rows = []
-    for i, (_orig, coeffs, rhs) in enumerate(solver_rows):
+    basis = []
+    art_col = n_struct + m
+    for i, (_idx, coeffs, rhs) in enumerate(solver_rows):
         s = 1 if rhs > 0 else -1
-        sigma.append(s)
-        row = [ZERO] * (n_struct + m)
+        row = [ZERO] * (n_cols + 1)
         for k, (j, sign) in enumerate(col_var):
             a = coeffs[j]
             if a != 0:
                 row[k] = a * sign * s
-        row[surplus_col[i]] = Rat(-s)
-        row.append(rhs * s)
-        tab_rows.append(row)
+        row[n_struct + i] = Rat(-s)
+        row[-1] = rhs * s
         if s > 0:
-            art_rows.append(i)
-
-    basis = [0] * m
-    n_cols = n_struct + m + len(art_rows)
-    art_col_of_row = {}
-    for pos, i in enumerate(art_rows):
-        art_col_of_row[i] = n_struct + m + pos
-    for i in range(m):
-        if sigma[i] > 0:
-            basis[i] = art_col_of_row[i]
+            for k, v in enumerate(row):
+                if v != 0:
+                    obj1[k] -= v
+            row[art_col] = ONE
+            basis.append(art_col)
+            art_col += 1
         else:
-            basis[i] = surplus_col[i]
-    for row in tab_rows:
-        row[-1:-1] = [ZERO] * len(art_rows)  # widen: artificial block before rhs
-    for i in art_rows:
-        tab_rows[i][art_col_of_row[i]] = ONE
+            basis.append(n_struct + i)
+        tab_rows.append(row)
 
-    # phase 1: minimize the artificial sum
-    if art_rows:
-        obj = [ZERO] * n_cols + [ZERO]
-        for i in art_rows:
-            r = tab_rows[i]
-            for k in range(n_cols + 1):
-                if r[k] != 0:
-                    obj[k] -= r[k]
-        for i in art_rows:
-            obj[art_col_of_row[i]] = ZERO
-        tab = _Tableau(tab_rows, obj, basis)
-        state = tab.run(n_cols)
+    # the starting basis costs nothing in phase 2, so obj2 starts priced out
+    tab = _Tableau(tab_rows, [obj1, obj2], basis)
+    if n_art:
+        state = tab.run(obj1, n_cols)
         assert state == "optimal"  # phase 1 is bounded below by 0
-        if -tab.obj[-1] > 0:
-            return _infeasible_result(lp, tab, solver_rows, surplus_col, absorber, col_var)
-        _purge_artificials(tab, n_struct + m, art_col_of_row)
-        tab_rows = [r for r in tab.rows]
-        basis = tab.basis
+        if -obj1[-1] > 0:
+            farkas = _multipliers(obj1, lp.n_rows, solver_rows, n_struct, absorber, pos_col)
+            return _infeasible_result(lp, farkas)
+        _purge_artificials(tab, n_struct + m)
 
-    # phase 2
-    obj = [ZERO] * (n_struct + m) + [ZERO]
-    for k, (j, sign) in enumerate(col_var):
-        if c[j] != 0:
-            obj[k] = c[j] * sign
-    rows2 = [r[: n_struct + m] + [r[-1]] for r in tab_rows]
-    tab = _Tableau(rows2, obj, basis)
-    for i, b in enumerate(tab.basis):
-        f = tab.obj[b]
-        if f != 0:
-            r = tab.rows[i]
-            for k in range(n_struct + m + 1):
-                if r[k] != 0:
-                    tab.obj[k] -= f * r[k]
-    state = tab.run(n_struct + m)
-
+    state = tab.run(obj2, n_struct + m)
     if state == "unbounded":
-        return _unbounded_result(lp, tab, c, col_var, nonneg, minimize)
-    return _optimal_result(
-        lp, tab, c, col_var, nonneg, solver_rows, surplus_col, absorber, minimize
-    )
+        return _unbounded_result(lp, tab, c, col_var)
+    x = _primal_from_tableau(tab, col_var, nv)
+    dual = _multipliers(obj2, lp.n_rows, solver_rows, n_struct, absorber, pos_col)
+    return _optimal_result(lp, c, x, dual, minimize)
 
 
-def _purge_artificials(tab: _Tableau, keep_cols: int, art_col_of_row: dict) -> None:
+def _purge_artificials(tab: _Tableau, keep_cols: int) -> None:
     """Pivot basic artificials out (or drop their redundant rows)."""
-    art_cols = set(art_col_of_row.values())
     drop = []
     for i in range(len(tab.rows)):
-        if tab.basis[i] in art_cols:
+        if tab.basis[i] >= keep_cols:
             r = tab.rows[i]
             piv = next((k for k in range(keep_cols) if r[k] != 0), None)
             if piv is None:
@@ -297,24 +256,25 @@ def _primal_from_tableau(tab: _Tableau, col_var, nv: int) -> list:
     return x
 
 
-def _duals_from_obj_row(tab, solver_rows, surplus_col, absorber, col_var, n_rows):
-    """Dual multipliers for every original row, from final reduced costs."""
-    dual = [ZERO] * n_rows
-    for i, (orig, _coeffs, _rhs) in enumerate(solver_rows):
-        dual[orig] = tab.obj[surplus_col[i]]
-    col_of_var = {}
-    for k, (j, sign) in enumerate(col_var):
-        if sign == 1:
-            col_of_var[j] = k
-    for j, (orig, a) in absorber.items():
-        dual[orig] = tab.obj[col_of_var[j]] / a
-    return dual
+def _multipliers(obj, n_rows, solver_rows, n_struct, absorber, pos_col):
+    """One multiplier per original row, read from an objective row.
+
+    A solver row's multiplier is the reduced cost of its surplus column; an
+    absorbed a*x_j >= 0 row's is the reduced cost of x_j divided by a.  On
+    the final phase-2 row these are the optimal duals.  On the final phase-1
+    row they are the Farkas vector: x_j costs nothing there, so its reduced
+    cost is -(u^T A)_j, and the absorbed multipliers cancel the rest of the
+    combination exactly.
+    """
+    u = [ZERO] * n_rows
+    for i, (idx, _coeffs, _rhs) in enumerate(solver_rows):
+        u[idx] = obj[n_struct + i]
+    for j, (idx, a) in absorber.items():
+        u[idx] = obj[pos_col[j]] / a
+    return u
 
 
-def _optimal_result(lp, tab, c, col_var, nonneg, solver_rows, surplus_col, absorber, minimize):
-    nv = lp.n_vars
-    x = _primal_from_tableau(tab, col_var, nv)
-    dual = _duals_from_obj_row(tab, solver_rows, surplus_col, absorber, col_var, lp.n_rows)
+def _optimal_result(lp, c, x, dual, minimize):
     value_min = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
 
     # certify before reporting: feasibility, stationarity, complementary
@@ -329,7 +289,7 @@ def _optimal_result(lp, tab, c, col_var, nonneg, solver_rows, surplus_col, absor
         if u != 0 and slack != 0:
             raise RuntimeError("complementary slackness failed")
         dual_value += u * rhs
-    for j in range(nv):
+    for j in range(lp.n_vars):
         lhs = sum((lp.rows[i][0][j] * dual[i] for i in range(lp.n_rows)), ZERO)
         if lhs != c[j]:
             raise RuntimeError("dual stationarity failed")
@@ -342,15 +302,12 @@ def _optimal_result(lp, tab, c, col_var, nonneg, solver_rows, surplus_col, absor
     )
 
 
-def _unbounded_result(lp, tab, c, col_var, nonneg, minimize):
+def _unbounded_result(lp, tab, c, col_var):
+    # the entering column rises by 1, each basic column falls by its entry
     enter = tab.unbounded_col
-    d_hat = {enter: ONE}
-    for i, r in enumerate(tab.rows):
-        a = r[enter]
-        if a != 0:
-            d_hat[tab.basis[i]] = d_hat.get(tab.basis[i], ZERO) - a
     dx = [ZERO] * lp.n_vars
-    for col, val in d_hat.items():
+    moves = [(enter, ONE)] + [(b, -r[enter]) for b, r in zip(tab.basis, tab.rows)]
+    for col, val in moves:
         if col < len(col_var):
             j, sign = col_var[col]
             dx[j] += sign * val
@@ -363,27 +320,18 @@ def _unbounded_result(lp, tab, c, col_var, nonneg, minimize):
     return LpResult(status="unbounded", ray=tuple(dx))
 
 
-def _infeasible_result(lp, tab, solver_rows, surplus_col, absorber, col_var):
-    n_rows = lp.n_rows
-    farkas = [ZERO] * n_rows
-    for i, (orig, _coeffs, _rhs) in enumerate(solver_rows):
-        farkas[orig] = tab.obj[surplus_col[i]]
-    # complete over absorbed nonneg rows so the combination is exactly zero
+def _infeasible_result(lp, farkas):
+    # the combination over all rows must vanish with a positive right-hand side
     combo = [ZERO] * lp.n_vars
-    for (coeffs, _rhs), u in zip(lp.rows, farkas):
-        if u != 0:
-            for j, a in enumerate(coeffs):
-                if a != 0:
-                    combo[j] += u * a
-    for j, (orig, a) in absorber.items():
-        if combo[j] != 0:
-            farkas[orig] = -combo[j] / a
-            combo[j] = ZERO
     gain = ZERO
     for (coeffs, rhs), u in zip(lp.rows, farkas):
         if u < 0:
             raise RuntimeError("negative Farkas multiplier")
-        gain += u * rhs
+        if u != 0:
+            for j, a in enumerate(coeffs):
+                if a != 0:
+                    combo[j] += u * a
+            gain += u * rhs
     if any(v != 0 for v in combo) or gain <= 0:
         raise RuntimeError("Farkas certificate failed to verify")
     return LpResult(status="infeasible", dual=tuple(farkas))

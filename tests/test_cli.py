@@ -121,6 +121,11 @@ def test_graph_opt_and_io_errors(tmp_path):
     assert r.returncode == 1
     r = run("graph-opt", "--graph", str(path))
     assert r.returncode == 1
+    for text in ("3 -1\n", "3 -2\n1 2\n"):  # a negative edge count is not a weight line
+        path.write_text(text)
+        r = run("graph-opt", "--graph", str(path), "--t", "0")
+        assert r.returncode == 1 and r.stdout == "", text
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, text
 
 
 def test_usage_errors_exit_one():

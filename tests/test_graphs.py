@@ -147,3 +147,6 @@ def test_graph_file_comments_and_errors():
         parse_graph("2 1\n1 1\n")
     with pytest.raises(ValueError):
         parse_graph("2 1\n1 2\n9 4\n")
+    for text in ("3 -1\n", "3 -2\n1 2\n"):  # not re-read as weight lines
+        with pytest.raises(ValueError, match="edge count"):
+            parse_graph(text)

@@ -38,15 +38,30 @@ def test_maximization():
     assert res.value == Rat(5)
 
 
-def test_infeasible_farkas_certificate():
-    # x >= 2 and -x >= -1 cannot both hold
-    lp = _lp([((1,), 2), ((-1,), -1)], [0])
+@pytest.mark.parametrize(
+    "rows, objective, expected",
+    [
+        # x >= 2 and -x >= -1 cannot both hold
+        ([((1,), 2), ((-1,), -1)], [0], None),
+        # x >= 0 is absorbed as a sign constraint; its multiplier still counts
+        ([((1,), 0), ((-1,), 1)], [0], (1, 1)),
+        # both absorbed rows (2x >= 0, y >= 0) carry nonzero multipliers
+        ([((2, 0), 0), ((0, 1), 0), ((-1, -1), 1), ((1, -1), -5)], [1, 1],
+         (Rat(1, 2), 1, 1, 0)),
+    ],
+    ids=["bounds", "absorbed-nonneg", "absorbed-pair"],
+)
+def test_infeasible_farkas_certificate(rows, objective, expected):
+    lp = _lp(rows, objective)
     res = lp_solve(lp)
     assert res.status == "infeasible"
     f = res.dual
+    if expected is not None:
+        assert f == tuple(Rat(u) for u in expected)
     assert all(u >= 0 for u in f)
-    assert sum(f[i] * lp.rows[i][0][0] for i in range(2)) == 0
-    assert sum(f[i] * lp.rows[i][1] for i in range(2)) > 0
+    for j in range(lp.n_vars):
+        assert sum(f[i] * lp.rows[i][0][j] for i in range(lp.n_rows)) == 0
+    assert sum(f[i] * lp.rows[i][1] for i in range(lp.n_rows)) > 0
 
 
 def test_unbounded_ray_certificate():
