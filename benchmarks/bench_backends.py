@@ -8,7 +8,7 @@ in a fresh subprocess with PVCGAP_RATIONAL forced.  Usage:
 
 Workloads: exact PSD factorization of a 56x56 conditioned moment matrix,
 a full lifting-membership scan on a 10-clique, and the lifted-LP solve on
-the 6-leaf star.
+the 6-leaf star.  Exits 1 when any workload fails on any backend.
 """
 
 import os
@@ -23,10 +23,10 @@ WORKLOADS = {
         from pvcgap.moments import DistParams, build_cond_matrix
         from pvcgap.linalg import psd_check
         params = DistParams(make_clique(10), Rat(1, 28))
-        cm = build_cond_matrix(params, (), ())
+        matrix = build_cond_matrix(params, (), ())
         t0 = time.perf_counter()
         for _ in range(5):
-            assert psd_check(cm.matrix).is_psd
+            assert psd_check(matrix).is_psd
         print(f"{(time.perf_counter() - t0) / 5:.3f}")
     """,
     "sa-scan-K10": """
@@ -52,15 +52,17 @@ WORKLOADS = {
 }
 
 
-def run(backend: str, body: str) -> str:
+def run(backend: str, body: str) -> tuple:
+    """(ok, table cell) for one workload on one backend."""
     env = dict(os.environ, PVCGAP_RATIONAL=backend)
     code = "import time\n" + textwrap.dedent(body)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     if proc.returncode != 0:
-        return f"error: {proc.stderr.strip().splitlines()[-1]}"
-    return proc.stdout.strip() + "s"
+        lines = proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"]
+        return False, f"error: {lines[-1]}"
+    return True, proc.stdout.strip() + "s"
 
 
 def main() -> int:
@@ -73,9 +75,14 @@ def main() -> int:
         print("gmpy2 not installed; timing the pure-Python backend only")
     width = max(len(k) for k in WORKLOADS)
     print(f"{'workload':<{width}}  " + "  ".join(f"{b:>10}" for b in backends))
+    failed = 0
     for name, body in WORKLOADS.items():
-        cells = [run(b, body) for b in backends]
-        print(f"{name:<{width}}  " + "  ".join(f"{c:>10}" for c in cells))
+        results = [run(b, body) for b in backends]
+        failed += sum(not ok for ok, _ in results)
+        print(f"{name:<{width}}  " + "  ".join(f"{cell:>10}" for _, cell in results))
+    if failed:
+        print(f"{failed} workload run(s) failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 from math import comb
 
@@ -19,14 +20,7 @@ from .certificates import Certificate, negative_verdict, rational_entry
 from .graphs import (
     BRUTE_FORCE_MAX_N, brute_force_opt, build_pvc_lp, load_graph, make_clique, make_star,
 )
-from .hierarchy import (
-    ENUM_ORDER_FINGERPRINT,
-    WorkerFailed,
-    generate_sa1_lp,
-    verify_sa,
-    verify_sap,
-    verify_xyn_family,
-)
+from .hierarchy import WorkerFailed, generate_sa1_lp, verify_sa, verify_sap, verify_xyn_family
 from .lasserre import lasserre1_refutes
 from .moments import DistParams
 from .rational import Rat, parse_rational, rational_str
@@ -65,12 +59,17 @@ def _default_p(n: int, r: int, t: int):
     return Rat(t, comb(k, 2))
 
 
-def _emit(cert: Certificate, out_path) -> None:
-    text = cert.canonical_json()
+def _write(text: str, out_path) -> None:
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(cert: Certificate, out_path) -> int:
+    """Print (and with --out write) the certificate; return its exit code."""
+    _write(cert.canonical_json(), out_path)
+    return 2 if negative_verdict(cert) else 0
 
 
 def _violation_dict(vio, graph) -> dict:
@@ -84,8 +83,6 @@ def _violation_dict(vio, graph) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    if args.r is None:
-        raise _UsageError("verify needs --r")
     graph = make_clique(args.n)
     p = parse_rational(args.p) if args.p is not None else _default_p(args.n, args.r, args.t)
     params = DistParams(graph, p)
@@ -119,10 +116,8 @@ def _cmd_verify(args) -> int:
         verdict="feasible" if verdict.feasible else "infeasible",
         values=values,
         witness=None if verdict.feasible else _violation_dict(verdict.violated, graph),
-        enumeration_order=ENUM_ORDER_FINGERPRINT,
     )
-    _emit(cert, args.out)
-    return 0 if verdict.feasible else 2
+    return _emit(cert, args.out)
 
 
 def _cmd_star(args) -> int:
@@ -142,8 +137,7 @@ def _cmd_star(args) -> int:
     if 2 * t <= n:
         sdp_cert = verify_hs_sdp(build_star_sdp_solution(n, t))
         if negative_verdict(sdp_cert):
-            _emit(sdp_cert, args.out)
-            return 2
+            return _emit(sdp_cert, args.out)
         values["sdp_value"] = sdp_cert.values["objective"]
     else:
         values["sdp_value"] = "skipped(t>n/2)"
@@ -152,19 +146,12 @@ def _cmd_star(args) -> int:
         params={"n": n, "t": t},
         verdict="verified",
         values=values,
-        enumeration_order=ENUM_ORDER_FINGERPRINT,
     )
-    _emit(cert, args.out)
-    return 0
+    return _emit(cert, args.out)
 
 
 def _cmd_lasserre(args) -> int:
-    if args.r is None:
-        raise _UsageError("lasserre needs --r")
-    cert = lasserre1_refutes(args.n, args.r, args.t)
-    cert.enumeration_order = ENUM_ORDER_FINGERPRINT
-    _emit(cert, args.out)
-    return 0 if cert.verdict == "refuted" else 2
+    return _emit(lasserre1_refutes(args.n, args.r, args.t), args.out)
 
 
 def _parse_grid(spec: str) -> list:
@@ -208,8 +195,6 @@ def _cmd_gap_table(args) -> int:
     fields = ["n", "r", "t", "p", "p_dec", "sa_objective", "sa_objective_dec",
               "opt", "gap_bound", "gap_bound_dec", "feasible", "hypothesis_ok", "error"]
     if args.format == "json":
-        import json
-
         text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         buf = io.StringIO()
@@ -217,18 +202,13 @@ def _cmd_gap_table(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(text, args.out)
     return 0
 
 
 def _cmd_graph_opt(args) -> int:
     graph = load_graph(args.graph)
     t = args.t
-    if t is None:
-        raise _UsageError("graph-opt needs --t")
     lp = lp_solve(build_pvc_lp(graph, t))
     opt = brute_force_opt(graph, t)
     values = {
@@ -242,10 +222,8 @@ def _cmd_graph_opt(args) -> int:
         params={"n": graph.n, "m": graph.m, "t": t},
         verdict="ok",
         values=values,
-        enumeration_order=ENUM_ORDER_FINGERPRINT,
     )
-    _emit(cert, args.out)
-    return 0
+    return _emit(cert, args.out)
 
 
 def _build_parser() -> _Parser:
@@ -255,7 +233,7 @@ def _build_parser() -> _Parser:
     def common(p, need_r=True):
         p.add_argument("--n", type=int, required=True)
         if need_r:
-            p.add_argument("--r", type=int, default=None)
+            p.add_argument("--r", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--out", default=None)
 
@@ -285,7 +263,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("graph-opt", help="brute force and LP on a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_graph_opt)
     return parser
@@ -301,6 +279,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError, WorkerFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

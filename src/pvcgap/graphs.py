@@ -90,10 +90,15 @@ class Graph:
         return [self.var_name(c) for c in range(self.var_count)]
 
 
+MAX_CLIQUE_EDGES = 10**6  # make_clique refuses larger cliques before building them
+
+
 def make_clique(n: int) -> Graph:
     """Complete unweighted graph on n vertices."""
     if n < 1:
         raise ValueError("clique needs n >= 1")
+    if comb(n, 2) > MAX_CLIQUE_EDGES:
+        raise ValueError(f"K_{n} has {comb(n, 2)} edges (cap {MAX_CLIQUE_EDGES})")
     return Graph(n, tuple(combinations(range(1, n + 1), 2)))
 
 
@@ -107,11 +112,12 @@ def make_star(n: int) -> Graph:
 # -- graph text format ------------------------------------------------------
 #
 #   n m
-#   i j        (m edge lines)
-#   i w        (optional vertex-weight lines; w is an integer or 'a/b')
+#   i j          (exactly m edge lines)
+#   w i value    (optional vertex-weight lines; value is an integer or 'a/b')
 #
 # '#' starts a comment; blank lines are skipped.  Unlisted vertices keep
-# weight 1.
+# weight 1.  The 'w' tag keeps an edge line past a header that undercounts
+# the edges from being read as a weight.
 
 
 def parse_graph(text: str) -> Graph:
@@ -142,12 +148,15 @@ def parse_graph(text: str) -> Graph:
     weights = [ONE] * n
     for line in lines[1 + m :]:
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"vertex-weight line must be 'i w', got {line!r}")
-        i = int(parts[0])
+        if len(parts) != 3 or parts[0] != "w":
+            raise ValueError(
+                f"line {line!r} is not a vertex-weight line 'w i value' "
+                f"(the header declares m={m} edge lines)"
+            )
+        i = int(parts[1])
         if not 1 <= i <= n:
             raise ValueError(f"vertex-weight line for unknown vertex {i}")
-        weights[i - 1] = as_rational(parts[1])
+        weights[i - 1] = as_rational(parts[2])
     return Graph(n, tuple(edges), tuple(weights))
 
 
@@ -161,7 +170,7 @@ def format_graph(g: Graph) -> str:
     out.extend(f"{i} {j}" for i, j in g.edges)
     for i, w in enumerate(g.weights, start=1):
         if w != ONE:
-            out.append(f"{i} {rational_str(w)}")
+            out.append(f"w {i} {rational_str(w)}")
     return "\n".join(out) + "\n"
 
 

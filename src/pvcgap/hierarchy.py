@@ -18,7 +18,9 @@ Pairs are enumerated by |Y u N| ascending, then by the lexicographic
 order of the union as a sorted code tuple, then by Y-mask ascending
 (bit i of the mask selects the i-th union element into Y).  Violation
 witnesses are minimal in that order, and `constraints_checked` counts the
-rows up to and including the witness, independent of worker count.
+rows up to and including the witness, independent of worker count.  The
+fingerprint of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is
+stamped into every certificate.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .moments import (
 )
 from .rational import ONE, ZERO
 from .simplex import LinearProgram
-
-ENUM_ORDER_FINGERPRINT = "size-asc/union-lex/ymask-asc;rows=edges,demand,box0,box1;v1"
 
 
 class WorkerFailed(RuntimeError):
@@ -191,7 +191,7 @@ def _scan_chunk(job):
     for flat in indices:
         y, n = yn_pair_at(m, max_size, flat)
         if xyn:
-            verdict = psd_check(build_cond_matrix(params, y, n).matrix)
+            verdict = psd_check(build_cond_matrix(params, y, n))
             violation = None if verdict.is_psd else Violation("xyn:psd", y, n, verdict.value, ZERO)
             c = 1
         else:
@@ -219,7 +219,7 @@ def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool
     if threads <= 1:
         return _scan_chunk((params, t, max_size, xyn, indices))
     # chunks carry params with an empty memo rather than pickling the caller's
-    fresh = DistParams(params.graph, params.p, params.support_cap)
+    fresh = DistParams(params.graph, params.p)
     jobs = [
         (fresh, t, max_size, xyn, indices[lo:hi])
         for lo, hi in _chunk_ranges(len(indices), threads * 4)
@@ -227,11 +227,13 @@ def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool
     checked = 0
     try:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for violation, c in pool.map(_scan_chunk, jobs):
-                checked += c
-                if violation is not None:
-                    pool.shutdown(cancel_futures=True)  # drop chunks not yet started
-                    return violation, checked
+            try:
+                for violation, c in pool.map(_scan_chunk, jobs):
+                    checked += c
+                    if violation is not None:
+                        return violation, checked
+            finally:  # on a violation or an interrupt, drop chunks not yet started
+                pool.shutdown(cancel_futures=True)
     except BrokenProcessPool as exc:
         raise WorkerFailed(f"a worker process died during the scan: {exc}") from exc
     return None, checked
@@ -263,8 +265,7 @@ def verify_sap(graph: Graph, t: int, r: int, params: DistParams, threads: int = 
     sa = verify_sa(graph, t, r, params, threads=threads)
     if not sa.feasible:
         return sa
-    cm = build_cond_matrix(params, (), ())
-    verdict = psd_check(cm.matrix)
+    verdict = psd_check(build_cond_matrix(params, (), ()))
     checked = sa.constraints_checked + 1
     if verdict.is_psd:
         return SaVerdict(True, None, checked, sa.objective_value, sa.integrality_gap_lower_bound)
@@ -299,7 +300,7 @@ def verify_xyn_family(
 SA1_VARIABLE_CAP = 5000
 
 
-def generate_sa1_lp(graph: Graph, t: int, cap: int = SA1_VARIABLE_CAP) -> LinearProgram:
+def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     """Materialize the level-1 lifted LP over set variables of size <= 2.
 
     Each cover-LP row is multiplied by x_q and by (1 - x_q) for every
@@ -310,8 +311,8 @@ def generate_sa1_lp(graph: Graph, t: int, cap: int = SA1_VARIABLE_CAP) -> Linear
     """
     m = graph.var_count
     n_vars = 1 + m + m * (m - 1) // 2
-    if n_vars > cap:
-        raise ValueError(f"lifted LP needs {n_vars} variables, cap is {cap}")
+    if n_vars > SA1_VARIABLE_CAP:
+        raise ValueError(f"lifted LP needs {n_vars} variables, cap is {SA1_VARIABLE_CAP}")
 
     def single(q: int) -> int:
         return 1 + q

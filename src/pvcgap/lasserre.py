@@ -23,11 +23,9 @@ parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .certificates import Certificate, rational_entry
-from .graphs import Graph
 from .linalg import SymMatrix, psd_check, schur_complement
 from .moments import DistParams, moment
 from .rational import ONE, ZERO, Rat, as_rational, rational_str
@@ -51,19 +49,7 @@ def expected_slack(n: int, t, p):
     return comb(n, 2) * (2 * p - p * p) - t
 
 
-@dataclass(frozen=True)
-class LasserreSlack:
-    """Closed-form demand-slack minor, with the scalars that define it."""
-
-    n: int
-    t: object
-    p: object
-    zbar: SymMatrix
-    s_values: dict  # k -> S_k for the three sizes the entries use
-    c_values: dict  # a -> C(n, a) for a in 0..2
-
-
-def build_zbar(n: int, t, p) -> LasserreSlack:
+def build_zbar(n: int, t, p) -> SymMatrix:
     """(n+1)x(n+1) slack minor over {empty} u vertex singletons, closed form.
 
     t is normally an integer demand; a rational t is accepted so the
@@ -73,16 +59,8 @@ def build_zbar(n: int, t, p) -> LasserreSlack:
         raise ValueError("need n >= 2")
     p = as_rational(p)
     t = as_rational(t)
-    svals = {k: expected_slack(k, t, p) for k in (n - 2, n - 1, n)}
-    cvals = {a: covered_edges(n, a) for a in (0, 1, 2)}
-    by_size = {u: p**u * (svals[n - u] + cvals[u]) for u in (0, 1, 2)}
-
-    def entry(i: int, j: int):
-        u = len({i, j} - {0})
-        return by_size[u]
-
-    zbar = SymMatrix.from_function(n + 1, entry)
-    return LasserreSlack(n=n, t=t, p=p, zbar=zbar, s_values=svals, c_values=cvals)
+    by_size = [p**u * (expected_slack(n - u, t, p) + covered_edges(n, u)) for u in (0, 1, 2)]
+    return SymMatrix.from_function(n + 1, lambda i, j: by_size[len({i, j} - {0})])
 
 
 def zbar_by_enumeration(n: int, t, p) -> SymMatrix:
@@ -108,21 +86,20 @@ def zbar_by_enumeration(n: int, t, p) -> SymMatrix:
     return SymMatrix.from_function(n + 1, lambda i, j: upper[i][j])
 
 
-def allones_eigenvalue_after_schur(ls: LasserreSlack):
+def allones_eigenvalue_after_schur(zbar: SymMatrix):
     """Eigenvalue of the Schur complement (at the empty entry) along all-ones.
 
-    Demands a positive pivot S_n.  The closed-form value is cross-checked
+    Reads S_n, alpha and beta off the entries of a `build_zbar` matrix and
+    demands a positive pivot S_n.  The closed-form value is cross-checked
     against the row sums of the actual Schur complement, which must all be
     equal for this matrix.
     """
-    sn = ls.s_values[ls.n]
+    sn = zbar.get(0, 0)
     if sn <= 0:
         raise ValueError(f"Schur pivot S_n = {sn} is not positive")
-    n, p = ls.n, ls.p
-    alpha = p * (ls.s_values[n - 1] + ls.c_values[1])
-    beta = p * p * (ls.s_values[n - 2] + ls.c_values[2])
+    n, alpha, beta = zbar.n - 1, zbar.get(0, 1), zbar.get(1, 2)
     eig = alpha + (n - 1) * beta - n * alpha * alpha / sn
-    sc = schur_complement(ls.zbar, 0)
+    sc = schur_complement(zbar, 0)
     sums = {sum(sc.row(i), ZERO) for i in range(sc.n)}
     if sums != {eig}:
         raise AssertionError("all-ones direction is not an eigenvector")
@@ -171,13 +148,13 @@ def lasserre1_refutes(n: int, r: int, t: int) -> Certificate:
     if r < 0 or t < 1:
         raise ValueError("need r >= 0 and t >= 1")
     p = Rat(t) / comb(n - 2 * r, 2)
-    ls = build_zbar(n, t, p)
-    verdict = psd_check(ls.zbar)
-    eig = allones_eigenvalue_after_schur(ls)
+    zbar = build_zbar(n, t, p)
+    verdict = psd_check(zbar)
+    eig = allones_eigenvalue_after_schur(zbar)
     if eig < 0 and verdict.is_psd:
         raise AssertionError("negative eigenvalue on a PSD matrix")
     values = {
-        "schur_pivot": rational_entry(ls.s_values[n]),
+        "schur_pivot": rational_entry(zbar.get(0, 0)),
         "allones_eigenvalue": rational_entry(eig),
     }
     witness = None

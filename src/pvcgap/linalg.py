@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ONE, ZERO, as_rational
+
+MAX_ENTRIES = 10**6  # packed entries a SymMatrix may hold
 
 
 class SymMatrix:
@@ -21,17 +23,14 @@ class SymMatrix:
 
     __slots__ = ("n", "_e")
 
-    def __init__(self, n: int, _entries=None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("matrix dimension must be positive")
-        self.n = n
         size = n * (n + 1) // 2
-        if _entries is None:
-            self._e = [ZERO] * size
-        else:
-            if len(_entries) != size:
-                raise ValueError("packed entry list has wrong length")
-            self._e = list(_entries)
+        if size > MAX_ENTRIES:
+            raise ValueError(f"a {n}x{n} matrix has {size} entries (cap {MAX_ENTRIES})")
+        self.n = n
+        self._e = [ZERO] * size
 
     def _idx(self, i: int, j: int) -> int:
         if i > j:
@@ -43,17 +42,6 @@ class SymMatrix:
 
     def set(self, i: int, j: int, value) -> None:
         self._e[self._idx(i, j)] = as_rational(value)
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymMatrix":
-        return cls(n)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        m = cls(n)
-        for i in range(n):
-            m.set(i, i, ONE)
-        return m
 
     @classmethod
     def from_rows(cls, rows) -> "SymMatrix":
@@ -91,9 +79,6 @@ class SymMatrix:
             and self.n == other.n
             and self._e == other._e
         )
-
-    def __hash__(self):
-        return hash((self.n, tuple(self._e)))
 
     def __repr__(self) -> str:
         if self.n <= 6:

@@ -25,7 +25,7 @@ from .graphs import Graph
 from .linalg import SymMatrix
 from .rational import ZERO, Rat, as_rational
 
-DEFAULT_SUPPORT_CAP = 26
+SUPPORT_CAP = 26  # most vertices a moment's support closure may span
 
 
 class SupportTooLarge(ValueError):
@@ -42,7 +42,6 @@ class DistParams:
 
     graph: Graph
     p: object
-    support_cap: int = DEFAULT_SUPPORT_CAP
     _memo: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
@@ -81,10 +80,8 @@ def _enumerate_on_off(params: DistParams, on, off) -> object:
     verts_on, edges_on = _closure(g, on)
     verts_off, edges_off = _closure(g, off)
     verts = verts_on | verts_off
-    if len(verts) > params.support_cap:
-        raise SupportTooLarge(
-            f"support closure has {len(verts)} vertices (cap {params.support_cap})"
-        )
+    if len(verts) > SUPPORT_CAP:
+        raise SupportTooLarge(f"support closure has {len(verts)} vertices (cap {SUPPORT_CAP})")
     forced1 = {c for c in on if g.is_vertex_code(c)}
     forced0 = {c for c in off if g.is_vertex_code(c)}
     for a_, b_ in edges_off:  # an edge stays off only if both endpoints do
@@ -158,8 +155,7 @@ def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> object:
     return total
 
 
-@dataclass(frozen=True)
-class CondMomentMatrix:
+def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
     """Conditioned second-moment matrix over {empty} u singletons of V u E.
 
     Index 0 stands for the empty set; index 1+c for the singleton {c}.
@@ -167,42 +163,19 @@ class CondMomentMatrix:
     construction and positive semidefinite whenever the weights come from
     a genuine distribution over 0-1 assignments.
     """
-
-    y: tuple
-    n: tuple
-    matrix: SymMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.n
-
-
-def build_cond_matrix(params: DistParams, y, n) -> CondMomentMatrix:
     g = params.graph
     ys = canonical_set(g, y)
     ns = canonical_set(g, n)
     if set(ys) & set(ns):
         raise ValueError("Y and N must be disjoint")
     nvars = g.var_count
-    sets = [ys]
-    for c in range(nvars):
-        if c in ys:
-            sets.append(ys)
-        else:
-            merged = tuple(sorted(ys + (c,)))
-            sets.append(merged)
+    sets = [ys] + [ys if c in ys else tuple(sorted(ys + (c,))) for c in range(nvars)]
     cache: dict = {}
-
-    def weight_of(union: tuple):
-        w = cache.get(union)
-        if w is None:
-            w = _weight_overlap_ok(params, union, ns)
-            cache[union] = w
-        return w
 
     def entry(i: int, j: int):
         union = tuple(sorted(set(sets[i]) | set(sets[j])))
-        return weight_of(union)
+        if union not in cache:
+            cache[union] = _weight_overlap_ok(params, union, ns)
+        return cache[union]
 
-    matrix = SymMatrix.from_function(1 + nvars, entry)
-    return CondMomentMatrix(y=ys, n=ns, matrix=matrix)
+    return SymMatrix.from_function(1 + nvars, entry)

@@ -72,14 +72,14 @@ def rational_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_str(q, digits: int = 20) -> str:
-    """Decimal rendering, `digits` significant digits, round-half-even.
+def decimal_str(q) -> str:
+    """Decimal rendering, 20 significant digits, round-half-even.
 
     For human eyes only; comparisons in this package are always exact.
     """
     q = as_rational(q)
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         ctx.rounding = decimal.ROUND_HALF_EVEN
         d = decimal.Decimal(int(q.numerator)) / decimal.Decimal(int(q.denominator))
     return str(d)

@@ -58,7 +58,7 @@ def build_star_sdp_solution(n: int, t: int) -> GramSolution:
     g = make_star(n)
     center = n + 1
     tn = Rat(2 * t, n)
-    gram = SymMatrix.zeros(g.n + 1)
+    gram = SymMatrix(g.n + 1)
     for a in range(g.n + 1):
         gram.set(a, a, ONE)
     for i in range(1, n + 1):
@@ -74,7 +74,7 @@ def gram_from_cover(g: Graph, t: int, cover) -> GramSolution:
     """Integral one-dimensional solution: v_i = v_0 inside the cover,
     -v_0 outside."""
     sign = [ONE if i in cover else -ONE for i in range(1, g.n + 1)]
-    gram = SymMatrix.zeros(g.n + 1)
+    gram = SymMatrix(g.n + 1)
     gram.set(0, 0, ONE)
     for i in range(1, g.n + 1):
         gram.set(i, i, ONE)

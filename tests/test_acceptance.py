@@ -213,7 +213,7 @@ def test_09_conditioned_matrices_random_sample_psd():
         ymask = rng.randrange(1 << k)
         y = tuple(union[i] for i in range(k) if ymask >> i & 1)
         n = tuple(union[i] for i in range(k) if not ymask >> i & 1)
-        if not psd_check(build_cond_matrix(params, y, n).matrix).is_psd:
+        if not psd_check(build_cond_matrix(params, y, n)).is_psd:
             ok = False
             break
     _report("09 conditioned-psd-sample", ok, "50 matrices, exact factorizations")
@@ -237,7 +237,7 @@ def test_10b_demand_slack_closed_form_equals_enumeration():
     for n in range(4, 13):
         for t in range(0, 4):
             for p in (ZERO, Rat(1, 7), Rat(1, 2), ONE):
-                if build_zbar(n, t, p).zbar != zbar_by_enumeration(n, t, p):
+                if build_zbar(n, t, p) != zbar_by_enumeration(n, t, p):
                     ok = False
                 count += 1
     _report("10b demand-slack-oracle", ok, f"{count} grid points, entrywise equal")
@@ -284,7 +284,7 @@ def test_12_soundness_of_degenerate_distributions():
         ok = ok and verify_sa(g, t, 2, DistParams(g, ONE)).feasible
         ok = ok and verify_sap(g, t, 2, DistParams(g, ONE)).feasible
         ok = ok and verify_xyn_family(g, t, 2, DistParams(g, ONE)).feasible
-        ok = ok and psd_check(build_zbar(6, t, ONE).zbar).is_psd
+        ok = ok and psd_check(build_zbar(6, t, ONE)).is_psd
     rejected = verify_sa(g, 1, 1, DistParams(g, ZERO))
     v = rejected.violated
     ok = ok and not rejected.feasible and v.constraint == "demand" and v.y == () and v.n == ()

@@ -1,6 +1,9 @@
 import json
 
-from pvcgap.certificates import Certificate, negative_verdict, rational_entry
+from pvcgap import __version__
+from pvcgap.certificates import (
+    ENUM_ORDER_FINGERPRINT, Certificate, negative_verdict, rational_entry,
+)
 from pvcgap.rational import Rat
 
 
@@ -22,6 +25,8 @@ def test_canonical_json_is_sorted_and_stable():
     doc = json.loads(a)
     assert list(doc) == sorted(doc)
     assert doc["tool"] == "pvcgap"
+    assert doc["tool_version"] == __version__
+    assert doc["enumeration_order"] == ENUM_ORDER_FINGERPRINT
     assert "time" not in a and "date" not in a
 
 

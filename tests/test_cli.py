@@ -1,14 +1,17 @@
 import json
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import pytest
 
-from pvcgap import hierarchy
+from pvcgap import cli, hierarchy, sdp
+from pvcgap.certificates import ENUM_ORDER_FINGERPRINT
 from pvcgap.cli import main
 
 PY = [sys.executable, "-m", "pvcgap.cli"]
@@ -112,7 +115,7 @@ def test_gap_table_bad_row_reports_error_without_abort():
 
 def test_graph_opt_and_io_errors(tmp_path):
     path = tmp_path / "g.graph"
-    path.write_text("4 3\n1 2\n2 3\n3 4\n2 5/2\n")
+    path.write_text("4 3\n1 2\n2 3\n3 4\nw 2 5/2\n")
     r = run("graph-opt", "--graph", str(path), "--t", "2")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
@@ -121,7 +124,8 @@ def test_graph_opt_and_io_errors(tmp_path):
     assert r.returncode == 1
     r = run("graph-opt", "--graph", str(path))
     assert r.returncode == 1
-    for text in ("3 -1\n", "3 -2\n1 2\n"):  # a negative edge count is not a weight line
+    # a negative edge count, or an undercounted one, does not turn edges into weights
+    for text in ("3 -1\n", "3 -2\n1 2\n", "3 1\n1 2\n2 3\n"):
         path.write_text(text)
         r = run("graph-opt", "--graph", str(path), "--t", "0")
         assert r.returncode == 1 and r.stdout == "", text
@@ -131,8 +135,9 @@ def test_graph_opt_and_io_errors(tmp_path):
 def test_usage_errors_exit_one():
     r = run("nonsense")
     assert r.returncode == 1
-    r = run("verify", "--level", "sa", "--n", "8", "--t", "1")  # missing --r
-    assert r.returncode == 1
+    for missing_r in ("verify", "--level", "sa"), ("lasserre",):
+        r = run(*missing_r, "--n", "8", "--t", "1")
+        assert r.returncode == 1 and r.stderr.startswith("usage error:"), missing_r
     r = run("verify", "--level", "sa", "--n", "8", "--r", "1", "--t", "1", "--p", "zzz")
     assert r.returncode == 1
     for bad in (
@@ -145,6 +150,13 @@ def test_usage_errors_exit_one():
         assert r.stderr.startswith("usage error:") and "Traceback" not in r.stderr, bad
 
 
+def _fork_workers(monkeypatch):
+    # forked workers inherit what a test patched into `hierarchy`
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=fork))
+
+
 def _die(*_args):
     os._exit(3)
 
@@ -152,10 +164,77 @@ def _die(*_args):
 def test_dead_worker_exits_one_with_message(monkeypatch, capsys):
     # forked workers inherit the patched scan, so each one dies on its first pair
     monkeypatch.setattr(hierarchy, "_scan_pair", _die)
-    fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor, mp_context=fork))
+    _fork_workers(monkeypatch)
     code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "2"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process died")
+
+
+def _limit_address_space():
+    # a size check that fails would otherwise try to allocate billions of objects
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_huge_sizes_are_refused_before_allocating():
+    for argv in (
+        ["verify", "--level", "sa", "--n", "100000", "--r", "1", "--t", "1"],
+        ["lasserre", "--n", "100000", "--r", "1", "--t", "1"],
+    ):
+        r = subprocess.run(PY + argv, capture_output=True, text=True, timeout=60,
+                           preexec_fn=_limit_address_space)
+        assert r.returncode == 1 and r.stdout == "", argv
+        assert r.stderr.startswith("error:") and "cap" in r.stderr, (argv, r.stderr)
+
+
+def _interrupt(*_args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_interrupt_exits_one_with_message(monkeypatch, capsys, threads):
+    # serially the scan itself raises; forked workers send the interrupt back
+    monkeypatch.setattr(hierarchy, "_scan_pair", _interrupt)
+    _fork_workers(monkeypatch)
+    code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1",
+                 "--threads", threads])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: interrupted\n"
+
+
+def _interrupt_first_pair(log, _params, _t, y, n):
+    if not y and not n:
+        raise KeyboardInterrupt
+    with open(log, "a") as fh:
+        fh.write(".")
+    time.sleep(0.1)
+    return None, 1
+
+
+def test_interrupt_cancels_unstarted_chunks(monkeypatch, capsys, tmp_path):
+    # 43 pairs in chunks of 6 (the last has 1); chunk 0 is interrupted at once and
+    # the others take 0.6 s each, so only the chunks already handed to the
+    # pool's call queue (at most 5 of the other 7) may still run
+    log = tmp_path / "pairs.log"
+    log.write_text("")
+    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_interrupt_first_pair, str(log)))
+    _fork_workers(monkeypatch)
+    code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "2"])
+    assert code == 1 and capsys.readouterr().err == "error: interrupted\n"
+    assert len(log.read_text()) < 43 - 6  # pairs scanned when every other chunk runs
+
+
+def test_star_negative_sdp_verdict_exits_two(monkeypatch, capsys):
+    def bad_point(n, t):
+        sol = sdp.build_star_sdp_solution(n, t)
+        sol.gram.set(1, 1, 2)  # |v_1|^2 = 2: not a unit vector
+        return sol
+
+    monkeypatch.setattr(cli, "build_star_sdp_solution", bad_point)
+    code = main(["star", "--n", "4", "--t", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["verdict"] == "violated:unit-norm"
+    assert doc["witness"]["lhs"]["exact"] == "2/1"
+    assert doc["enumeration_order"] == ENUM_ORDER_FINGERPRINT

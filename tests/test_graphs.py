@@ -26,6 +26,11 @@ def test_clique_edge_counts():
         make_clique(0)
 
 
+def test_huge_clique_is_refused_before_building_edges():
+    with pytest.raises(ValueError, match="1000405 edges"):
+        make_clique(1415)  # C(1415, 2) just exceeds the cap of 10**6
+
+
 def test_star_shape():
     g = make_star(3)
     assert g.n == 4
@@ -129,7 +134,7 @@ def test_weighted_brute_force():
 
 
 def test_graph_file_round_trip():
-    text = "4 3\n1 2\n2 3\n3 4\n2 5/2\n"
+    text = "4 3\n1 2\n2 3\n3 4\nw 2 5/2\n"
     g = parse_graph(text)
     assert g.n == 4 and g.m == 3
     assert g.weights[1] == Rat(5, 2)
@@ -146,7 +151,11 @@ def test_graph_file_comments_and_errors():
     with pytest.raises(ValueError):
         parse_graph("2 1\n1 1\n")
     with pytest.raises(ValueError):
-        parse_graph("2 1\n1 2\n9 4\n")
+        parse_graph("2 1\n1 2\nw 9 4\n")
+    # a header that undercounts its edges no longer turns an edge into a weight
+    for text in ("3 1\n1 2\n2 3\n", "2 1\n1 2\n2 5/2\n"):
+        with pytest.raises(ValueError, match="m=1 edge lines"):
+            parse_graph(text)
     for text in ("3 -1\n", "3 -2\n1 2\n"):  # not re-read as weight lines
         with pytest.raises(ValueError, match="edge count"):
             parse_graph(text)

@@ -183,4 +183,4 @@ def test_lifted_lp_never_below_base_lp():
 
 def test_lifted_lp_variable_cap():
     with pytest.raises(ValueError):
-        generate_sa1_lp(make_clique(12), 1, cap=100)
+        generate_sa1_lp(make_clique(15), 1)  # 7,261 lifted variables, cap 5,000

@@ -33,35 +33,35 @@ def test_expected_slack_values():
 
 def test_zbar_entry_structure():
     n, t, p = 7, 1, Rat(1, 4)
-    ls = build_zbar(n, t, p)
-    s = ls.s_values
-    assert ls.zbar.get(0, 0) == s[n]
+    zbar = build_zbar(n, t, p)
+    s = {k: expected_slack(k, t, p) for k in (n - 2, n - 1, n)}
+    assert zbar.get(0, 0) == s[n]
     for i in range(1, n + 1):
-        assert ls.zbar.get(0, i) == p * (s[n - 1] + (n - 1))
-        assert ls.zbar.get(i, i) == ls.zbar.get(0, i)
+        assert zbar.get(0, i) == p * (s[n - 1] + (n - 1))
+        assert zbar.get(i, i) == zbar.get(0, i)
         for j in range(i + 1, n + 1):
-            assert ls.zbar.get(i, j) == p * p * (s[n - 2] + covered_edges(n, 2))
+            assert zbar.get(i, j) == p * p * (s[n - 2] + covered_edges(n, 2))
 
 
 def test_closed_form_equals_enumeration_spot():
-    assert build_zbar(4, 1, Rat(1, 2)).zbar == zbar_by_enumeration(4, 1, Rat(1, 2))
-    assert build_zbar(9, 2, Rat(1, 7)).zbar == zbar_by_enumeration(9, 2, Rat(1, 7))
+    assert build_zbar(4, 1, Rat(1, 2)) == zbar_by_enumeration(4, 1, Rat(1, 2))
+    assert build_zbar(9, 2, Rat(1, 7)) == zbar_by_enumeration(9, 2, Rat(1, 7))
     with pytest.raises(ValueError):
         zbar_by_enumeration(21, 1, Rat(1, 2))
 
 
 def test_allones_direction_is_an_eigenvector():
-    ls = build_zbar(8, 1, Rat(1, 9))
-    eig = allones_eigenvalue_after_schur(ls)
-    sc = schur_complement(ls.zbar, 0)
+    zbar = build_zbar(8, 1, Rat(1, 9))
+    eig = allones_eigenvalue_after_schur(zbar)
+    sc = schur_complement(zbar, 0)
     for i in range(sc.n):
         assert sum(sc.row(i), ZERO) == eig
 
 
 def test_eigenvalue_rejects_nonpositive_pivot():
-    ls = build_zbar(6, 2, ZERO)  # expected slack is -2 < 0
+    zbar = build_zbar(6, 2, ZERO)  # expected slack is -2 < 0
     with pytest.raises(ValueError):
-        allones_eigenvalue_after_schur(ls)
+        allones_eigenvalue_after_schur(zbar)
 
 
 # Exact eigenvalues at the canonical inclusion probability p = t/C(n-2r,2),
@@ -84,10 +84,10 @@ def test_allones_eigenvalue_exact_values(point, expected):
 
     n, r, t = point
     p = Rat(t, comb(n - 2 * r, 2))
-    ls = build_zbar(n, t, p)
-    assert allones_eigenvalue_after_schur(ls) == expected
+    zbar = build_zbar(n, t, p)
+    assert allones_eigenvalue_after_schur(zbar) == expected
     if n <= 12:
-        assert ls.zbar == zbar_by_enumeration(n, t, p)
+        assert zbar == zbar_by_enumeration(n, t, p)
 
 
 @pytest.mark.parametrize("point", sorted(k for k, v in EIGENVALUES.items() if v < 0))
@@ -100,10 +100,10 @@ def test_negative_direction_refutes(point):
     from math import comb
 
     p = Rat(t, comb(n - 2 * r, 2))
-    ls = build_zbar(n, t, p)
+    zbar = build_zbar(n, t, p)
     vec = [Rat(s) for s in cert.witness["vector"]]
     num, den = cert.witness["quadratic_form"]["exact"].split("/")
-    assert quadratic_form(ls.zbar, vec) == Rat(int(num), int(den)) < 0
+    assert quadratic_form(zbar, vec) == Rat(int(num), int(den)) < 0
 
 
 @pytest.mark.parametrize("point", sorted(k for k, v in EIGENVALUES.items() if v > 0))
@@ -123,8 +123,7 @@ def test_refutes_rejects_parameter_violations():
 
 def test_all_ones_distribution_slack_matrix_is_psd():
     # p = 1 makes the demand slack a convex combination of integral slacks
-    ls = build_zbar(6, 1, ONE)
-    assert psd_check(ls.zbar).is_psd
+    assert psd_check(build_zbar(6, 1, ONE)).is_psd
 
 
 def test_level1_slack_matrices_psd_on_small_clique():

@@ -10,9 +10,14 @@ from conftest import rand_rational
 
 
 def test_identity_is_psd():
-    v = psd_check(SymMatrix.identity(2))
+    v = psd_check(SymMatrix.from_rows([[1, 0], [0, 1]]))
     assert v.is_psd
     assert v.pivots == (Rat(1), Rat(1))
+
+
+def test_huge_matrix_is_refused_before_allocating():
+    with pytest.raises(ValueError, match="1000405 entries"):
+        SymMatrix(1414)  # 1414 * 1415 / 2 just exceeds the cap of 10**6
 
 
 def test_indefinite_2x2_gets_exact_witness():

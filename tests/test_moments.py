@@ -8,8 +8,10 @@ from pvcgap.graphs import make_clique, make_star
 from pvcgap.linalg import psd_check
 from pvcgap.moments import (
     DistParams,
+    SUPPORT_CAP,
     MomentMismatch,
     SupportTooLarge,
+    _enumerate_on_off,
     build_cond_matrix,
     cond_weight,
     moment,
@@ -123,14 +125,14 @@ def test_cond_matrix_entries_and_idempotence():
     params = _params(5, Rat(1, 3))
     g = params.graph
     cm = build_cond_matrix(params, (g.vertex_code(1),), (g.vertex_code(2),))
-    assert cm.dim == 1 + g.var_count
+    assert cm.n == 1 + g.var_count
     # (empty, empty) entry is the bare conditioning weight
-    assert cm.matrix.get(0, 0) == cond_weight(params, (g.vertex_code(1),), (g.vertex_code(2),))
+    assert cm.get(0, 0) == cond_weight(params, (g.vertex_code(1),), (g.vertex_code(2),))
     i = g.vertex_code(3)
-    assert cm.matrix.get(1 + i, 1 + i) == cm.matrix.get(0, 1 + i)
+    assert cm.get(1 + i, 1 + i) == cm.get(0, 1 + i)
     # columns of variables inside N vanish
     j = g.vertex_code(2)
-    assert all(cm.matrix.get(1 + j, k) == ZERO for k in range(cm.dim))
+    assert all(cm.get(1 + j, k) == ZERO for k in range(cm.n))
 
 
 def test_cond_matrices_are_psd_50_random_pairs():
@@ -145,25 +147,30 @@ def test_cond_matrices_are_psd_50_random_pairs():
         y = tuple(union[i] for i in range(k) if ymask >> i & 1)
         n = tuple(union[i] for i in range(k) if not ymask >> i & 1)
         cm = build_cond_matrix(params, y, n)
-        assert psd_check(cm.matrix).is_psd
+        assert psd_check(cm).is_psd
 
 
 def test_unconditioned_matrix_psd_cross_checked_with_floats():
     params = DistParams(make_clique(10), Rat(1, 28))
     cm = build_cond_matrix(params, (), ())
-    assert psd_check(cm.matrix).is_psd
+    assert psd_check(cm).is_psd
     a = np.array(
-        [[float(cm.matrix.get(i, j)) for j in range(cm.dim)] for i in range(cm.dim)]
+        [[float(cm.get(i, j)) for j in range(cm.n)] for i in range(cm.n)]
     )
     assert np.linalg.eigvalsh(a).min() > -1e-12
 
 
 def test_support_cap_is_enforced():
-    params = DistParams(make_clique(20), Rat(1, 2), support_cap=5)
+    params = DistParams(make_clique(2 * 14), Rat(1, 2))
     g = params.graph
-    big = tuple(g.edge_code(2 * i + 1, 2 * i + 2) for i in range(3))
-    with pytest.raises(SupportTooLarge):
-        moment(params, big)
+    pairs = [g.edge_code(2 * i + 1, 2 * i + 2) for i in range(14)]
+    with pytest.raises(SupportTooLarge, match="28 vertices"):
+        moment(params, pairs)
+    # the cap is inclusive: requiring 13 disjoint edges off spans exactly 26 vertices
+    assert SUPPORT_CAP == 26
+    assert _enumerate_on_off(params, (), pairs[:13]) == Rat(1, 2**26)
+    with pytest.raises(SupportTooLarge, match="27 vertices"):
+        _enumerate_on_off(params, (g.vertex_code(27),), pairs[:13])
 
 
 def test_degenerate_probabilities():
