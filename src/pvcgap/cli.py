@@ -18,7 +18,7 @@ from math import comb
 
 from .certificates import Certificate, negative_verdict, rational_entry
 from .graphs import (
-    BRUTE_FORCE_MAX_N, brute_force_opt, build_pvc_lp, load_graph, make_clique, make_star,
+    brute_force_opt, build_pvc_lp, integral_opt, load_graph, make_clique, make_star,
 )
 from .hierarchy import WorkerFailed, generate_sa1_lp, verify_sa, verify_sap, verify_xyn_family
 from .lasserre import lasserre1_refutes
@@ -87,13 +87,12 @@ def _cmd_verify(args) -> int:
     p = parse_rational(args.p) if args.p is not None else _default_p(args.n, args.r, args.t)
     params = DistParams(graph, p)
     if args.level == "sa":
-        verdict = verify_sa(graph, args.t, args.r, params, threads=args.threads)
+        verdict = verify_sa(params, args.t, args.r, threads=args.threads)
     elif args.level == "sap":
-        verdict = verify_sap(graph, args.t, args.r, params, threads=args.threads)
+        verdict = verify_sap(params, args.t, args.r, threads=args.threads)
     else:
         verdict = verify_xyn_family(
-            graph, args.t, args.r, params,
-            sample=args.sample, seed=args.seed, threads=args.threads,
+            params, args.t, args.r, sample=args.sample, seed=args.seed, threads=args.threads
         )
     values = {
         "objective": rational_entry(verdict.objective_value),
@@ -125,9 +124,9 @@ def _cmd_star(args) -> int:
     if t < 1 or t > n:
         raise _UsageError("star needs 1 <= t <= n")
     star = make_star(n)
+    opt = brute_force_opt(star, t)  # refuses stars past its cap before any LP is built
     lp = lp_solve(build_pvc_lp(star, t))
     sa1 = lp_solve(generate_sa1_lp(star, t))
-    opt = brute_force_opt(star, t)
     values = {
         "lp_value": rational_entry(lp.value),
         "sa1_value": rational_entry(sa1.value),
@@ -176,15 +175,15 @@ def _cmd_gap_table(args) -> int:
         try:
             p = _default_p(n, r, t)
             graph = make_clique(n)
-            params = DistParams(graph, p)
-            verdict = verify_sa(graph, t, r, params, threads=args.threads)
+            verdict = verify_sa(DistParams(graph, p), t, r, threads=args.threads)
             row["p"] = rational_str(p)
             row["p_dec"] = rational_entry(p)["decimal"]
             row["sa_objective"] = rational_str(verdict.objective_value)
             row["sa_objective_dec"] = rational_entry(verdict.objective_value)["decimal"]
             row["feasible"] = verdict.feasible
-            if n <= BRUTE_FORCE_MAX_N:
-                row["opt"] = rational_str(brute_force_opt(graph, t))
+            opt = integral_opt(graph, t)
+            if opt is not None:
+                row["opt"] = rational_str(opt)
             if verdict.integrality_gap_lower_bound is not None:
                 g = verdict.integrality_gap_lower_bound
                 row["gap_bound"] = rational_str(g)
@@ -192,13 +191,11 @@ def _cmd_gap_table(args) -> int:
         except (_UsageError, ValueError, OverflowError) as exc:
             row["error"] = str(exc)
         rows.append(row)
-    fields = ["n", "r", "t", "p", "p_dec", "sa_objective", "sa_objective_dec",
-              "opt", "gap_bound", "gap_bound_dec", "feasible", "hypothesis_ok", "error"]
     if args.format == "json":
         text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
@@ -209,8 +206,8 @@ def _cmd_gap_table(args) -> int:
 def _cmd_graph_opt(args) -> int:
     graph = load_graph(args.graph)
     t = args.t
+    opt = brute_force_opt(graph, t)  # refuses graphs past its cap before the LP is built
     lp = lp_solve(build_pvc_lp(graph, t))
-    opt = brute_force_opt(graph, t)
     values = {
         "lp_value": rational_entry(lp.value),
         "integral_opt": rational_entry(opt),

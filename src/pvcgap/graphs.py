@@ -214,7 +214,6 @@ def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
         names=tuple(g.var_names()),
         rows=tuple(rows),
         objective=tuple(objective),
-        direction="min",
     )
 
 
@@ -226,7 +225,7 @@ BRUTE_FORCE_MAX_N = 24  # largest n the exhaustive oracle accepts
 def brute_force_witness(g: Graph, t: int) -> tuple:
     """(minimum weight, one optimal vertex set) by exhaustive enumeration."""
     if g.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_N}")
+        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_N}, got n = {g.n}")
     if t < 0 or t > g.m:
         raise ValueError("need 0 <= t <= |E|")
     if t == 0:
@@ -263,3 +262,8 @@ def brute_force_witness(g: Graph, t: int) -> tuple:
 def brute_force_opt(g: Graph, t: int):
     """Exact integral optimum of t-PVC on g."""
     return brute_force_witness(g, t)[0]
+
+
+def integral_opt(g: Graph, t: int):
+    """Exact integral optimum of t-PVC on g, or None when no oracle covers g."""
+    return brute_force_opt(g, t) if g.n <= BRUTE_FORCE_MAX_N else None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import BRUTE_FORCE_MAX_N, Graph, brute_force_opt, build_pvc_lp
+from .graphs import Graph, build_pvc_lp, integral_opt
 from .linalg import psd_check
 from .moments import (
     DistParams,
@@ -156,23 +156,17 @@ def _scan_pair(params: DistParams, t: int, y: tuple, n: tuple):
     return None, checked
 
 
-def _objective_and_gap(graph: Graph, t: int, params: DistParams):
-    objective = ZERO
-    for i in range(1, graph.n + 1):
-        objective += graph.weights[i - 1] * moment(params, (graph.vertex_code(i),))
-    gap = None
-    if objective > 0 and graph.n <= BRUTE_FORCE_MAX_N:
-        gap = brute_force_opt(graph, t) / objective
-    return objective, gap
+def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
+    """Violation `name` unless the conditioned moment matrix at (Y, N) is PSD."""
+    verdict = psd_check(build_cond_matrix(params, y, n))
+    return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)
 
 
-def _validate(graph: Graph, t: int, r: int, params: DistParams) -> None:
+def _validate(params: DistParams, t: int, r: int) -> None:
     if r < 0:
         raise ValueError("level r must be nonnegative")
-    if not 0 <= t <= graph.m:
+    if not 0 <= t <= params.graph.m:
         raise ValueError("need 0 <= t <= |E|")
-    if params.graph != graph:
-        raise ValueError("params were built for a different graph")
 
 
 # -- the first-failure scan driver ------------------------------------------
@@ -191,9 +185,7 @@ def _scan_chunk(job):
     for flat in indices:
         y, n = yn_pair_at(m, max_size, flat)
         if xyn:
-            verdict = psd_check(build_cond_matrix(params, y, n))
-            violation = None if verdict.is_psd else Violation("xyn:psd", y, n, verdict.value, ZERO)
-            c = 1
+            violation, c = _check_matrix(params, y, n, "xyn:psd"), 1
         else:
             violation, c = _scan_pair(params, t, y, n)
         checked += c
@@ -239,45 +231,43 @@ def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool
     return None, checked
 
 
-def _verdict(graph: Graph, t: int, params: DistParams, violation, checked: int) -> SaVerdict:
-    objective, gap = _objective_and_gap(graph, t, params)
-    return SaVerdict(
-        feasible=violation is None,
-        violated=violation,
-        constraints_checked=checked,
-        objective_value=objective,
-        integrality_gap_lower_bound=gap if violation is None else None,
-    )
+def _verdict(params: DistParams, t: int, violation, checked: int) -> SaVerdict:
+    """The verdict; a feasible one also gets the gap bound opt / objective."""
+    g = params.graph
+    objective = ZERO
+    for i in range(1, g.n + 1):
+        objective += g.weights[i - 1] * moment(params, (g.vertex_code(i),))
+    opt = integral_opt(g, t) if violation is None and objective > 0 else None
+    gap = None if opt is None else opt / objective
+    return SaVerdict(violation is None, violation, checked, objective, gap)
 
 
 # -- public verifiers ---------------------------------------------------------
 
 
-def verify_sa(graph: Graph, t: int, r: int, params: DistParams, threads: int = 1) -> SaVerdict:
+def _sa_scan(params: DistParams, t: int, r: int, threads: int):
+    _validate(params, t, r)
+    indices = range(yn_pair_count(params.graph.var_count, r))
+    return _first_failure(params, t, r, indices, False, threads)
+
+
+def verify_sa(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict:
     """Exact level-r product-lifting feasibility of the moment vector."""
-    _validate(graph, t, r, params)
-    indices = range(yn_pair_count(graph.var_count, r))
-    return _verdict(graph, t, params, *_first_failure(params, t, r, indices, False, threads))
+    return _verdict(params, t, *_sa_scan(params, t, r, threads))
 
 
-def verify_sap(graph: Graph, t: int, r: int, params: DistParams, threads: int = 1) -> SaVerdict:
+def verify_sap(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict:
     """verify_sa plus the PSD test of the unconditioned moment matrix minor."""
-    sa = verify_sa(graph, t, r, params, threads=threads)
-    if not sa.feasible:
-        return sa
-    verdict = psd_check(build_cond_matrix(params, (), ()))
-    checked = sa.constraints_checked + 1
-    if verdict.is_psd:
-        return SaVerdict(True, None, checked, sa.objective_value, sa.integrality_gap_lower_bound)
-    vio = Violation("sa+:moment-psd", (), (), verdict.value, ZERO)
-    return SaVerdict(False, vio, checked, sa.objective_value, None)
+    violation, checked = _sa_scan(params, t, r, threads)
+    if violation is None:
+        violation, checked = _check_matrix(params, (), (), "sa+:moment-psd"), checked + 1
+    return _verdict(params, t, violation, checked)
 
 
 def verify_xyn_family(
-    graph: Graph,
+    params: DistParams,
     t: int,
     r: int,
-    params: DistParams,
     sample: int | None = None,
     seed: int = 0,
     threads: int = 1,
@@ -288,11 +278,11 @@ def verify_xyn_family(
     seed; pass None for the exhaustive family.  At r = 0 the family is
     empty and the verdict is trivially feasible.
     """
-    _validate(graph, t, r, params)
-    indices = range(yn_pair_count(graph.var_count, r - 1))
+    _validate(params, t, r)
+    indices = range(yn_pair_count(params.graph.var_count, r - 1))
     if sample is not None and sample < len(indices):
         indices = sorted(random.Random(seed).sample(indices, sample))
-    return _verdict(graph, t, params, *_first_failure(params, t, r - 1, indices, True, threads))
+    return _verdict(params, t, *_first_failure(params, t, r - 1, indices, True, threads))
 
 
 # -- explicit level-1 lifted LP ----------------------------------------------
@@ -310,20 +300,14 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     weights times the singleton vertex variables, minimized.
     """
     m = graph.var_count
-    n_vars = 1 + m + m * (m - 1) // 2
+    n_vars = 1 + m + comb(m, 2)
     if n_vars > SA1_VARIABLE_CAP:
         raise ValueError(f"lifted LP needs {n_vars} variables, cap is {SA1_VARIABLE_CAP}")
+    sets = [()] + [(q,) for q in range(m)] + list(combinations(range(m), 2))
+    index = {s: k for k, s in enumerate(sets)}
 
-    def single(q: int) -> int:
-        return 1 + q
-
-    def pair(a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        return 1 + m + a * (2 * m - a - 1) // 2 + (b - a - 1)
-
-    def union_idx(a: int, b: int) -> int:
-        return single(a) if a == b else pair(a, b)
+    def var(*codes) -> int:
+        return index[tuple(sorted(set(codes)))]
 
     base = build_pvc_lp(graph, t)
     rows = []
@@ -341,15 +325,15 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
         for q in range(m):
             lifted = [ZERO] * n_vars
             for j, c in nz:
-                lifted[union_idx(j, q)] += c
-            lifted[single(q)] -= rhs
+                lifted[var(j, q)] += c
+            lifted[var(q)] -= rhs
             add(lifted, ZERO)
             lifted = [ZERO] * n_vars
             for j, c in nz:
-                lifted[single(j)] += c
-                lifted[union_idx(j, q)] -= c
+                lifted[var(j)] += c
+                lifted[var(j, q)] -= c
             lifted[0] -= rhs
-            lifted[single(q)] += rhs
+            lifted[var(q)] += rhs
             add(lifted, ZERO)
 
     norm = [ZERO] * n_vars
@@ -359,17 +343,8 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     norm[0] = -ONE
     rows.append((tuple(norm), -ONE))
 
-    names = ["y()"]
-    names += [f"y({graph.var_name(q)})" for q in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            names.append(f"y({graph.var_name(a)},{graph.var_name(b)})")
+    names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
     objective = [ZERO] * n_vars
     for i in range(1, graph.n + 1):
-        objective[single(graph.vertex_code(i))] = graph.weights[i - 1]
-    return LinearProgram(
-        names=tuple(names),
-        rows=tuple(rows),
-        objective=tuple(objective),
-        direction="min",
-    )
+        objective[var(graph.vertex_code(i))] = graph.weights[i - 1]
+    return LinearProgram(names=names, rows=tuple(rows), objective=tuple(objective))

@@ -59,6 +59,14 @@ def canonical_set(graph: Graph, items) -> tuple:
     return tuple(codes)
 
 
+def _disjoint_pair(graph: Graph, y, n) -> tuple:
+    """(Y, N) as canonical sets; overlapping Y and N are rejected."""
+    ys, ns = canonical_set(graph, y), canonical_set(graph, n)
+    if set(ys) & set(ns):
+        raise ValueError("Y and N must be disjoint")
+    return ys, ns
+
+
 def _closure(graph: Graph, codes) -> tuple:
     """(vertex closure, edge code list): vertices mentioned or incident."""
     verts = set()
@@ -129,12 +137,7 @@ def cond_weight(params: DistParams, y, n) -> object:
 
     Rejects overlapping Y and N.  Returns the exact rational value.
     """
-    g = params.graph
-    ys = canonical_set(g, y)
-    ns = canonical_set(g, n)
-    if set(ys) & set(ns):
-        raise ValueError("Y and N must be disjoint")
-    return _weight_overlap_ok(params, ys, ns)
+    return _weight_overlap_ok(params, *_disjoint_pair(params.graph, y, n))
 
 
 def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> object:
@@ -163,12 +166,8 @@ def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
     construction and positive semidefinite whenever the weights come from
     a genuine distribution over 0-1 assignments.
     """
-    g = params.graph
-    ys = canonical_set(g, y)
-    ns = canonical_set(g, n)
-    if set(ys) & set(ns):
-        raise ValueError("Y and N must be disjoint")
-    nvars = g.var_count
+    ys, ns = _disjoint_pair(params.graph, y, n)
+    nvars = params.graph.var_count
     sets = [ys] + [ys if c in ys else tuple(sorted(ys + (c,))) for c in range(nvars)]
     cache: dict = {}
 

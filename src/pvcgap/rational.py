@@ -6,8 +6,7 @@ provide that contract: gmpy2's compiled ``mpq`` (picked up automatically
 when installed, roughly 5-10x faster once numerators grow past a machine
 word) and the stdlib ``fractions.Fraction`` as the pure-Python fallback.
 The backend is selected once at import; set ``PVCGAP_RATIONAL=fraction``
-or ``PVCGAP_RATIONAL=gmpy2`` to force one (the benchmark under
-``benchmarks/`` runs both).
+or ``PVCGAP_RATIONAL=gmpy2`` to force one.
 
 Floats are rejected everywhere: a float argument is a bug, not a value to
 be rounded.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificates import Certificate, rational_entry
-from .graphs import BRUTE_FORCE_MAX_N, Graph, brute_force_opt, make_star
+from .graphs import Graph, integral_opt, make_star
 from .linalg import SymMatrix, psd_check
 from .rational import ONE, ZERO, Rat, as_rational
 
@@ -129,8 +129,8 @@ def verify_hs_sdp(sol: GramSolution) -> Certificate:
     if violation is None:
         values["demand_row"] = rational_entry(demand_lhs)
         values["demand_required"] = rational_entry(Rat(4 * t))
-    if g.n <= BRUTE_FORCE_MAX_N:
-        opt = brute_force_opt(g, t)
+    opt = integral_opt(g, t)
+    if opt is not None:
         values["integral_opt"] = rational_entry(opt)
         if violation is None and objective > 0:
             values["integrality_gap"] = rational_entry(opt / objective)

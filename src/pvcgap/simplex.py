@@ -1,13 +1,14 @@
 """Exact rational LP solving with dual certificates.
 
 `LinearProgram` holds a conified 0-1 polytope in a fixed normal form:
-every constraint row reads  coeffs . x >= rhs  and variables are free
-(bounds are rows like any other).  `lp_solve` runs a two-phase primal
-simplex over the rationals on one tableau that carries both objective
-rows, so phase 2 continues from the phase-1 basis.  It pivots by
-Dantzig's rule and falls back to Bland's rule only after a degenerate
-stall (the star-6 level-1 lifted LP takes 307 pivots, none by Bland), so
-it is deterministic and terminates on every input.
+every constraint row reads  coeffs . x >= rhs, variables are free
+(bounds are rows like any other), and the objective is minimized.
+`lp_solve` runs a two-phase primal simplex over the rationals on one
+tableau that carries both objective rows, so phase 2 continues from the
+phase-1 basis.  It pivots by Dantzig's rule and falls back to Bland's
+rule only after a degenerate stall (the star-6 level-1 lifted LP takes
+307 pivots, none by Bland), so it is deterministic and terminates on
+every input.
 
 Certificates come with every verdict:
   optimal    -> primal solution plus dual multipliers satisfying exact
@@ -34,10 +35,11 @@ _PIVOT_CAP = 5_000_000  # the Bland fallback terminates; this guards against bug
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """Minimize objective . x subject to every row."""
+
     names: tuple
     rows: tuple  # ((coeffs, rhs), ...) each row means coeffs . x >= rhs
     objective: tuple
-    direction: str = "min"
 
     def __post_init__(self):
         nv = len(self.names)
@@ -46,8 +48,6 @@ class LinearProgram:
         for k, (coeffs, _rhs) in enumerate(self.rows):
             if len(coeffs) != nv:
                 raise ValueError(f"row {k} has {len(coeffs)} coefficients, want {nv}")
-        if self.direction not in ("min", "max"):
-            raise ValueError("direction must be 'min' or 'max'")
 
     @property
     def n_vars(self) -> int:
@@ -62,10 +62,9 @@ class LinearProgram:
 class LpResult:
     """status 'optimal' | 'infeasible' | 'unbounded'.
 
-    For 'optimal': value, primal, and dual multipliers (one per original
-    row, stated for the minimization form of the program).  For
-    'infeasible': dual holds the Farkas vector.  For 'unbounded': ray
-    holds an improving direction.
+    For 'optimal': the minimum value, primal, and dual multipliers (one
+    per original row).  For 'infeasible': dual holds the Farkas vector.
+    For 'unbounded': ray holds a recession ray that lowers the objective.
     """
 
     status: str
@@ -154,8 +153,7 @@ class _Tableau:
 
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Solve exactly; deterministic (fixed pivot rules, fixed column layout)."""
-    minimize = lp.direction == "min"
-    c = [as_rational(x) if minimize else -as_rational(x) for x in lp.objective]
+    c = [as_rational(x) for x in lp.objective]
     nv = lp.n_vars
 
     # presolve: absorb a*x_j >= 0 (a > 0) rows as variable nonnegativity
@@ -228,7 +226,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         return _unbounded_result(lp, tab, c, col_var)
     x = _primal_from_tableau(tab, col_var, nv)
     dual = _multipliers(obj2, lp.n_rows, solver_rows, n_struct, absorber, pos_col)
-    return _optimal_result(lp, c, x, dual, minimize)
+    return _optimal_result(lp, c, x, dual)
 
 
 def _purge_artificials(tab: _Tableau, keep_cols: int) -> None:
@@ -274,8 +272,8 @@ def _multipliers(obj, n_rows, solver_rows, n_struct, absorber, pos_col):
     return u
 
 
-def _optimal_result(lp, c, x, dual, minimize):
-    value_min = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
+def _optimal_result(lp, c, x, dual):
+    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
 
     # certify before reporting: feasibility, stationarity, complementary
     # slackness and strong duality must all hold exactly
@@ -293,13 +291,9 @@ def _optimal_result(lp, c, x, dual, minimize):
         lhs = sum((lp.rows[i][0][j] * dual[i] for i in range(lp.n_rows)), ZERO)
         if lhs != c[j]:
             raise RuntimeError("dual stationarity failed")
-    if dual_value != value_min:
+    if dual_value != value:
         raise RuntimeError("strong duality failed")
-
-    value = value_min if minimize else -value_min
-    return LpResult(
-        status="optimal", value=value, primal=tuple(x), dual=tuple(dual)
-    )
+    return LpResult(status="optimal", value=value, primal=tuple(x), dual=tuple(dual))
 
 
 def _unbounded_result(lp, tab, c, col_var):

@@ -114,7 +114,7 @@ def test_05_lifted_membership_on_the_grid():
         g, params = _grid_params(n, r, t)
         threads = THREADS if n >= 12 else 1
         start = time.monotonic()
-        verdict = verify_sa(g, t, r, params, threads=threads)
+        verdict = verify_sa(params, t, r, threads=threads)
         elapsed = time.monotonic() - start
         bound = Rat(comb(n - 2 * r, 2), t * n)
         good = (
@@ -134,7 +134,7 @@ def test_06_lifted_membership_with_psd_minor():
     for n, r, t in GRID:
         g, params = _grid_params(n, r, t)
         threads = THREADS if n >= 12 else 1
-        verdict = verify_sap(g, t, r, params, threads=threads)
+        verdict = verify_sap(params, t, r, threads=threads)
         ok = ok and verdict.feasible
         details.append(f"({n},{r},{t}: {'ok' if verdict.feasible else verdict.violated})")
     _report("06 lifted-psd-membership", ok, " ".join(details))
@@ -143,11 +143,11 @@ def test_06_lifted_membership_with_psd_minor():
 def test_07_conditioned_matrix_family():
     g, params = _grid_params(10, 2, 1)
     start = time.monotonic()
-    exhaustive = verify_xyn_family(g, 1, 2, params, threads=THREADS)
+    exhaustive = verify_xyn_family(params, 1, 2, threads=THREADS)
     t_ex = time.monotonic() - start
     g14, params14 = _grid_params(14, 3, 2)
     start = time.monotonic()
-    sampled = verify_xyn_family(g14, 2, 3, params14, sample=200, seed=0, threads=THREADS)
+    sampled = verify_xyn_family(params14, 2, 3, sample=200, seed=0, threads=THREADS)
     t_s = time.monotonic() - start
     ok = (
         exhaustive.feasible
@@ -281,11 +281,11 @@ def test_12_soundness_of_degenerate_distributions():
     g = make_clique(6)
     ok = True
     for t in (1, 5):
-        ok = ok and verify_sa(g, t, 2, DistParams(g, ONE)).feasible
-        ok = ok and verify_sap(g, t, 2, DistParams(g, ONE)).feasible
-        ok = ok and verify_xyn_family(g, t, 2, DistParams(g, ONE)).feasible
+        ok = ok and verify_sa(DistParams(g, ONE), t, 2).feasible
+        ok = ok and verify_sap(DistParams(g, ONE), t, 2).feasible
+        ok = ok and verify_xyn_family(DistParams(g, ONE), t, 2).feasible
         ok = ok and psd_check(build_zbar(6, t, ONE)).is_psd
-    rejected = verify_sa(g, 1, 1, DistParams(g, ZERO))
+    rejected = verify_sa(DistParams(g, ZERO), 1, 1)
     v = rejected.violated
     ok = ok and not rejected.feasible and v.constraint == "demand" and v.y == () and v.n == ()
     _report("12 degenerate-soundness", ok, "p=1 accepted everywhere; p=0 rejected at the demand row")

@@ -39,6 +39,14 @@ def test_verify_infeasible_exits_two_with_witness():
     assert doc["witness"]["Y"] == [] and doc["witness"]["N"] == []
 
 
+def test_verify_past_the_integral_oracle_has_no_gap_bound():
+    r = run("verify", "--level", "sa", "--n", "26", "--r", "0", "--t", "1")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["verdict"] == "feasible"
+    assert "integrality_gap_lower_bound" not in doc["values"]
+
+
 def test_verify_sap_and_xyn_levels():
     r = run("verify", "--level", "sap", "--n", "8", "--r", "1", "--t", "1")
     assert r.returncode == 0
@@ -176,10 +184,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def test_huge_sizes_are_refused_before_allocating():
+def test_huge_sizes_are_refused_before_allocating(tmp_path):
+    big = tmp_path / "path30.graph"
+    big.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 30)))
     for argv in (
         ["verify", "--level", "sa", "--n", "100000", "--r", "1", "--t", "1"],
         ["lasserre", "--n", "100000", "--r", "1", "--t", "1"],
+        # past the integral oracle's cap, before any LP is built
+        ["star", "--n", "5000", "--t", "1"],
+        ["star", "--n", "30", "--t", "1"],
+        ["graph-opt", "--graph", str(big), "--t", "1"],
     ):
         r = subprocess.run(PY + argv, capture_output=True, text=True, timeout=60,
                            preexec_fn=_limit_address_space)

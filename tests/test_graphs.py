@@ -8,6 +8,7 @@ from pvcgap.graphs import (
     brute_force_witness,
     build_pvc_lp,
     format_graph,
+    integral_opt,
     make_clique,
     make_star,
     parse_graph,
@@ -125,6 +126,15 @@ def test_lp_is_a_relaxation_of_brute_force():
         res = lp_solve(build_pvc_lp(g, t))
         assert res.status == "optimal"
         assert res.value <= brute_force_opt(g, t)
+
+
+def test_integral_opt_is_brute_force_up_to_its_cap():
+    weighted = Graph(3, ((1, 2), (2, 3)), weights=(Rat(5), Rat(1), Rat(5)))
+    for g, t in ((weighted, 2), (make_clique(8), 20), (make_star(23), 5), (make_clique(24), 1)):
+        assert g.n <= 24
+        assert integral_opt(g, t) == brute_force_opt(g, t)
+    for g in (make_clique(25), make_star(24)):
+        assert integral_opt(g, 1) is None
 
 
 def test_weighted_brute_force():

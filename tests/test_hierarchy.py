@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from pvcgap import hierarchy
 from pvcgap.graphs import make_clique, make_star, build_pvc_lp, brute_force_opt
 from pvcgap.hierarchy import (
     generate_sa1_lp,
@@ -13,6 +14,7 @@ from pvcgap.hierarchy import (
     yn_pair_count,
     yn_pairs,
 )
+from pvcgap.linalg import PsdVerdict
 from pvcgap.moments import DistParams, cond_weight
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import lp_solve
@@ -45,7 +47,7 @@ def test_pair_enumeration_count_and_order():
 def test_lifted_feasibility_on_cliques(n, r, t):
     assert n >= 2 * r + 2 * t + 2
     g, params = _clique_params(n, r, t)
-    verdict = verify_sa(g, t, r, params)
+    verdict = verify_sa(params, t, r)
     assert verdict.feasible, verdict.violated
     assert verdict.objective_value == n * params.p
     assert verdict.integrality_gap_lower_bound == Rat(comb(n - 2 * r, 2), t * n)
@@ -54,13 +56,13 @@ def test_lifted_feasibility_on_cliques(n, r, t):
 
 def test_level_zero_with_p_one_is_feasible():
     g = make_clique(6)
-    verdict = verify_sa(g, 1, 0, DistParams(g, ONE))
+    verdict = verify_sa(DistParams(g, ONE), 1, 0)
     assert verdict.feasible
 
 
 def test_p_zero_fails_demand_at_empty_pair():
     g = make_clique(6)
-    verdict = verify_sa(g, 1, 1, DistParams(g, ZERO))
+    verdict = verify_sa(DistParams(g, ZERO), 1, 1)
     assert not verdict.feasible
     v = verdict.violated
     assert v.constraint == "demand"
@@ -72,7 +74,7 @@ def test_p_zero_fails_demand_at_empty_pair():
 def test_violation_witness_reproduces_at_higher_level():
     g = make_clique(6)
     params = DistParams(g, ZERO)
-    verdict = verify_sa(g, 2, 1, params)
+    verdict = verify_sa(params, 2, 1)
     assert not verdict.feasible
     v = verdict.violated
     # re-evaluate the reported demand row by hand; it must fail identically,
@@ -81,7 +83,7 @@ def test_violation_witness_reproduces_at_higher_level():
     for i, j in g.edges:
         lhs += cond_weight(params, v.y + (g.edge_code(i, j),), v.n)
     assert lhs == v.lhs < v.rhs == 2 * cond_weight(params, v.y, v.n)
-    higher = verify_sa(g, 2, 2, params)
+    higher = verify_sa(params, 2, 2)
     assert not higher.feasible and higher.violated == v
 
 
@@ -90,44 +92,56 @@ def test_violation_witness_reproduces_at_higher_level():
 @pytest.mark.parametrize("verify", [verify_sa, verify_sap], ids=["sa", "sap"])
 def test_threaded_run_matches_single_thread(verify, p, threads):
     g = make_clique(8)
-    solo = verify(g, 1, 1, DistParams(g, p))
-    multi = verify(g, 1, 1, DistParams(g, p), threads=threads)
+    solo = verify(DistParams(g, p), 1, 1)
+    multi = verify(DistParams(g, p), 1, 1, threads=threads)
     assert multi == solo
 
 
 def test_plus_variant_adds_one_psd_check():
     g, params = _clique_params(8, 1, 1)
-    sa = verify_sa(g, 1, 1, params)
-    sap = verify_sap(g, 1, 1, DistParams(g, params.p))
+    sa = verify_sa(params, 1, 1)
+    sap = verify_sap(DistParams(g, params.p), 1, 1)
     assert sap.feasible
     assert sap.constraints_checked == sa.constraints_checked + 1
 
 
+def test_plus_variant_reports_a_failed_moment_matrix(monkeypatch):
+    g, params = _clique_params(8, 1, 1)
+    sa = verify_sa(params, 1, 1)
+    monkeypatch.setattr(hierarchy, "psd_check", lambda _m: PsdVerdict(False, value=Rat(-1)))
+    sap = verify_sap(DistParams(g, params.p), 1, 1)
+    assert not sap.feasible
+    assert sap.violated == hierarchy.Violation("sa+:moment-psd", (), (), Rat(-1), ZERO)
+    assert sap.constraints_checked == sa.constraints_checked + 1
+    assert sap.objective_value == sa.objective_value
+    assert sap.integrality_gap_lower_bound is None
+
+
 def test_plus_variant_accepts_p_zero_matrix_but_fails_demand():
     g = make_clique(5)
-    verdict = verify_sap(g, 1, 1, DistParams(g, ZERO))
+    verdict = verify_sap(DistParams(g, ZERO), 1, 1)
     assert not verdict.feasible
     assert verdict.violated.constraint == "demand"
 
 
 def test_conditioned_family_exhaustive_small():
     g, params = _clique_params(8, 2, 1)
-    verdict = verify_xyn_family(g, 1, 2, params)
+    verdict = verify_xyn_family(params, 1, 2)
     assert verdict.feasible
     assert verdict.constraints_checked == yn_pair_count(g.var_count, 1)
 
 
 def test_conditioned_family_at_level_zero_is_vacuous():
     g, params = _clique_params(8, 1, 1)
-    verdict = verify_xyn_family(g, 1, 0, params)
+    verdict = verify_xyn_family(params, 1, 0)
     assert verdict.feasible
     assert verdict.constraints_checked == 0
 
 
 def test_conditioned_family_sampling_is_seed_deterministic():
     g, params = _clique_params(8, 2, 1)
-    a = verify_xyn_family(g, 1, 2, params, sample=5, seed=9)
-    b = verify_xyn_family(g, 1, 2, DistParams(g, params.p), sample=5, seed=9)
+    a = verify_xyn_family(params, 1, 2, sample=5, seed=9)
+    b = verify_xyn_family(DistParams(g, params.p), 1, 2, sample=5, seed=9)
     assert a.constraints_checked == b.constraints_checked == 5
     assert a.feasible and b.feasible
 
@@ -136,21 +150,18 @@ def test_integral_all_ones_point_passes_every_verifier():
     g = make_clique(6)
     for t in (1, 5):
         params = DistParams(g, ONE)
-        assert verify_sa(g, t, 2, params).feasible
-        assert verify_sap(g, t, 2, DistParams(g, ONE)).feasible
-        assert verify_xyn_family(g, t, 2, DistParams(g, ONE)).feasible
+        assert verify_sa(params, t, 2).feasible
+        assert verify_sap(DistParams(g, ONE), t, 2).feasible
+        assert verify_xyn_family(DistParams(g, ONE), t, 2).feasible
 
 
 def test_rejects_bad_arguments():
     g = make_clique(5)
     params = DistParams(g, Rat(1, 3))
     with pytest.raises(ValueError):
-        verify_sa(g, 1, -1, params)
+        verify_sa(params, 1, -1)
     with pytest.raises(ValueError):
-        verify_sa(g, 99, 1, params)
-    other = DistParams(make_clique(6), Rat(1, 3))
-    with pytest.raises(ValueError):
-        verify_sa(g, 1, 1, other)
+        verify_sa(params, 99, 1)
 
 
 # -- explicit level-1 lifted LP ----------------------------------------------
@@ -179,6 +190,17 @@ def test_lifted_lp_never_below_base_lp():
         base = lp_solve(build_pvc_lp(g, t))
         lifted = lp_solve(generate_sa1_lp(g, t))
         assert lifted.value >= base.value
+
+
+def test_lifted_lp_variable_order():
+    lp = generate_sa1_lp(make_star(2), 1)
+    assert lp.names == (
+        "y()", "y(v1)", "y(v2)", "y(v3)", "y(e1_3)", "y(e2_3)",
+        "y(v1,v2)", "y(v1,v3)", "y(v1,e1_3)", "y(v1,e2_3)",
+        "y(v2,v3)", "y(v2,e1_3)", "y(v2,e2_3)",
+        "y(v3,e1_3)", "y(v3,e2_3)", "y(e1_3,e2_3)",
+    )
+    assert lp.objective == (ZERO,) + (ONE,) * 3 + (ZERO,) * 12
 
 
 def test_lifted_lp_variable_cap():

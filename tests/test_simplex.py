@@ -8,13 +8,12 @@ from pvcgap.simplex import LinearProgram, LpResult, lp_solve
 from conftest import dot, rand_rational, vertex_enumeration_min
 
 
-def _lp(rows, objective, direction="min"):
+def _lp(rows, objective):
     n = len(objective)
     return LinearProgram(
         names=tuple(f"x{k}" for k in range(n)),
         rows=tuple((tuple(Rat(c) for c in coeffs), Rat(r)) for coeffs, r in rows),
         objective=tuple(Rat(c) for c in objective),
-        direction=direction,
     )
 
 
@@ -23,19 +22,11 @@ def test_single_variable_interval():
         names=("x",),
         rows=(((Rat(1),), Rat(3, 7)), ((Rat(-1),), Rat(-1))),
         objective=(Rat(1),),
-        direction="min",
     )
     res = lp_solve(lp)
     assert res.status == "optimal"
     assert res.value == Rat(3, 7)
     assert res.primal == (Rat(3, 7),)
-
-
-def test_maximization():
-    lp = _lp([((-1,), -5), ((1,), 0)], [1], direction="max")
-    res = lp_solve(lp)
-    assert res.status == "optimal"
-    assert res.value == Rat(5)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +119,6 @@ def test_matches_vertex_enumeration_on_random_boxed_programs():
             names=tuple(f"x{j}" for j in range(n)),
             rows=tuple(rows),
             objective=objective,
-            direction="min",
         )
         expected = vertex_enumeration_min(lp)
         got = lp_solve(lp)
