@@ -5,7 +5,8 @@ every constraint row reads  coeffs . x >= rhs, variables are free
 (bounds are rows like any other), and the objective is minimized.
 `lp_solve` runs a two-phase primal simplex over the rationals on one
 tableau that carries both objective rows, so phase 2 continues from the
-phase-1 basis.  It pivots by Dantzig's rule and falls back to Bland's
+phase-1 basis.  The tableau is kept in integers over one common
+denominator, so a pivot does no gcd work.  It pivots by Dantzig's rule and falls back to Bland's
 rule only after a degenerate stall (the star-6 level-1 lifted LP takes
 307 pivots, none by Bland), so it is deterministic and terminates on
 every input.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import lcm, prod
 
 from .rational import ONE, ZERO, Rat, as_rational
 
@@ -75,7 +77,19 @@ class LpResult:
 
 
 class _Tableau:
-    """Dense simplex tableau over exact rationals with zero-skipping pivots.
+    """Integer simplex tableau over one common denominator (Edmonds).
+
+    Every entry is an integer: the true tableau value times `d`, the
+    absolute determinant of the current basis in the row-scaled integer
+    program that `lp_solve` builds.  A pivot on (r, s) with p = T[r][s] > 0
+    keeps row r, sets every other row i to (p*T[i] - T[i][s]*T[r]) / d and
+    makes p the new d.  The division is exact because the results are
+    minors of the starting integer matrix, so no entry is ever reduced by a
+    gcd; a negative pivot (only when artificials are pivoted out) first
+    negates row r.  A row with T[i][s] = 0 only rescales by p/d, and when
+    p = d it is left alone and every other row changes only where row r is
+    nonzero.  Signs and ratios of the integers are those of the true
+    values, so the rules below read them directly.
 
     Entering rule: Dantzig (most negative reduced cost, smallest index on
     ties) while the objective moves, falling back to Bland's smallest-index
@@ -85,27 +99,38 @@ class _Tableau:
     be under Bland's rule, which admits no cycle.
     """
 
-    def __init__(self, rows, objs, basis):
+    def __init__(self, rows, objs, basis, d):
         self.rows = rows          # each: list of column values + [rhs]
         self.objs = objs          # phase-1 and phase-2 reduced-cost rows, each
                                   # + [-(objective value)]; pivots update both
         self.basis = basis        # basis[i] = column index basic in row i
+        self.d = d
         self.unbounded_col = None
+
+    def value(self, entry):
+        """The true value of a tableau entry."""
+        return Rat(entry, self.d)
 
     def pivot(self, row_i: int, col_j: int) -> None:
         prow = self.rows[row_i]
-        piv = prow[col_j]
-        inv = ONE / piv
-        nz = [k for k, v in enumerate(prow) if v != 0]
-        for k in nz:
-            prow[k] *= inv
+        p, d = prow[col_j], self.d
+        if p < 0:
+            prow[:] = [-v for v in prow]
+            p = -p
+        nz = [k for k, v in enumerate(prow) if v]
         for r in chain(self.rows, self.objs):
             if r is prow:
                 continue
             f = r[col_j]
-            if f != 0:
+            if f == 0:
+                if p != d:
+                    r[:] = [v * p // d for v in r]
+            elif p == d:
                 for k in nz:
-                    r[k] -= f * prow[k]
+                    r[k] -= f * prow[k] // d
+            else:
+                r[:] = [(p * a - f * b) // d for a, b in zip(r, prow)]
+        self.d = p
         self.basis[row_i] = col_j
 
     def step(self, obj, n_cols: int, bland: bool) -> str:
@@ -122,7 +147,7 @@ class _Tableau:
         rows, basis = self.rows, self.basis
         best_row = min(
             (i for i, r in enumerate(rows) if r[enter] > 0),
-            key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]),
+            key=lambda i: (Rat(rows[i][-1], rows[i][enter]), basis[i]),
             default=None,
         )
         if best_row is None:
@@ -135,13 +160,14 @@ class _Tableau:
         stall_limit = max(64, len(self.rows))
         bland = False
         stalled = 0
-        last_value = obj[-1]
+        last_value = self.value(obj[-1])
         for _ in range(_PIVOT_CAP):
             state = self.step(obj, n_cols, bland)
             if state != "pivoted":
                 return state
-            if obj[-1] != last_value:
-                last_value = obj[-1]
+            value = self.value(obj[-1])
+            if value != last_value:
+                last_value = value
                 bland = False
                 stalled = 0
             else:
@@ -149,6 +175,13 @@ class _Tableau:
                 if stalled >= stall_limit:
                     bland = True
         raise RuntimeError("pivot cap exceeded; this should be unreachable")
+
+
+def _integral(values) -> tuple:
+    """(scale, integers): the least positive scale making every value integral."""
+    values = [as_rational(v) for v in values]
+    scale = lcm(*(int(v.denominator) for v in values))
+    return scale, [int(v * scale) for v in values]
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
@@ -181,30 +214,35 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     n_art = sum(1 for _idx, _coeffs, rhs in solver_rows if rhs > 0)
     n_cols = n_struct + m + n_art
 
-    # each row is sign-normalised to a nonnegative rhs; rows with rhs > 0
-    # get an artificial basic column, the others their surplus column
-    obj1 = [ZERO] * (n_cols + 1)  # phase 1: minimize the artificial sum
-    obj2 = [ZERO] * (n_cols + 1)
+    # Each row is sign-normalised to a nonnegative rhs; rows with rhs > 0
+    # get an artificial basic column, the others their surplus column.  The
+    # tableau is this rational tableau times d, the product of the least
+    # scales that make each row integral (the starting basis determinant
+    # of the scaled rows; 1 for integer data), so it pivots exactly as the
+    # rational one would.  The objective is scaled to integers by
+    # obj_scale, which no pivot rule sees; the multipliers divide it out.
+    scaled = [_integral(list(coeffs) + [rhs]) for _idx, coeffs, rhs in solver_rows]
+    d = prod(scale for scale, _ints in scaled)
+    obj_scale, c_int = _integral(c)
+    obj1 = [0] * (n_cols + 1)  # phase 1: minimize the artificial sum
+    obj2 = [0] * (n_cols + 1)
     for k, (j, sign) in enumerate(col_var):
-        if c[j] != 0:
-            obj2[k] = c[j] * sign
+        obj2[k] = c_int[j] * sign * d
     tab_rows = []
     basis = []
     art_col = n_struct + m
-    for i, (_idx, coeffs, rhs) in enumerate(solver_rows):
-        s = 1 if rhs > 0 else -1
-        row = [ZERO] * (n_cols + 1)
+    for i, (scale, ints) in enumerate(scaled):
+        s = 1 if ints[-1] > 0 else -1
+        f = s * (d // scale)
+        row = [0] * (n_cols + 1)
         for k, (j, sign) in enumerate(col_var):
-            a = coeffs[j]
-            if a != 0:
-                row[k] = a * sign * s
-        row[n_struct + i] = Rat(-s)
-        row[-1] = rhs * s
+            row[k] = ints[j] * sign * f
+        row[n_struct + i] = -s * d
+        row[-1] = ints[-1] * f
         if s > 0:
             for k, v in enumerate(row):
-                if v != 0:
-                    obj1[k] -= v
-            row[art_col] = ONE
+                obj1[k] -= v
+            row[art_col] = d
             basis.append(art_col)
             art_col += 1
         else:
@@ -212,12 +250,13 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         tab_rows.append(row)
 
     # the starting basis costs nothing in phase 2, so obj2 starts priced out
-    tab = _Tableau(tab_rows, [obj1, obj2], basis)
+    tab = _Tableau(tab_rows, [obj1, obj2], basis, d)
     if n_art:
         state = tab.run(obj1, n_cols)
         assert state == "optimal"  # phase 1 is bounded below by 0
         if -obj1[-1] > 0:
-            farkas = _multipliers(obj1, lp.n_rows, solver_rows, n_struct, absorber, pos_col)
+            farkas = _multipliers(tab, obj1, 1, lp.n_rows, solver_rows, n_struct,
+                                  absorber, pos_col)
             return _infeasible_result(lp, farkas)
         _purge_artificials(tab, n_struct + m)
 
@@ -225,24 +264,21 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     if state == "unbounded":
         return _unbounded_result(lp, tab, c, col_var)
     x = _primal_from_tableau(tab, col_var, nv)
-    dual = _multipliers(obj2, lp.n_rows, solver_rows, n_struct, absorber, pos_col)
+    dual = _multipliers(tab, obj2, obj_scale, lp.n_rows, solver_rows, n_struct,
+                        absorber, pos_col)
     return _optimal_result(lp, c, x, dual)
 
 
 def _purge_artificials(tab: _Tableau, keep_cols: int) -> None:
-    """Pivot basic artificials out (or drop their redundant rows)."""
-    drop = []
+    """Pivot basic artificials out.
+
+    Every solver row has its own surplus column, so the columns kept have
+    full row rank and each such row has a nonzero entry among them.
+    """
     for i in range(len(tab.rows)):
         if tab.basis[i] >= keep_cols:
             r = tab.rows[i]
-            piv = next((k for k in range(keep_cols) if r[k] != 0), None)
-            if piv is None:
-                drop.append(i)  # redundant row
-            else:
-                tab.pivot(i, piv)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
+            tab.pivot(i, next(k for k in range(keep_cols) if r[k] != 0))
 
 
 def _primal_from_tableau(tab: _Tableau, col_var, nv: int) -> list:
@@ -250,11 +286,12 @@ def _primal_from_tableau(tab: _Tableau, col_var, nv: int) -> list:
     for i, b in enumerate(tab.basis):
         if b < len(col_var):
             j, sign = col_var[b]
-            x[j] += sign * tab.rows[i][-1]
+            x[j] += sign * tab.value(tab.rows[i][-1])
     return x
 
 
-def _multipliers(obj, n_rows, solver_rows, n_struct, absorber, pos_col):
+def _multipliers(tab, obj, obj_scale, n_rows, solver_rows, n_struct, absorber,
+                 pos_col):
     """One multiplier per original row, read from an objective row.
 
     A solver row's multiplier is the reduced cost of its surplus column; an
@@ -262,13 +299,13 @@ def _multipliers(obj, n_rows, solver_rows, n_struct, absorber, pos_col):
     the final phase-2 row these are the optimal duals.  On the final phase-1
     row they are the Farkas vector: x_j costs nothing there, so its reduced
     cost is -(u^T A)_j, and the absorbed multipliers cancel the rest of the
-    combination exactly.
+    combination exactly.  Reduced costs are divided by obj_scale.
     """
     u = [ZERO] * n_rows
     for i, (idx, _coeffs, _rhs) in enumerate(solver_rows):
-        u[idx] = obj[n_struct + i]
+        u[idx] = tab.value(obj[n_struct + i]) / obj_scale
     for j, (idx, a) in absorber.items():
-        u[idx] = obj[pos_col[j]] / a
+        u[idx] = tab.value(obj[pos_col[j]]) / obj_scale / a
     return u
 
 
@@ -300,7 +337,7 @@ def _unbounded_result(lp, tab, c, col_var):
     # the entering column rises by 1, each basic column falls by its entry
     enter = tab.unbounded_col
     dx = [ZERO] * lp.n_vars
-    moves = [(enter, ONE)] + [(b, -r[enter]) for b, r in zip(tab.basis, tab.rows)]
+    moves = [(enter, ONE)] + [(b, tab.value(-r[enter])) for b, r in zip(tab.basis, tab.rows)]
     for col, val in moves:
         if col < len(col_var):
             j, sign = col_var[col]
