@@ -181,11 +181,12 @@ def _cmd_gap_table(args) -> int:
             row["sa_objective"] = rational_str(verdict.objective_value)
             row["sa_objective_dec"] = rational_entry(verdict.objective_value)["decimal"]
             row["feasible"] = verdict.feasible
-            opt = integral_opt(graph, t)
+            g = verdict.integrality_gap_lower_bound
+            # g is opt / objective; the oracle has run only where g is known
+            opt = integral_opt(graph, t) if g is None else g * verdict.objective_value
             if opt is not None:
                 row["opt"] = rational_str(opt)
-            if verdict.integrality_gap_lower_bound is not None:
-                g = verdict.integrality_gap_lower_bound
+            if g is not None:
                 row["gap_bound"] = rational_str(g)
                 row["gap_bound_dec"] = rational_entry(g)["decimal"]
         except (_UsageError, ValueError, OverflowError) as exc:

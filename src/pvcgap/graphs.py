@@ -90,15 +90,20 @@ class Graph:
         return [self.var_name(c) for c in range(self.var_count)]
 
 
-MAX_CLIQUE_EDGES = 10**6  # make_clique refuses larger cliques before building them
+MAX_GRAPH_SIZE = 10**6  # most vertices, and most edges, of a graph pvcgap builds
+
+
+def _check_size(what: str, n: int, m: int) -> None:
+    """Refuse a graph past MAX_GRAPH_SIZE before anything of it is built."""
+    if max(n, m) > MAX_GRAPH_SIZE:
+        raise ValueError(f"{what} has {n} vertices and {m} edges (cap {MAX_GRAPH_SIZE} each)")
 
 
 def make_clique(n: int) -> Graph:
     """Complete unweighted graph on n vertices."""
     if n < 1:
         raise ValueError("clique needs n >= 1")
-    if comb(n, 2) > MAX_CLIQUE_EDGES:
-        raise ValueError(f"K_{n} has {comb(n, 2)} edges (cap {MAX_CLIQUE_EDGES})")
+    _check_size(f"K_{n}", n, comb(n, 2))
     return Graph(n, tuple(combinations(range(1, n + 1), 2)))
 
 
@@ -106,6 +111,7 @@ def make_star(n: int) -> Graph:
     """Star with n leaves 1..n and center n+1, so n+1 vertices and n edges."""
     if n < 1:
         raise ValueError("star needs n >= 1")
+    _check_size(f"the star with {n} leaves", n + 1, n)
     return Graph(n + 1, tuple((i, n + 1) for i in range(1, n + 1)))
 
 
@@ -134,6 +140,7 @@ def parse_graph(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if m < 0:
         raise ValueError(f"edge count must be >= 0, got {m}")
+    _check_size("the graph file", n, m)
     if len(lines) < 1 + m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

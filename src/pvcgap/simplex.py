@@ -4,20 +4,19 @@
 every constraint row reads  coeffs . x >= rhs, variables are free
 (bounds are rows like any other), and the objective is minimized.
 `lp_solve` runs a two-phase primal simplex over the rationals on one
-tableau that carries both objective rows, so phase 2 continues from the
-phase-1 basis.  The tableau is kept in integers over one common
-denominator, so a pivot does no gcd work.  It pivots by Dantzig's rule and falls back to Bland's
-rule only after a degenerate stall (the star-6 level-1 lifted LP takes
-307 pivots, none by Bland), so it is deterministic and terminates on
-every input.
+tableau.  Phase 1 carries both objective rows, so phase 2 continues from
+the phase-1 basis; after phase 1 the artificial columns and the phase-1
+row are cut away.  The tableau is kept in integers over one common
+denominator, so a pivot does no gcd work.  It pivots by Dantzig's rule
+and falls back to Bland's rule only after a degenerate stall (the star-6
+level-1 lifted LP takes 307 pivots, none by Bland), so it is
+deterministic and terminates on every input.
 
-Certificates come with every verdict:
-  optimal    -> primal solution plus dual multipliers satisfying exact
-                stationarity and complementary slackness,
-  infeasible -> a Farkas vector (nonnegative row combination equal to the
-                zero functional with positive right-hand side),
-  unbounded  -> an improving ray.
-All three are re-verified internally before being returned.
+Every program pvcgap builds has an optimum, so `lp_solve` returns only
+that: the value, a primal solution and dual multipliers, re-verified
+exactly (primal feasibility, dual sign, complementary slackness,
+stationarity, strong duality) before being returned.  An infeasible or
+unbounded program raises ValueError.
 
 As a presolve step, rows of the shape a*x_j >= 0 (a > 0) are absorbed as
 variable nonnegativity; their multipliers are read from the reduced cost
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import lcm, prod
 
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ZERO, Rat, as_rational
 
 _PIVOT_CAP = 5_000_000  # the Bland fallback terminates; this guards against bugs
 
@@ -62,18 +61,11 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    """status 'optimal' | 'infeasible' | 'unbounded'.
+    """The minimum value, a primal optimum and one dual multiplier per row."""
 
-    For 'optimal': the minimum value, primal, and dual multipliers (one
-    per original row).  For 'infeasible': dual holds the Farkas vector.
-    For 'unbounded': ray holds a recession ray that lowers the objective.
-    """
-
-    status: str
-    value: object = None
-    primal: tuple | None = None
-    dual: tuple | None = None
-    ray: tuple | None = None
+    value: object
+    primal: tuple
+    dual: tuple
 
 
 class _Tableau:
@@ -101,11 +93,9 @@ class _Tableau:
 
     def __init__(self, rows, objs, basis, d):
         self.rows = rows          # each: list of column values + [rhs]
-        self.objs = objs          # phase-1 and phase-2 reduced-cost rows, each
-                                  # + [-(objective value)]; pivots update both
+        self.objs = objs          # reduced-cost rows, each + [-(objective value)]
         self.basis = basis        # basis[i] = column index basic in row i
         self.d = d
-        self.unbounded_col = None
 
     def value(self, entry):
         """The true value of a tableau entry."""
@@ -133,16 +123,17 @@ class _Tableau:
         self.d = p
         self.basis[row_i] = col_j
 
-    def step(self, obj, n_cols: int, bland: bool) -> str:
-        """One simplex step; returns 'optimal', 'unbounded' or 'pivoted'."""
+    def step(self, obj, bland: bool) -> bool:
+        """One simplex step over every column of obj; False once optimal."""
+        cols = range(len(obj) - 1)
         if bland:
-            enter = next((j for j in range(n_cols) if obj[j] < 0), None)
+            enter = next((j for j in cols if obj[j] < 0), None)
         else:  # the first most negative reduced cost
-            enter = min(range(n_cols), key=obj.__getitem__, default=None)
+            enter = min(cols, key=obj.__getitem__, default=None)
             if enter is not None and obj[enter] >= 0:
                 enter = None
         if enter is None:
-            return "optimal"
+            return False
         # ratio test; ties go to the smallest basic column
         rows, basis = self.rows, self.basis
         best_row = min(
@@ -151,20 +142,18 @@ class _Tableau:
             default=None,
         )
         if best_row is None:
-            self.unbounded_col = enter
-            return "unbounded"
+            raise ValueError("the linear program is unbounded")
         self.pivot(best_row, enter)
-        return "pivoted"
+        return True
 
-    def run(self, obj, n_cols: int) -> str:
+    def run(self, obj) -> None:
         stall_limit = max(64, len(self.rows))
         bland = False
         stalled = 0
         last_value = self.value(obj[-1])
         for _ in range(_PIVOT_CAP):
-            state = self.step(obj, n_cols, bland)
-            if state != "pivoted":
-                return state
+            if not self.step(obj, bland):
+                return
             value = self.value(obj[-1])
             if value != last_value:
                 last_value = value
@@ -185,7 +174,10 @@ def _integral(values) -> tuple:
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Solve exactly; deterministic (fixed pivot rules, fixed column layout)."""
+    """Solve exactly; deterministic (fixed pivot rules, fixed column layout).
+
+    Raises ValueError when the program is infeasible or unbounded.
+    """
     c = [as_rational(x) for x in lp.objective]
     nv = lp.n_vars
 
@@ -252,25 +244,20 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     # the starting basis costs nothing in phase 2, so obj2 starts priced out
     tab = _Tableau(tab_rows, [obj1, obj2], basis, d)
     if n_art:
-        state = tab.run(obj1, n_cols)
-        assert state == "optimal"  # phase 1 is bounded below by 0
-        if -obj1[-1] > 0:
-            farkas = _multipliers(tab, obj1, 1, lp.n_rows, solver_rows, n_struct,
-                                  absorber, pos_col)
-            return _infeasible_result(lp, farkas)
-        _purge_artificials(tab, n_struct + m)
-
-    state = tab.run(obj2, n_struct + m)
-    if state == "unbounded":
-        return _unbounded_result(lp, tab, c, col_var)
+        tab.run(obj1)  # bounded below by 0
+        if obj1[-1] != 0:  # a positive artificial sum is left
+            raise ValueError("the linear program is infeasible")
+    del tab.objs[0]
+    _drop_artificials(tab, n_struct + m)
+    tab.run(obj2)
     x = _primal_from_tableau(tab, col_var, nv)
     dual = _multipliers(tab, obj2, obj_scale, lp.n_rows, solver_rows, n_struct,
                         absorber, pos_col)
     return _optimal_result(lp, c, x, dual)
 
 
-def _purge_artificials(tab: _Tableau, keep_cols: int) -> None:
-    """Pivot basic artificials out.
+def _drop_artificials(tab: _Tableau, keep_cols: int) -> None:
+    """Pivot basic artificials out, then cut their columns from every row.
 
     Every solver row has its own surplus column, so the columns kept have
     full row rank and each such row has a nonzero entry among them.
@@ -279,6 +266,8 @@ def _purge_artificials(tab: _Tableau, keep_cols: int) -> None:
         if tab.basis[i] >= keep_cols:
             r = tab.rows[i]
             tab.pivot(i, next(k for k in range(keep_cols) if r[k] != 0))
+    for r in chain(tab.rows, tab.objs):
+        del r[keep_cols:-1]
 
 
 def _primal_from_tableau(tab: _Tableau, col_var, nv: int) -> list:
@@ -292,14 +281,11 @@ def _primal_from_tableau(tab: _Tableau, col_var, nv: int) -> list:
 
 def _multipliers(tab, obj, obj_scale, n_rows, solver_rows, n_struct, absorber,
                  pos_col):
-    """One multiplier per original row, read from an objective row.
+    """One optimal dual multiplier per original row, read from the final obj.
 
     A solver row's multiplier is the reduced cost of its surplus column; an
-    absorbed a*x_j >= 0 row's is the reduced cost of x_j divided by a.  On
-    the final phase-2 row these are the optimal duals.  On the final phase-1
-    row they are the Farkas vector: x_j costs nothing there, so its reduced
-    cost is -(u^T A)_j, and the absorbed multipliers cancel the rest of the
-    combination exactly.  Reduced costs are divided by obj_scale.
+    absorbed a*x_j >= 0 row's is the reduced cost of x_j divided by a.
+    Reduced costs are divided by obj_scale.
     """
     u = [ZERO] * n_rows
     for i, (idx, _coeffs, _rhs) in enumerate(solver_rows):
@@ -330,39 +316,5 @@ def _optimal_result(lp, c, x, dual):
             raise RuntimeError("dual stationarity failed")
     if dual_value != value:
         raise RuntimeError("strong duality failed")
-    return LpResult(status="optimal", value=value, primal=tuple(x), dual=tuple(dual))
+    return LpResult(value, tuple(x), tuple(dual))
 
-
-def _unbounded_result(lp, tab, c, col_var):
-    # the entering column rises by 1, each basic column falls by its entry
-    enter = tab.unbounded_col
-    dx = [ZERO] * lp.n_vars
-    moves = [(enter, ONE)] + [(b, tab.value(-r[enter])) for b, r in zip(tab.basis, tab.rows)]
-    for col, val in moves:
-        if col < len(col_var):
-            j, sign = col_var[col]
-            dx[j] += sign * val
-    drop = sum((cj * dj for cj, dj in zip(c, dx)), ZERO)
-    if drop >= 0:
-        raise RuntimeError("unbounded ray does not improve the objective")
-    for coeffs, _rhs in lp.rows:
-        if sum((a * dj for a, dj in zip(coeffs, dx)), ZERO) < 0:
-            raise RuntimeError("unbounded ray leaves the feasible cone")
-    return LpResult(status="unbounded", ray=tuple(dx))
-
-
-def _infeasible_result(lp, farkas):
-    # the combination over all rows must vanish with a positive right-hand side
-    combo = [ZERO] * lp.n_vars
-    gain = ZERO
-    for (coeffs, rhs), u in zip(lp.rows, farkas):
-        if u < 0:
-            raise RuntimeError("negative Farkas multiplier")
-        if u != 0:
-            for j, a in enumerate(coeffs):
-                if a != 0:
-                    combo[j] += u * a
-            gain += u * rhs
-    if any(v != 0 for v in combo) or gain <= 0:
-        raise RuntimeError("Farkas certificate failed to verify")
-    return LpResult(status="infeasible", dual=tuple(farkas))

@@ -10,9 +10,10 @@ from functools import partial
 
 import pytest
 
-from pvcgap import cli, hierarchy, sdp
+from pvcgap import cli, graphs, hierarchy, sdp
 from pvcgap.certificates import ENUM_ORDER_FINGERPRINT
 from pvcgap.cli import main
+from pvcgap.moments import DistParams
 
 PY = [sys.executable, "-m", "pvcgap.cli"]
 
@@ -112,6 +113,29 @@ def test_gap_table_rows_and_flags():
     assert doc[0]["gap_bound"] == "15/8"
 
 
+def test_gap_table_runs_the_integral_oracle_once_per_row(monkeypatch, capsys):
+    calls = []
+    brute_force_opt = graphs.brute_force_opt
+
+    def counted(g, t):
+        calls.append(g.n)
+        return brute_force_opt(g, t)
+
+    monkeypatch.setattr(graphs, "brute_force_opt", counted)
+    assert main(["gap-table", "--grid", "8,1,1;10,1,1"]) == 0
+    assert calls == [8, 10]
+    # an infeasible row has no gap bound, so its opt column asks the oracle itself
+    verify_sa = cli.verify_sa
+    monkeypatch.setattr(cli, "verify_sa", lambda params, t, r, threads=1: verify_sa(
+        DistParams(params.graph, 0), t, r, threads))
+    calls.clear()
+    capsys.readouterr()
+    assert main(["gap-table", "--grid", "6,1,1"]) == 0
+    assert calls == [6]
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == "6,1,1,1/6,0.16666666666666666667,0/1,0,1/1,,,False,True,"
+
+
 def test_gap_table_bad_row_reports_error_without_abort():
     r = run("gap-table", "--grid", "8,1,1;4,9,1")
     assert r.returncode == 0
@@ -187,6 +211,8 @@ def _limit_address_space():
 def test_huge_sizes_are_refused_before_allocating(tmp_path):
     big = tmp_path / "path30.graph"
     big.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 30)))
+    huge = tmp_path / "huge.graph"
+    huge.write_text("1000000000 0\n")
     for argv in (
         ["verify", "--level", "sa", "--n", "100000", "--r", "1", "--t", "1"],
         ["lasserre", "--n", "100000", "--r", "1", "--t", "1"],
@@ -194,6 +220,9 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
         ["star", "--n", "5000", "--t", "1"],
         ["star", "--n", "30", "--t", "1"],
         ["graph-opt", "--graph", str(big), "--t", "1"],
+        # past the graph-size cap, before any vertex or edge list is built
+        ["star", "--n", "100000000", "--t", "1"],
+        ["graph-opt", "--graph", str(huge), "--t", "1"],
     ):
         r = subprocess.run(PY + argv, capture_output=True, text=True, timeout=60,
                            preexec_fn=_limit_address_space)

@@ -172,7 +172,6 @@ def test_lifted_lp_closes_the_star_gap():
     base = lp_solve(build_pvc_lp(star, 3))
     assert base.value == Rat(1, 2)
     lifted = lp_solve(generate_sa1_lp(star, 3))
-    assert lifted.status == "optimal"
     assert lifted.value == ONE
 
 
