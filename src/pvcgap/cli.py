@@ -20,7 +20,9 @@ from .certificates import Certificate, negative_verdict, rational_entry
 from .graphs import (
     brute_force_opt, build_pvc_lp, integral_opt, load_graph, make_clique, make_star,
 )
-from .hierarchy import WorkerFailed, generate_sa1_lp, verify_sa, verify_sap, verify_xyn_family
+from .hierarchy import (
+    MAX_THREADS, WorkerFailed, generate_sa1_lp, verify_sa, verify_sap, verify_xyn_family,
+)
 from .lasserre import lasserre1_refutes
 from .moments import DistParams
 from .rational import Rat, parse_rational, rational_str
@@ -40,13 +42,15 @@ class _Parser(argparse.ArgumentParser):
 _CLAIMS = {"sa": "theorem-1", "sap": "theorem-5-sap", "xyn": "theorem-5-xyn"}
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _bounded(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than `low` (and no larger than `high`)."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -60,10 +64,11 @@ def _default_p(n: int, r: int, t: int):
 
 
 def _write(text: str, out_path) -> None:
-    sys.stdout.write(text)
+    """Write --out first, so a failed write leaves stdout empty."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _emit(cert: Certificate, out_path) -> int:
@@ -83,6 +88,9 @@ def _violation_dict(vio, graph) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.level != "xyn" and (args.sample is not None or args.seed is not None):
+        raise _UsageError("--sample and --seed apply to --level xyn only")
+    seed = args.seed or 0
     graph = make_clique(args.n)
     p = parse_rational(args.p) if args.p is not None else _default_p(args.n, args.r, args.t)
     params = DistParams(graph, p)
@@ -92,7 +100,7 @@ def _cmd_verify(args) -> int:
         verdict = verify_sap(params, args.t, args.r, threads=args.threads)
     else:
         verdict = verify_xyn_family(
-            params, args.t, args.r, sample=args.sample, seed=args.seed, threads=args.threads
+            params, args.t, args.r, sample=args.sample, seed=seed, threads=args.threads
         )
     values = {
         "objective": rational_entry(verdict.objective_value),
@@ -108,7 +116,7 @@ def _cmd_verify(args) -> int:
     }
     if args.level == "xyn" and args.sample is not None:
         params_doc["sample"] = args.sample
-        params_doc["seed"] = args.seed
+        params_doc["seed"] = seed
     cert = Certificate(
         claim=_CLAIMS[args.level],
         params=params_doc,
@@ -239,9 +247,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--level", choices=("sa", "sap", "xyn"), required=True)
     common(p)
     p.add_argument("--p", default=None, help="override p (default t / C(n-2r, 2))")
-    p.add_argument("--threads", type=_at_least(1), default=1)
-    p.add_argument("--sample", type=_at_least(0), default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=_bounded(1, MAX_THREADS), default=1)
+    p.add_argument("--sample", type=_bounded(0), default=None)
+    p.add_argument("--seed", type=int, default=None, help="xyn sample seed (default 0)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("star", help="LP / lifted-LP / SDP / integral values on the star")
@@ -255,7 +263,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gap-table", help="CSV sweep of lifting levels and demands")
     p.add_argument("--grid", required=True, help="semicolon/space separated n,r,t triples")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_bounded(1, MAX_THREADS), default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_gap_table)
 

@@ -16,11 +16,14 @@ seeded sample), which is the executable form of the stronger SDP claim.
 
 Pairs are enumerated by |Y u N| ascending, then by the lexicographic
 order of the union as a sorted code tuple, then by Y-mask ascending
-(bit i of the mask selects the i-th union element into Y).  Violation
-witnesses are minimal in that order, and `constraints_checked` counts the
-rows up to and including the witness, independent of worker count.  The
-fingerprint of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is
-stamped into every certificate.
+(bit i of the mask selects the i-th union element into Y).  `yn_pairs` is
+the one producer of that order: the serial scan, each `--threads` chunk
+and the seeded `xyn` sample name pairs by their flat index in it, and a
+scan reads them from one walk of the generator.  Violation witnesses are
+minimal in that order, and `constraints_checked` counts the rows up to
+and including the witness, independent of worker count.  The fingerprint
+of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is stamped into
+every certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .graphs import Graph, build_pvc_lp, integral_opt
@@ -82,37 +85,6 @@ def yn_pairs(m: int, max_size: int):
                 y = tuple(union[i] for i in range(k) if ymask >> i & 1)
                 n = tuple(union[i] for i in range(k) if not ymask >> i & 1)
                 yield y, n
-
-
-def _unrank_combination(m: int, k: int, rank: int) -> tuple:
-    out = []
-    x = 0
-    for slot in range(k):
-        while True:
-            block = comb(m - x - 1, k - slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
-
-
-def yn_pair_at(m: int, max_size: int, index: int) -> tuple:
-    """Pair at a flat enumeration index (for seeded sampling)."""
-    if index < 0:
-        raise IndexError(index)
-    for k in range(max_size + 1):
-        block = comb(m, k) << k
-        if index < block:
-            subset_rank, ymask = divmod(index, 1 << k)
-            union = _unrank_combination(m, k, subset_rank)
-            y = tuple(union[i] for i in range(k) if ymask >> i & 1)
-            n = tuple(union[i] for i in range(k) if not ymask >> i & 1)
-            return y, n
-        index -= block
-    raise IndexError(index)
 
 
 # -- the per-pair constraint scan --------------------------------------------
@@ -175,15 +147,17 @@ def _validate(params: DistParams, t: int, r: int) -> None:
 def _scan_chunk(job):
     """(first violation or None, items checked up to it) over flat pair indices.
 
+    The indices are sorted; one walk of `yn_pairs` yields the pair at each.
     An item is one lifted multiplier pair (its rows count) or, for the
     `xyn` family, one conditioned moment matrix (it counts once).
     Top level so it pickles for pool workers.
     """
     params, t, max_size, xyn, indices = job
-    m = params.graph.var_count
-    checked = 0
+    pairs = yn_pairs(params.graph.var_count, max_size)
+    checked = at = 0
     for flat in indices:
-        y, n = yn_pair_at(m, max_size, flat)
+        y, n = next(islice(pairs, flat - at, None))  # skips the pairs between
+        at = flat + 1
         if xyn:
             violation, c = _check_matrix(params, y, n, "xyn:psd"), 1
         else:
@@ -199,16 +173,20 @@ def _chunk_ranges(total: int, pieces: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
+# the most pool workers a scan may ask for: the pool forks them all at its first submit
+MAX_THREADS = 64
+
+
 def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool, threads: int):
     """Scan `indices` in order and stop at the first violation.
 
     With threads > 1 the indices are split into ordered chunks run by a
-    process pool; the counts of whole chunks before the first failing one
-    are added to its own count, so the result is the serial one for any
-    worker count: rows (or matrices) up to and including the first
-    violation in canonical order.
+    process pool of at most one worker per chunk; the counts of whole
+    chunks before the first failing one are added to its own count, so
+    the result is the serial one for any worker count: rows (or matrices)
+    up to and including the first violation in canonical order.
     """
-    if threads <= 1:
+    if threads <= 1 or not indices:
         return _scan_chunk((params, t, max_size, xyn, indices))
     # chunks carry params with an empty memo rather than pickling the caller's
     fresh = DistParams(params.graph, params.p)
@@ -218,7 +196,7 @@ def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool
     ]
     checked = 0
     try:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             try:
                 for violation, c in pool.map(_scan_chunk, jobs):
                     checked += c

@@ -1,9 +1,21 @@
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import combinations
 
 import pytest
 
+from pvcgap import hierarchy
 from pvcgap.rational import ONE, ZERO, Rat
+
+
+@pytest.fixture
+def fork_workers(monkeypatch):
+    """Fork the scan's pool workers, so they inherit what a test patched into `hierarchy`."""
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=fork))
 
 
 def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3, max_den: int = 6):

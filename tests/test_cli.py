@@ -1,11 +1,9 @@
 import json
-import multiprocessing
 import os
 import resource
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import pytest
@@ -164,6 +162,12 @@ def test_graph_opt_and_io_errors(tmp_path):
         assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, text
 
 
+def test_failed_out_write_prints_nothing(tmp_path):
+    r = run("star", "--n", "3", "--t", "1", "--out", str(tmp_path / "missing_dir" / "x.json"))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_usage_errors_exit_one():
     r = run("nonsense")
     assert r.returncode == 1
@@ -176,27 +180,27 @@ def test_usage_errors_exit_one():
         ["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "0"],
         ["gap-table", "--grid", "6,1,1", "--threads", "0"],
         ["verify", "--level", "xyn", "--n", "6", "--r", "2", "--t", "1", "--sample", "-1"],
+        # past the worker cap: refused by the parser, before any pool exists
+        ["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "65"],
+        ["gap-table", "--grid", "6,1,1", "--threads", "5000"],
+        # a sample is drawn from the xyn family only
+        ["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1",
+         "--sample", "3", "--seed", "9"],
+        ["verify", "--level", "sap", "--n", "6", "--r", "1", "--t", "1", "--sample", "3"],
+        ["verify", "--level", "sap", "--n", "6", "--r", "1", "--t", "1", "--seed", "9"],
     ):
         r = run(*bad)
         assert r.returncode == 1, bad
         assert r.stderr.startswith("usage error:") and "Traceback" not in r.stderr, bad
 
 
-def _fork_workers(monkeypatch):
-    # forked workers inherit what a test patched into `hierarchy`
-    fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor, mp_context=fork))
-
-
 def _die(*_args):
     os._exit(3)
 
 
-def test_dead_worker_exits_one_with_message(monkeypatch, capsys):
+def test_dead_worker_exits_one_with_message(monkeypatch, capsys, fork_workers):
     # forked workers inherit the patched scan, so each one dies on its first pair
     monkeypatch.setattr(hierarchy, "_scan_pair", _die)
-    _fork_workers(monkeypatch)
     code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "2"])
     assert code == 1
     err = capsys.readouterr().err
@@ -235,10 +239,9 @@ def _interrupt(*_args):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_interrupt_exits_one_with_message(monkeypatch, capsys, threads):
+def test_interrupt_exits_one_with_message(monkeypatch, capsys, fork_workers, threads):
     # serially the scan itself raises; forked workers send the interrupt back
     monkeypatch.setattr(hierarchy, "_scan_pair", _interrupt)
-    _fork_workers(monkeypatch)
     code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1",
                  "--threads", threads])
     assert code == 1
@@ -255,14 +258,13 @@ def _interrupt_first_pair(log, _params, _t, y, n):
     return None, 1
 
 
-def test_interrupt_cancels_unstarted_chunks(monkeypatch, capsys, tmp_path):
+def test_interrupt_cancels_unstarted_chunks(monkeypatch, capsys, fork_workers, tmp_path):
     # 43 pairs in chunks of 6 (the last has 1); chunk 0 is interrupted at once and
     # the others take 0.6 s each, so only the chunks already handed to the
     # pool's call queue (at most 5 of the other 7) may still run
     log = tmp_path / "pairs.log"
     log.write_text("")
     monkeypatch.setattr(hierarchy, "_scan_pair", partial(_interrupt_first_pair, str(log)))
-    _fork_workers(monkeypatch)
     code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "2"])
     assert code == 1 and capsys.readouterr().err == "error: interrupted\n"
     assert len(log.read_text()) < 43 - 6  # pairs scanned when every other chunk runs

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from math import comb
 
 import pytest
@@ -10,7 +11,6 @@ from pvcgap.hierarchy import (
     verify_sa,
     verify_sap,
     verify_xyn_family,
-    yn_pair_at,
     yn_pair_count,
     yn_pairs,
 )
@@ -34,10 +34,24 @@ def test_pair_enumeration_count_and_order():
     # sizes ascending; within a union, Y-mask ascending
     sizes = [len(y) + len(n) for y, n in pairs]
     assert sizes == sorted(sizes)
-    for k in range(len(pairs)):
-        assert yn_pair_at(m, r, k) == pairs[k]
-    with pytest.raises(IndexError):
-        yn_pair_at(m, r, len(pairs))
+
+
+def _record_pair(seen, _params, _t, y, n):
+    seen.append((y, n))
+    return None, 1
+
+
+@pytest.mark.parametrize(
+    "indices", [range(40, 90), [0, 1, 7, 19, 20, 64, 151], []], ids=["range", "sparse", "empty"])
+def test_scan_chunk_visits_the_pairs_at_its_indices(monkeypatch, indices):
+    m, r = 9, 2
+    params = DistParams(make_star(4), ONE)
+    assert params.graph.var_count == m
+    seen = []
+    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_record_pair, seen))
+    assert hierarchy._scan_chunk((params, 1, r, False, indices)) == (None, len(indices))
+    pairs = list(yn_pairs(m, r))
+    assert seen == [pairs[k] for k in indices]
 
 
 @pytest.mark.parametrize(
@@ -136,6 +150,42 @@ def test_conditioned_family_at_level_zero_is_vacuous():
     verdict = verify_xyn_family(params, 1, 0)
     assert verdict.feasible
     assert verdict.constraints_checked == 0
+
+
+def _fail_at(pair, params, y, n, name):
+    if (y, n) == pair:
+        return hierarchy.Violation(name, y, n, Rat(-1), ZERO)
+    return None
+
+
+def test_sampled_family_violation_does_not_depend_on_threads(monkeypatch, fork_workers):
+    g, params = _clique_params(8, 2, 1)
+    m, sample, seed = g.var_count, 10, 9
+    drawn = sorted(random.Random(seed).sample(range(yn_pair_count(m, 1)), sample))
+    pair = list(yn_pairs(m, 1))[drawn[6]]
+    monkeypatch.setattr(hierarchy, "_check_matrix", partial(_fail_at, pair))
+    verdicts = [
+        verify_xyn_family(DistParams(g, params.p), 1, 2, sample=sample, seed=seed, threads=k)
+        for k in (1, 2, 3)
+    ]
+    assert verdicts[0].violated == hierarchy.Violation("xyn:psd", *pair, Rat(-1), ZERO)
+    assert verdicts[0].constraints_checked == 7
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch, fork_workers):
+    started = []
+    pool = hierarchy.ProcessPoolExecutor
+
+    def recording(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", recording)
+    g = make_clique(4)
+    verdict = verify_sa(DistParams(g, ONE), 1, 0, threads=3)
+    assert verdict.constraints_checked == g.m + 1 + 2 * g.var_count
+    assert started == [1]  # a level-0 scan has one pair, so one chunk
 
 
 def test_conditioned_family_sampling_is_seed_deterministic():
