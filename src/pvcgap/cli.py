@@ -88,8 +88,9 @@ def _violation_dict(vio, graph) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    if args.level != "xyn" and (args.sample is not None or args.seed is not None):
-        raise _UsageError("--sample and --seed apply to --level xyn only")
+    sample = args.sample is not None
+    if sample and args.level != "xyn" or not sample and args.seed is not None:
+        raise _UsageError("--sample needs --level xyn, and --seed needs --sample")
     seed = args.seed or 0
     graph = make_clique(args.n)
     p = parse_rational(args.p) if args.p is not None else _default_p(args.n, args.r, args.t)

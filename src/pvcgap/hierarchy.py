@@ -19,7 +19,8 @@ order of the union as a sorted code tuple, then by Y-mask ascending
 (bit i of the mask selects the i-th union element into Y).  `yn_pairs` is
 the one producer of that order: the serial scan, each `--threads` chunk
 and the seeded `xyn` sample name pairs by their flat index in it, and a
-scan reads them from one walk of the generator.  Violation witnesses are
+scan reads them from one walk of the generator, which skips the unions
+that hold none of them.  Violation witnesses are
 minimal in that order, and `constraints_checked` counts the rows up to
 and including the witness, independent of worker count.  The fingerprint
 of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is stamped into
@@ -77,14 +78,24 @@ def yn_pair_count(m: int, max_size: int) -> int:
     return sum(comb(m, k) << k for k in range(max_size + 1))
 
 
-def yn_pairs(m: int, max_size: int):
-    """All disjoint (Y, N) with |Y u N| <= max_size, in canonical order."""
+def yn_pairs(m: int, max_size: int, indices=None):
+    """Disjoint (Y, N) with |Y u N| <= max_size in canonical order; only the
+    pairs at the sorted flat `indices`, if given.  Unions holding none of
+    them are skipped inside `combinations`, so a sparse walk stays cheap."""
+    wanted = iter(range(yn_pair_count(m, max_size)) if indices is None else indices)
+    flat = next(wanted, None)
+    first = 0  # flat index of the first pair with |Y u N| = k
     for k in range(max_size + 1):
-        for union in combinations(range(m), k):
-            for ymask in range(1 << k):
-                y = tuple(union[i] for i in range(k) if ymask >> i & 1)
-                n = tuple(union[i] for i in range(k) if not ymask >> i & 1)
-                yield y, n
+        size = comb(m, k) << k
+        unions, at = combinations(range(m), k), 0  # at: unions of size k taken so far
+        while flat is not None and flat < first + size:
+            u, ymask = divmod(flat - first, 1 << k)
+            if u >= at:
+                union, at = next(islice(unions, u - at, None)), u + 1
+            yield (tuple(union[i] for i in range(k) if ymask >> i & 1),
+                   tuple(union[i] for i in range(k) if not ymask >> i & 1))
+            flat = next(wanted, None)
+        first += size
 
 
 # -- the per-pair constraint scan --------------------------------------------
@@ -153,11 +164,8 @@ def _scan_chunk(job):
     Top level so it pickles for pool workers.
     """
     params, t, max_size, xyn, indices = job
-    pairs = yn_pairs(params.graph.var_count, max_size)
-    checked = at = 0
-    for flat in indices:
-        y, n = next(islice(pairs, flat - at, None))  # skips the pairs between
-        at = flat + 1
+    checked = 0
+    for y, n in yn_pairs(params.graph.var_count, max_size, indices):
         if xyn:
             violation, c = _check_matrix(params, y, n, "xyn:psd"), 1
         else:

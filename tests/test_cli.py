@@ -14,10 +14,14 @@ from pvcgap.cli import main
 from pvcgap.moments import DistParams
 
 PY = [sys.executable, "-m", "pvcgap.cli"]
+# child interpreters import the pvcgap this process imported, installed or not
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+ENV = dict(os.environ,
+           PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(*args):
-    return subprocess.run(PY + list(args), capture_output=True, text=True)
+    return subprocess.run(PY + list(args), capture_output=True, text=True, env=ENV)
 
 
 def test_verify_feasible_exits_zero():
@@ -188,6 +192,8 @@ def test_usage_errors_exit_one():
          "--sample", "3", "--seed", "9"],
         ["verify", "--level", "sap", "--n", "6", "--r", "1", "--t", "1", "--sample", "3"],
         ["verify", "--level", "sap", "--n", "6", "--r", "1", "--t", "1", "--seed", "9"],
+        # a seed only seeds a sample
+        ["verify", "--level", "xyn", "--n", "6", "--r", "2", "--t", "1", "--seed", "5"],
     ):
         r = run(*bad)
         assert r.returncode == 1, bad
@@ -229,7 +235,7 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
         ["graph-opt", "--graph", str(huge), "--t", "1"],
     ):
         r = subprocess.run(PY + argv, capture_output=True, text=True, timeout=60,
-                           preexec_fn=_limit_address_space)
+                           env=ENV, preexec_fn=_limit_address_space)
         assert r.returncode == 1 and r.stdout == "", argv
         assert r.stderr.startswith("error:") and "cap" in r.stderr, (argv, r.stderr)
 

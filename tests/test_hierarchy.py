@@ -54,6 +54,15 @@ def test_scan_chunk_visits_the_pairs_at_its_indices(monkeypatch, indices):
     assert seen == [pairs[k] for k in indices]
 
 
+def test_sparse_walk_skips_to_the_far_end_of_a_large_family():
+    # K14 at |Y u N| <= 3 has 1,521,731 pairs; a walk that made each one would take seconds
+    m, r = 105, 3
+    last = yn_pair_count(m, r) - 1
+    tail = (102, 103, 104)
+    assert list(yn_pairs(m, r, [0, 2 * m + 1, last - 7, last])) == [
+        ((), ()), ((), (0, 1)), ((), tail), (tail, ())]
+
+
 @pytest.mark.parametrize(
     "n,r,t",
     [(8, 1, 1), (10, 1, 1), (10, 2, 1), (12, 2, 2)],
