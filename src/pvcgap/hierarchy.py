@@ -40,12 +40,12 @@ from .graphs import Graph, build_pvc_lp, integral_opt
 from .linalg import psd_check
 from .moments import (
     DistParams,
+    _disjoint_pair,
     _weight_overlap_ok,
     build_cond_matrix,
-    cond_weight,
     moment,
 )
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, Rat
 from .simplex import LinearProgram
 
 
@@ -102,40 +102,41 @@ def yn_pairs(m: int, max_size: int, indices=None):
 
 
 def _scan_pair(params: DistParams, t: int, y: tuple, n: tuple):
-    """(violation or None, rows checked) for one lifted multiplier pair."""
+    """(violation or None, rows checked) for one lifted multiplier pair.
+
+    The weights and rows are integers over `params.den`; a violation's
+    values are rebuilt as rationals.
+    """
     g = params.graph
+    den = params.den
     n_rows = g.m + 1 + 2 * g.var_count
-    wyn = cond_weight(params, y, n)
+    wyn = _weight_overlap_ok(params, *_disjoint_pair(g, y, n))
     if wyn == 0:
         # every weight below is squeezed into [0, 0]; nothing can fail
         return None, n_rows
     nset = set(n)
-    w = []
-    for q in range(g.var_count):
-        if q in nset:
-            w.append(ZERO)
-        else:
-            w.append(_weight_overlap_ok(params, tuple(sorted(set(y) | {q})), n))
+    w = [
+        0 if q in nset else _weight_overlap_ok(params, tuple(sorted(set(y) | {q})), n)
+        for q in range(g.var_count)
+    ]
     checked = 0
     for i, j in g.edges:
         lhs = w[g.vertex_code(i)] + w[g.vertex_code(j)] - w[g.edge_code(i, j)]
         checked += 1
         if lhs < 0:
-            return Violation(f"edge:e{i}_{j}", y, n, lhs, ZERO), checked
-    demand = ZERO
-    for i, j in g.edges:
-        demand += w[g.edge_code(i, j)]
+            return Violation(f"edge:e{i}_{j}", y, n, Rat(lhs, den), ZERO), checked
+    demand = sum(w[g.edge_code(i, j)] for i, j in g.edges)
     checked += 1
     if demand < t * wyn:
-        return Violation("demand", y, n, demand, t * wyn), checked
+        return Violation("demand", y, n, Rat(demand, den), Rat(t * wyn, den)), checked
     for q in range(g.var_count):
         checked += 1
         if w[q] < 0:
-            return Violation(f"box0:{g.var_name(q)}", y, n, w[q], ZERO), checked
+            return Violation(f"box0:{g.var_name(q)}", y, n, Rat(w[q], den), ZERO), checked
     for q in range(g.var_count):
         checked += 1
         if w[q] > wyn:
-            return Violation(f"box1:{g.var_name(q)}", y, n, w[q], wyn), checked
+            return Violation(f"box1:{g.var_name(q)}", y, n, Rat(w[q], den), Rat(wyn, den)), checked
     return None, checked
 
 
@@ -223,6 +224,7 @@ def _verdict(params: DistParams, t: int, violation, checked: int) -> SaVerdict:
     objective = ZERO
     for i in range(1, g.n + 1):
         objective += g.weights[i - 1] * moment(params, (g.vertex_code(i),))
+    objective /= params.den
     opt = integral_opt(g, t) if violation is None and objective > 0 else None
     gap = None if opt is None else opt / objective
     return SaVerdict(violation is None, violation, checked, objective, gap)

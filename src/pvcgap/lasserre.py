@@ -127,7 +127,7 @@ def level1_slack_matrix(params: DistParams, coeffs, rhs) -> SymMatrix:
         total = -rhs * moment(params, ab)
         for q, c in nz:
             total += c * moment(params, tuple(sorted(set(ab) | {q})))
-        return total
+        return total / params.den
 
     return SymMatrix.from_function(1 + nvars, entry)
 

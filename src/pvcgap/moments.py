@@ -9,11 +9,20 @@ support closure (the vertices mentioned, plus endpoints of mentioned
 edges); that keeps everything rational and independently checkable.  A
 moment is the kernel with nothing required off, memoized per params.
 
+Inside this module every probability is an integer over one denominator,
+`DistParams.den`.  With p = a/b an event on a support of s vertices has
+probability (integer) / b^s, and no support exceeds min(n, SUPPORT_CAP)
+vertices, so den = b^min(n, SUPPORT_CAP) serves every moment and weight
+of the graph.  Sums, differences and comparisons then run on Python
+integers with no normalisation; a `Rat` is built only where a value
+leaves the layer (`cond_weight` and matrix entries here, violation
+values in `hierarchy`).
+
 `cond_weight` evaluates the linearized product weight
 w(Y, N) = sum over T subset of N of (-1)^|T| * moment(Y u T)
 two ways on every call: by that inclusion-exclusion sum over memoized
 moments, and by a direct run of the kernel on the event "all of Y on, all
-of N off".  The two must agree exactly; the equality is asserted at
+of N off".  The two must agree exactly; the equality is checked at
 runtime so the identity behind the verifier is re-proved on every use.
 """
 
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph
 from .linalg import SymMatrix
-from .rational import ZERO, Rat, as_rational
+from .rational import Rat, as_rational
 
 SUPPORT_CAP = 26  # most vertices a moment's support closure may span
 
@@ -38,23 +47,30 @@ class MomentMismatch(AssertionError):
 
 @dataclass(frozen=True, eq=True)
 class DistParams:
-    """Graph plus inclusion probability p in [0, 1]."""
+    """Graph plus inclusion probability p in [0, 1].
+
+    `den` is the common denominator of every moment of the graph: the
+    memo and the kernels hold probabilities as integers over it.
+    """
 
     graph: Graph
     p: object
     _memo: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    den: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_rational(self.p))
         if not (0 <= self.p <= 1):
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        object.__setattr__(self, "den", self.p.denominator ** min(self.graph.n, SUPPORT_CAP))
 
 
 def canonical_set(graph: Graph, items) -> tuple:
     """Sorted duplicate-free tuple of variable codes."""
     codes = sorted(set(items))
+    limit = graph.var_count
     for c in codes:
-        if not 0 <= c < graph.var_count:
+        if not 0 <= c < limit:
             raise ValueError(f"variable code {c} out of range")
     return tuple(codes)
 
@@ -67,63 +83,53 @@ def _disjoint_pair(graph: Graph, y, n) -> tuple:
     return ys, ns
 
 
-def _closure(graph: Graph, codes) -> tuple:
-    """(vertex closure, edge code list): vertices mentioned or incident."""
-    verts = set()
-    edges = []
-    for c in codes:
-        if graph.is_vertex_code(c):
-            verts.add(c)
-        else:
-            a, b = graph.code_endpoints(c)
-            verts.add(a)
-            verts.add(b)
-            edges.append((a, b))
-    return verts, edges
-
-
-def _enumerate_on_off(params: DistParams, on, off) -> object:
-    """P[all of `on` are one and all of `off` are zero], by enumeration."""
+def _enumerate_on_off(params: DistParams, on, off) -> int:
+    """P[all of `on` are one and all of `off` are zero] times `params.den`,
+    by enumeration over the free vertices of the support closure."""
     g = params.graph
-    verts_on, edges_on = _closure(g, on)
-    verts_off, edges_off = _closure(g, off)
-    verts = verts_on | verts_off
+    forced1, forced0, edges_on = set(), set(), []
+    for c in on:
+        if g.is_vertex_code(c):
+            forced1.add(c)
+        else:
+            edges_on.append(g.code_endpoints(c))
+    for c in off:  # an edge stays off only if both endpoints do
+        forced0.update((c,) if g.is_vertex_code(c) else g.code_endpoints(c))
+    verts = forced1 | forced0
+    for e in edges_on:
+        verts.update(e)
     if len(verts) > SUPPORT_CAP:
         raise SupportTooLarge(f"support closure has {len(verts)} vertices (cap {SUPPORT_CAP})")
-    forced1 = {c for c in on if g.is_vertex_code(c)}
-    forced0 = {c for c in off if g.is_vertex_code(c)}
-    for a_, b_ in edges_off:  # an edge stays off only if both endpoints do
-        forced0.add(a_)
-        forced0.add(b_)
     if forced1 & forced0:
-        return ZERO
+        return 0
     free = sorted(verts - forced1 - forced0)
-    pos = {v: k for k, v in enumerate(free)}
-    need_cover = []
+    bit = {v: 1 << k for k, v in enumerate(free)}
+    need_cover = set()  # for each on-edge not yet covered, the bits of its free endpoints
     for a_, b_ in edges_on:
         if a_ in forced1 or b_ in forced1:
             continue
-        if a_ in forced0 and b_ in forced0:
-            return ZERO
-        mask = 0
-        if a_ in pos:
-            mask |= 1 << pos[a_]
-        if b_ in pos:
-            mask |= 1 << pos[b_]
-        need_cover.append(mask)
+        mask = bit.get(a_, 0) | bit.get(b_, 0)
+        if not mask:
+            return 0
+        need_cover.add(mask)
     nf = len(free)
+    assigns = range(1 << nf)
+    for m in need_cover:
+        assigns = [x for x in assigns if x & m]
     counts = [0] * (nf + 1)
-    for assign in range(1 << nf):
-        if all(assign & m for m in need_cover):
-            counts[assign.bit_count()] += 1
-    # with p = a/b the probability is an integer over b^|support|; sum in integers
+    for x in assigns:
+        counts[x.bit_count()] += 1
+    # with p = a/b the probability is an integer over b^|support|; scale it to den
     a, b = params.p.numerator, params.p.denominator
     acc = sum(cnt * a**k * (b - a) ** (nf - k) for k, cnt in enumerate(counts) if cnt)
-    return Rat(a ** len(forced1) * (b - a) ** len(forced0) * acc, b ** len(verts))
+    return a ** len(forced1) * (b - a) ** len(forced0) * acc * (params.den // b ** len(verts))
 
 
-def moment(params: DistParams, a) -> object:
-    """Probability that every variable in `a` is one.  Memoized per params."""
+def moment(params: DistParams, a) -> int:
+    """Probability that every variable in `a` is one, times `params.den`.
+
+    Memoized per params.
+    """
     key = canonical_set(params.graph, a)
     memo = params._memo
     value = memo.get(key)
@@ -137,14 +143,15 @@ def cond_weight(params: DistParams, y, n) -> object:
 
     Rejects overlapping Y and N.  Returns the exact rational value.
     """
-    return _weight_overlap_ok(params, *_disjoint_pair(params.graph, y, n))
+    return Rat(_weight_overlap_ok(params, *_disjoint_pair(params.graph, y, n)), params.den)
 
 
-def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> object:
-    """w(Y, N) extended to overlapping arguments (telescopes to zero)."""
+def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> int:
+    """w(Y, N) times `params.den`, extended to overlapping arguments
+    (telescopes to zero)."""
     if set(ys) & set(ns):
-        return ZERO
-    total = ZERO
+        return 0
+    total = 0
     k = len(ns)
     for mask in range(1 << k):
         t = tuple(ns[i] for i in range(k) if mask >> i & 1)
@@ -153,7 +160,8 @@ def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> object:
     direct = _enumerate_on_off(params, ys, ns)
     if total != direct:
         raise MomentMismatch(
-            f"inclusion-exclusion {total} != enumeration {direct} at Y={ys} N={ns}"
+            f"inclusion-exclusion {Rat(total, params.den)} != "
+            f"enumeration {Rat(direct, params.den)} at Y={ys} N={ns}"
         )
     return total
 
@@ -174,7 +182,7 @@ def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
     def entry(i: int, j: int):
         union = tuple(sorted(set(sets[i]) | set(sets[j])))
         if union not in cache:
-            cache[union] = _weight_overlap_ok(params, union, ns)
+            cache[union] = Rat(_weight_overlap_ok(params, union, ns), params.den)
         return cache[union]
 
     return SymMatrix.from_function(1 + nvars, entry)

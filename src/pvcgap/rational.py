@@ -3,8 +3,10 @@
 The whole toolkit computes over arbitrary-precision rationals stored in
 lowest terms with a positive denominator.  Two interchangeable backends
 provide that contract: gmpy2's compiled ``mpq`` (picked up automatically
-when installed, roughly 5-10x faster once numerators grow past a machine
-word) and the stdlib ``fractions.Fraction`` as the pure-Python fallback.
+when installed) and the stdlib ``fractions.Fraction`` as the pure-Python
+fallback.  gmpy2 has not been timed on this code; the moment weights,
+the LDL^T and the simplex compute on Python integers over shared
+denominators whatever the backend.
 The backend is selected once at import; set ``PVCGAP_RATIONAL=fraction``
 or ``PVCGAP_RATIONAL=gmpy2`` to force one.
 
@@ -46,6 +48,8 @@ def as_rational(x):
 
     Floats are rejected outright so no binary rounding can sneak in.
     """
+    if type(x) is Rat:
+        return x
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass an exact rational")
     if isinstance(x, (int, numbers.Rational)):

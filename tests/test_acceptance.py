@@ -172,7 +172,7 @@ def test_08_product_weight_identities():
         total = ZERO
         for size in range(len(n) + 1):
             for sub in combinations(n, size):
-                term = moment(params, y + sub)
+                term = Rat(moment(params, y + sub), params.den)
                 total = total + term if size % 2 == 0 else total - term
         if cond_weight(params, y, n) != total:
             ok = False

@@ -1,12 +1,93 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
 
-from pvcgap.linalg import SymMatrix, psd_check, quadratic_form, schur_complement
-from pvcgap.rational import Rat
+from pvcgap import linalg
+from pvcgap.graphs import make_clique
+from pvcgap.hierarchy import yn_pairs
+from pvcgap.lasserre import build_zbar
+from pvcgap.linalg import PsdVerdict, SymMatrix, psd_check, quadratic_form, schur_complement
+from pvcgap.moments import DistParams, build_cond_matrix
+from pvcgap.rational import ONE, ZERO, Rat
 
 from conftest import rand_rational
+
+_SRC = os.path.dirname(os.path.dirname(linalg.__file__))
+
+
+# -- the rational LDL^T that psd_check replaced, kept as its oracle ----------
+
+
+def _reference_lift(lcols: dict, top: int, n: int, support: dict) -> list:
+    v = [ZERO] * n
+    for i in range(top, -1, -1):
+        acc = support.get(i, ZERO)
+        col = lcols.get(i)
+        if col is not None:
+            for l, f in col:
+                if l <= top and v[l] != 0:
+                    acc -= f * v[l]
+        v[i] = acc
+    return v
+
+
+def _reference_psd_check(m: SymMatrix, branches: Counter) -> PsdVerdict:
+    """LDL^T on rationals, entry by entry; `branches` counts the exits taken."""
+    n = m.n
+    w = [m.row(i) for i in range(n)]
+    lcols: dict[int, list] = {}
+    pivots = []
+    for k in range(n):
+        d = w[k][k]
+        if d < 0:
+            branches["negative pivot"] += 1
+            v = _reference_lift(lcols, k, n, {k: ONE})
+            val = quadratic_form(m, v)
+            assert val < 0
+            return PsdVerdict(False, witness=tuple(v), value=val)
+        if d == 0:
+            bad = next((j for j in range(k + 1, n) if w[k][j] != 0), None)
+            if bad is not None:
+                branches["zero pivot, nonzero row"] += 1
+                c = w[k][bad]
+                beta = w[bad][bad]
+                u = -(beta + ONE) / (2 * c)
+                v = _reference_lift(lcols, bad, n, {k: u, bad: ONE})
+                val = quadratic_form(m, v)
+                assert val < 0
+                return PsdVerdict(False, witness=tuple(v), value=val)
+            branches["zero pivot, zero row"] += 1
+            pivots.append(d)
+            continue
+        pivots.append(d)
+        wk = w[k]
+        col_entries = []
+        nz = [j for j in range(k + 1, n) if wk[j] != 0]
+        for i in range(k + 1, n):
+            wik = w[i][k]
+            if wik == 0:
+                continue
+            f = wik / d
+            col_entries.append((i, f))
+            wi = w[i]
+            for j in nz:
+                wi[j] -= f * wk[j]
+        if col_entries:
+            lcols[k] = col_entries
+    return PsdVerdict(True, pivots=tuple(pivots))
+
+
+def _assert_same_verdicts(matrices) -> Counter:
+    branches = Counter()
+    for m in matrices:
+        assert psd_check(m) == _reference_psd_check(m, branches)
+    return branches
 
 
 def test_identity_is_psd():
@@ -128,3 +209,53 @@ def test_schur_complement_preserves_psd_verdict():
 def test_asymmetric_input_is_rejected():
     with pytest.raises(ValueError):
         SymMatrix.from_rows([[1, 2], [3, 1]])
+
+
+def test_verdicts_equal_the_rational_ldlt_on_every_branch():
+    rng = random.Random(909)
+
+    def sparse_entry():
+        return Rat(0) if rng.random() < 0.4 else rand_rational(rng, -4, 4, 5)
+
+    matrices = []
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        raw = [[sparse_entry() for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 0:  # indefinite in general
+            fn = lambda i, j: raw[i][j] + raw[j][i]
+        else:  # a Gram matrix, rank-deficient when kind == 2
+            rank = n if kind == 1 else rng.randint(0, n - 1)
+            fn = lambda i, j: sum((raw[i][k] * raw[j][k] for k in range(rank)), Rat(0))
+        matrices.append(SymMatrix.from_function(n, fn))
+    branches = _assert_same_verdicts(matrices)
+    assert set(branches) == {"negative pivot", "zero pivot, zero row", "zero pivot, nonzero row"}
+
+
+def test_verdicts_equal_the_rational_ldlt_on_the_xyn_k8_family():
+    params = DistParams(make_clique(8), Rat(1, comb(4, 2)))
+    pairs = list(yn_pairs(params.graph.var_count, 1))
+    assert len(pairs) == 73
+    _assert_same_verdicts(build_cond_matrix(params, y, n) for y, n in pairs)
+
+
+@pytest.mark.parametrize("n, r, t", [(12, 2, 1), (13, 2, 1), (44, 1, 1)])
+def test_verdicts_equal_the_rational_ldlt_on_slack_minors(n, r, t):
+    zbar = build_zbar(n, t, Rat(t, comb(n - 2 * r, 2)))
+    _assert_same_verdicts([zbar])
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 1]], [[0, 1], [1, 0]]])
+def test_witness_check_survives_python_optimize(rows):
+    # a witness whose form is not negative must raise even under python -O
+    code = (
+        "import pvcgap.linalg as la\n"
+        "la.quadratic_form = lambda m, v: 0\n"
+        f"la.psd_check(la.SymMatrix.from_rows({rows!r}))\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "AssertionError: witness gives v^T M v = 0, not negative" in proc.stderr

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -23,20 +24,25 @@ def _params(n=8, p=Rat(1, 5)):
     return DistParams(make_clique(n), p)
 
 
+def _prob(params, a):
+    """The moment as a rational: `moment` returns it times params.den."""
+    return Rat(moment(params, a), params.den)
+
+
 def test_singleton_values():
     params = _params()
     g = params.graph
     p = params.p
-    assert moment(params, (g.vertex_code(3),)) == p
-    assert moment(params, (g.edge_code(2, 5),)) == 2 * p - p * p
-    assert moment(params, ()) == ONE
+    assert _prob(params, (g.vertex_code(3),)) == p
+    assert _prob(params, (g.edge_code(2, 5),)) == 2 * p - p * p
+    assert _prob(params, ()) == ONE
 
 
 def test_vertex_forces_incident_edge():
     params = _params()
     g = params.graph
     a = (g.vertex_code(1), g.edge_code(1, 2))
-    assert moment(params, a) == params.p
+    assert _prob(params, a) == params.p
 
 
 def test_probability_bounds_and_monotonicity():
@@ -47,8 +53,8 @@ def test_probability_bounds_and_monotonicity():
     for _ in range(200):
         a = tuple(rng.sample(codes, rng.randint(0, 3)))
         b = tuple(rng.sample(codes, rng.randint(0, 3)))
-        ya = moment(params, a)
-        yab = moment(params, a + b)
+        ya = _prob(params, a)
+        yab = _prob(params, a + b)
         assert ZERO <= yab <= ya <= ONE
 
 
@@ -79,7 +85,7 @@ def test_inclusion_exclusion_matches_enumeration_500_cases():
         total = ZERO
         for size in range(len(n) + 1):
             for t_sub in combinations(n, size):
-                term = moment(params, y + t_sub)
+                term = _prob(params, y + t_sub)
                 total = total + term if size % 2 == 0 else total - term
         assert cond_weight(params, y, n) == total
 
@@ -89,7 +95,7 @@ def test_cross_check_catches_a_wrong_moment():
     g = params.graph
     y, n = (g.vertex_code(1),), (g.vertex_code(2),)
     # the inclusion-exclusion sum reads moment({v1, v2}) from the memo
-    params._memo[tuple(sorted(y + n))] = Rat(1, 2)
+    params._memo[tuple(sorted(y + n))] = params.den // 2
     with pytest.raises(MomentMismatch):
         cond_weight(params, y, n)
 
@@ -168,7 +174,9 @@ def test_support_cap_is_enforced():
         moment(params, pairs)
     # the cap is inclusive: requiring 13 disjoint edges off spans exactly 26 vertices
     assert SUPPORT_CAP == 26
-    assert _enumerate_on_off(params, (), pairs[:13]) == Rat(1, 2**26)
+    # probabilities are integers over params.den = 2^26, so 1/2^26 reads 1
+    assert params.den == 2**26
+    assert _enumerate_on_off(params, (), pairs[:13]) == 1
     with pytest.raises(SupportTooLarge, match="27 vertices"):
         _enumerate_on_off(params, (g.vertex_code(27),), pairs[:13])
 
@@ -177,8 +185,8 @@ def test_degenerate_probabilities():
     for p in (ZERO, ONE):
         params = _params(6, p)
         g = params.graph
-        assert moment(params, (g.vertex_code(1),)) == p
-        assert moment(params, (g.edge_code(1, 2),)) == (ZERO if p == 0 else ONE)
+        assert _prob(params, (g.vertex_code(1),)) == p
+        assert _prob(params, (g.edge_code(1, 2),)) == (ZERO if p == 0 else ONE)
         assert cond_weight(params, (), (g.vertex_code(1),)) == ONE - p
 
 
@@ -188,5 +196,37 @@ def test_star_graph_moments():
     center = g.vertex_code(5)
     leaf_edge = g.edge_code(1, 5)
     # edge on iff center or its leaf chosen
-    assert moment(params, (leaf_edge,)) == Rat(3, 4)
+    assert _prob(params, (leaf_edge,)) == Rat(3, 4)
     assert cond_weight(params, (leaf_edge,), (center,)) == Rat(1, 4)
+
+
+def _on_off_by_vertex_sets(graph, p, on, off):
+    """P[on all one, off all zero] as a Fraction sum over all 2^n vertex sets."""
+    p = Fraction(p)
+
+    def value(code, chosen):
+        if graph.is_vertex_code(code):
+            return code in chosen
+        a, b = graph.code_endpoints(code)
+        return a in chosen or b in chosen
+
+    total = Fraction(0)
+    for mask in range(1 << graph.n):
+        chosen = {v for v in range(graph.n) if mask >> v & 1}
+        if all(value(c, chosen) for c in on) and not any(value(c, chosen) for c in off):
+            total += p ** len(chosen) * (1 - p) ** (graph.n - len(chosen))
+    return total
+
+
+@pytest.mark.parametrize("graph, p", [
+    (make_clique(5), Rat(2, 7)), (make_clique(6), Rat(1, 3)), (make_star(6), Rat(3, 5)),
+])
+def test_kernel_equals_a_sum_over_all_vertex_sets(graph, p):
+    rng = random.Random(graph.n * 1009 + graph.m)
+    params = DistParams(graph, p)
+    codes = list(range(graph.var_count))
+    for _ in range(120):
+        on = rng.sample(codes, rng.randint(0, 4))
+        off = rng.sample(codes, rng.randint(0, 3))
+        expected = _on_off_by_vertex_sets(graph, p, on, off)
+        assert Fraction(_enumerate_on_off(params, on, off), params.den) == expected
