@@ -238,10 +238,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_r=True):
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_bounded(1), required=True)
         if need_r:
-            p.add_argument("--r", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
+            p.add_argument("--r", type=_bounded(0), required=True)
+        p.add_argument("--t", type=_bounded(0), required=True)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="hierarchy membership of the random-cover point on a clique")
@@ -270,7 +270,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("graph-opt", help="brute force and LP on a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_bounded(0), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_graph_opt)
     return parser

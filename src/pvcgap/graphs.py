@@ -8,7 +8,7 @@ part of the certificate format and must not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 

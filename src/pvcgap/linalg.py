@@ -9,7 +9,8 @@ negative verdict is independently checkable by one quadratic-form
 evaluation.
 
 The elimination runs on Python integers: each working row is a list of
-integer numerators over one positive row denominator.  Eliminating with
+integer numerators over one positive row denominator, starting from
+`rational.integral` of the input row.  Eliminating with
 pivot row k (pivot P / d_k > 0) maps row i to (P A_i - a_ik A_k) over
 d_i P, and one gcd of the denominator and the row then brings the row
 back to lowest terms.  That keeps the integers about as small as the
@@ -27,9 +28,9 @@ gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ONE, ZERO, Rat, as_rational, integral
 
 MAX_ENTRIES = 10**6  # packed entries a SymMatrix may hold
 
@@ -149,17 +150,6 @@ def _lift_through_factor(lcols: dict, top: int, n: int, support: dict) -> list:
     return v
 
 
-def _integer_rows(m: SymMatrix) -> tuple:
-    """(numerator rows, row denominators): row i of m is rows[i] / dens[i]."""
-    rows, dens = [], []
-    for i in range(m.n):
-        row = m.row(i)
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        dens.append(den)
-    return rows, dens
-
-
 def _negative(m: SymMatrix, v: list) -> PsdVerdict:
     """The negative verdict with witness v, once v^T M v < 0 is checked."""
     val = quadratic_form(m, v)
@@ -175,7 +165,9 @@ def psd_check(m: SymMatrix) -> PsdVerdict:
     nonnegative pivot list or a strict rational counterexample vector.
     """
     n = m.n
-    w, dens = _integer_rows(m)
+    scaled = [integral(m.row(i)) for i in range(n)]
+    dens = [den for den, _row in scaled]
+    w = [row for _den, row in scaled]
     lcols: dict[int, list] = {}
     pivots = []
     for k in range(n):

@@ -1,50 +1,27 @@
-"""Exact rational scalars.
+"""Exact rational scalars: `Rat` is `fractions.Fraction`.
 
-The whole toolkit computes over arbitrary-precision rationals stored in
-lowest terms with a positive denominator.  Two interchangeable backends
-provide that contract: gmpy2's compiled ``mpq`` (picked up automatically
-when installed) and the stdlib ``fractions.Fraction`` as the pure-Python
-fallback.  gmpy2 has not been timed on this code; the moment weights,
-the LDL^T and the simplex compute on Python integers over shared
-denominators whatever the backend.
-The backend is selected once at import; set ``PVCGAP_RATIONAL=fraction``
-or ``PVCGAP_RATIONAL=gmpy2`` to force one.
-
-Floats are rejected everywhere: a float argument is a bug, not a value to
-be rounded.
+The moment weights, the LDL^T and the simplex compute on Python integers
+over shared denominators; `integral` is the one place a list of rationals
+is scaled to integers.  Floats are rejected everywhere: a float argument
+is a bug, not a value to be rounded.
 """
 
 from __future__ import annotations
 
 import decimal
 import numbers
-import os
 from fractions import Fraction
+from math import lcm
 
-_requested = os.environ.get("PVCGAP_RATIONAL", "").strip().lower()
-
-if _requested in ("", "gmpy2", "gmp"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested:
-            raise
-        Rat = Fraction
-        BACKEND = "fraction"
-elif _requested in ("fraction", "fractions", "python"):
-    Rat = Fraction
-    BACKEND = "fraction"
-else:
-    raise ValueError(f"unknown PVCGAP_RATIONAL backend {_requested!r}")
+Rat = Fraction
+BACKEND = "fraction"
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
 def as_rational(x):
-    """Coerce an int, backend rational, Fraction or 'a/b' string to Rat.
+    """Coerce an int, Fraction or 'a/b' string to Rat.
 
     Floats are rejected outright so no binary rounding can sneak in.
     """
@@ -61,12 +38,19 @@ def as_rational(x):
 
 def parse_rational(text: str):
     """Parse 'a/b', an integer, or an exact decimal literal like '0.25'."""
-    s = text.strip()
     try:
-        f = Fraction(s)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
-    return Rat(f)
+
+
+def integral(values) -> tuple:
+    """(scale, ints): the least positive scale and ints[i] == values[i] * scale.
+
+    `values` holds ints and Rats; scale is the lcm of their denominators.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def rational_str(q) -> str:
@@ -84,5 +68,5 @@ def decimal_str(q) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = 20
         ctx.rounding = decimal.ROUND_HALF_EVEN
-        d = decimal.Decimal(int(q.numerator)) / decimal.Decimal(int(q.denominator))
+        d = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
     return str(d)

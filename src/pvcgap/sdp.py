@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .certificates import Certificate, rational_entry
 from .graphs import Graph, integral_opt, make_star
 from .linalg import SymMatrix, psd_check
-from .rational import ONE, ZERO, Rat, as_rational
+from .rational import ONE, ZERO, Rat
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ every constraint row reads  coeffs . x >= rhs, variables are free
 `lp_solve` runs a two-phase primal simplex over the rationals on one
 tableau.  Phase 1 carries both objective rows, so phase 2 continues from
 the phase-1 basis; after phase 1 the artificial columns and the phase-1
-row are cut away.  The tableau is kept in integers over one common
-denominator, so a pivot does no gcd work.  It pivots by Dantzig's rule
-and falls back to Bland's rule only after a degenerate stall (the star-6
-level-1 lifted LP takes 307 pivots, none by Bland), so it is
-deterministic and terminates on every input.
+row are cut away.  Each row is scaled to integers by `rational.integral`
+and the tableau is kept in integers over one common denominator, so a
+pivot does no gcd work.  It pivots by Dantzig's rule and falls back to
+Bland's rule only after a degenerate stall (the star-6 level-1 lifted LP
+takes 307 pivots, none by Bland), so it is deterministic and terminates
+on every input.
 
 Every program pvcgap builds has an optimum, so `lp_solve` returns only
 that: the value, a primal solution and dual multipliers, re-verified
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import lcm, prod
+from math import prod
 
-from .rational import ZERO, Rat, as_rational
+from .rational import ZERO, Rat, as_rational, integral
 
 _PIVOT_CAP = 5_000_000  # the Bland fallback terminates; this guards against bugs
 
@@ -166,13 +167,6 @@ class _Tableau:
         raise RuntimeError("pivot cap exceeded; this should be unreachable")
 
 
-def _integral(values) -> tuple:
-    """(scale, integers): the least positive scale making every value integral."""
-    values = [as_rational(v) for v in values]
-    scale = lcm(*(int(v.denominator) for v in values))
-    return scale, [int(v * scale) for v in values]
-
-
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Solve exactly; deterministic (fixed pivot rules, fixed column layout).
 
@@ -213,9 +207,9 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     # of the scaled rows; 1 for integer data), so it pivots exactly as the
     # rational one would.  The objective is scaled to integers by
     # obj_scale, which no pivot rule sees; the multipliers divide it out.
-    scaled = [_integral(list(coeffs) + [rhs]) for _idx, coeffs, rhs in solver_rows]
+    scaled = [integral(list(coeffs) + [rhs]) for _idx, coeffs, rhs in solver_rows]
     d = prod(scale for scale, _ints in scaled)
-    obj_scale, c_int = _integral(c)
+    obj_scale, c_int = integral(c)
     obj1 = [0] * (n_cols + 1)  # phase 1: minimize the artificial sum
     obj2 = [0] * (n_cols + 1)
     for k, (j, sign) in enumerate(col_var):

@@ -198,6 +198,16 @@ def test_usage_errors_exit_one():
         r = run(*bad)
         assert r.returncode == 1, bad
         assert r.stderr.startswith("usage error:") and "Traceback" not in r.stderr, bad
+    # sizes out of range are refused by the parser, which names the flag
+    for bad, flag in (
+        (["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "-1"], "--t"),
+        (["verify", "--level", "sa", "--n", "6", "--r", "-1", "--t", "1"], "--r"),
+        (["verify", "--level", "sa", "--n", "0", "--r", "1", "--t", "1"], "--n"),
+    ):
+        r = run(*bad)
+        assert r.returncode == 1, bad
+        assert r.stderr.startswith(f"usage error: argument {flag}:"), (bad, r.stderr)
+        assert "Traceback" not in r.stderr, bad
 
 
 def _die(*_args):

@@ -1,19 +1,58 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from math import lcm
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pvcgap
 from pvcgap.rational import (
     BACKEND,
     Rat,
     as_rational,
     decimal_str,
+    integral,
     parse_rational,
     rational_str,
 )
 
 
 def test_backend_is_reported():
-    assert BACKEND in ("gmpy2", "fraction")
+    assert BACKEND == "fraction" and Rat is Fraction
+
+
+def test_the_environment_does_not_pick_the_rational_type():
+    # the rational type is fixed: PVCGAP_RATIONAL is not read
+    src = os.path.dirname(os.path.dirname(pvcgap.__file__))
+    env = dict(os.environ, PVCGAP_RATIONAL="gmpy2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import fractions, pvcgap; print(pvcgap.Rat is fractions.Fraction)"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "True"
+
+
+_values = st.lists(
+    st.one_of(
+        st.integers(-10**9, 10**9),
+        st.fractions(max_denominator=10**6),
+        st.just(0),
+        st.just(Rat(0)),
+    ),
+    max_size=12,
+)
+
+
+@given(values=_values)
+def test_integral_scales_by_the_lcm_of_the_denominators(values):
+    scale, ints = integral(values)
+    assert scale == lcm(*(Rat(v).denominator for v in values))
+    assert len(ints) == len(values)
+    for v, k in zip(values, ints):
+        assert type(k) is int and k == v * scale
 
 
 def test_lowest_terms_and_positive_denominator():
