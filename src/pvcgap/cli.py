@@ -241,12 +241,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--n", type=_bounded(1), required=True)
         if need_r:
             p.add_argument("--r", type=_bounded(0), required=True)
-        p.add_argument("--t", type=_bounded(0), required=True)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="hierarchy membership of the random-cover point on a clique")
     p.add_argument("--level", choices=("sa", "sap", "xyn"), required=True)
     common(p)
+    p.add_argument("--t", type=_bounded(0), required=True)
     p.add_argument("--p", default=None, help="override p (default t / C(n-2r, 2))")
     p.add_argument("--threads", type=_bounded(1, MAX_THREADS), default=1)
     p.add_argument("--sample", type=_bounded(0), default=None)
@@ -255,10 +255,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("star", help="LP / lifted-LP / SDP / integral values on the star")
     common(p, need_r=False)
+    p.add_argument("--t", type=_bounded(0), required=True)
     p.set_defaults(fn=_cmd_star)
 
     p = sub.add_parser("lasserre", help="level-1 moment-SDP check of the demand slack")
     common(p)
+    p.add_argument("--t", type=_bounded(1), required=True)
     p.set_defaults(fn=_cmd_lasserre)
 
     p = sub.add_parser("gap-table", help="CSV sweep of lifting levels and demands")

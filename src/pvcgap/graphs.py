@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .rational import ONE, ZERO, Rat, as_rational, rational_str
+from .rational import ONE, ZERO, Rat, as_rational
 from .simplex import LinearProgram
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with rational vertex weights (default 1)."""
+    """Simple undirected graph with nonnegative rational vertex weights (default 1)."""
 
     n: int
     edges: tuple
@@ -45,6 +45,8 @@ class Graph:
             object.__setattr__(
                 self, "weights", tuple(as_rational(w) for w in self.weights)
             )
+            if min(self.weights) < 0:
+                raise ValueError(f"vertex weights must be nonnegative, got {min(self.weights)}")
         object.__setattr__(
             self, "_edge_rank", {e: k for k, e in enumerate(self.edges)}
         )
@@ -119,7 +121,7 @@ def make_star(n: int) -> Graph:
 #
 #   n m
 #   i j          (exactly m edge lines)
-#   w i value    (optional vertex-weight lines; value is an integer or 'a/b')
+#   w i value    (optional vertex-weight lines; value is a nonnegative integer or 'a/b')
 #
 # '#' starts a comment; blank lines are skipped.  Unlisted vertices keep
 # weight 1.  The 'w' tag keeps an edge line past a header that undercounts
@@ -172,15 +174,6 @@ def load_graph(path) -> Graph:
         return parse_graph(fh.read())
 
 
-def format_graph(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{i} {j}" for i, j in g.edges)
-    for i, w in enumerate(g.weights, start=1):
-        if w != ONE:
-            out.append(f"w {i} {rational_str(w)}")
-    return "\n".join(out) + "\n"
-
-
 # -- the t-partial-vertex-cover relaxation ----------------------------------
 
 
@@ -188,7 +181,8 @@ def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
     """LP over V u E: cover each chosen edge, demand >= t edges, 0..1 box.
 
     Row order (fixed, part of the certificate format): one row per edge,
-    the demand row, all lower box rows, all upper box rows.
+    the demand row, all lower box rows, all upper box rows, as named by
+    `pvc_row_names`.  Every coefficient and right-hand side is an integer.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -202,26 +196,24 @@ def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
         coeffs[g.vertex_code(j)] = ONE
         coeffs[g.edge_code(i, j)] = -ONE
         rows.append((tuple(coeffs), ZERO))
-    demand = [ZERO] * nv
-    for i, j in g.edges:
-        demand[g.edge_code(i, j)] = ONE
-    rows.append((tuple(demand), Rat(t)))
-    for q in range(nv):
-        coeffs = [ZERO] * nv
-        coeffs[q] = ONE
-        rows.append((tuple(coeffs), ZERO))
-    for q in range(nv):
-        coeffs = [ZERO] * nv
-        coeffs[q] = -ONE
-        rows.append((tuple(coeffs), -ONE))
-    objective = [ZERO] * nv
-    for i in range(1, g.n + 1):
-        objective[g.vertex_code(i)] = g.weights[i - 1]
+    rows.append(((ZERO,) * g.n + (ONE,) * g.m, Rat(t)))
+    for sign, rhs in ((ONE, ZERO), (-ONE, -ONE)):  # x_q >= 0, then -x_q >= -1
+        for q in range(nv):
+            coeffs = [ZERO] * nv
+            coeffs[q] = sign
+            rows.append((tuple(coeffs), rhs))
     return LinearProgram(
         names=tuple(g.var_names()),
         rows=tuple(rows),
-        objective=tuple(objective),
+        objective=g.weights + (ZERO,) * g.m,
     )
+
+
+def pvc_row_names(g: Graph) -> tuple:
+    """Certificate names of the rows of `build_pvc_lp(g, t)`, in its row order."""
+    names = g.var_names()
+    return tuple([f"edge:{e}" for e in names[g.n:]] + ["demand"]
+                 + [f"box0:{v}" for v in names] + [f"box1:{v}" for v in names])
 
 
 # -- brute-force integral oracle --------------------------------------------
@@ -230,40 +222,37 @@ BRUTE_FORCE_MAX_N = 24  # largest n the exhaustive oracle accepts
 
 
 def brute_force_witness(g: Graph, t: int) -> tuple:
-    """(minimum weight, one optimal vertex set) by exhaustive enumeration."""
+    """(minimum weight, one optimal vertex set) by exhaustive enumeration.
+
+    Subsets are walked by size.  None of `size` or more vertices weighs
+    less than size * (least weight), so the walk ends once that reaches the
+    best weight found: at the first cover found, with unit weights.
+    """
     if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_N}, got n = {g.n}")
     if t < 0 or t > g.m:
         raise ValueError("need 0 <= t <= |E|")
-    if t == 0:
-        return ZERO, frozenset()
     vertex_masks = [0] * g.n
     for k, (i, j) in enumerate(g.edges):
         vertex_masks[i - 1] |= 1 << k
         vertex_masks[j - 1] |= 1 << k
-    uniform = all(w == ONE for w in g.weights)
-    if uniform:
-        # minimum weight = minimum size; scan sizes from below
-        for size in range(0, g.n + 1):
-            for subset in combinations(range(g.n), size):
-                covered = 0
-                for v in subset:
-                    covered |= vertex_masks[v]
-                if covered.bit_count() >= t:
-                    return Rat(size), frozenset(v + 1 for v in subset)
-        raise AssertionError("unreachable: full vertex set covers all edges")
-    best = None
-    best_set = None
-    for mask in range(1 << g.n):
-        covered = 0
-        weight = ZERO
-        for v in range(g.n):
-            if mask >> v & 1:
+    least = min(g.weights)
+    best = best_set = None
+    for size in range(g.n + 1):
+        floor = size * least
+        if best is not None and floor >= best:
+            break
+        for subset in combinations(range(g.n), size):
+            covered = 0
+            for v in subset:
                 covered |= vertex_masks[v]
-                weight += g.weights[v]
-        if covered.bit_count() >= t and (best is None or weight < best):
-            best, best_set = weight, mask
-    return best, frozenset(v + 1 for v in range(g.n) if best_set >> v & 1)
+            if covered.bit_count() >= t:
+                weight = sum((g.weights[v] for v in subset), ZERO)
+                if best is None or weight < best:
+                    best, best_set = weight, subset
+                    if weight == floor:  # then the next size stops the walk
+                        break
+    return best, frozenset(v + 1 for v in best_set)
 
 
 def brute_force_opt(g: Graph, t: int):

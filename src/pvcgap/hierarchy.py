@@ -2,12 +2,13 @@
 
 `verify_sa` checks the moment vector of the random-cover distribution
 against every product-lifted constraint of the cover polytope up to a
-given level r: for each disjoint pair (Y, N) with |Y u N| <= r it
-evaluates the linearized weights w(Y u {q}, N) and tests, exactly,
+given level r.  The rows are those of the LP that `graphs.build_pvc_lp`
+builds, in its order and under the names `graphs.pvc_row_names` gives
+them: for each disjoint pair (Y, N) with |Y u N| <= r it evaluates the
+linearized weights w(Y u {q}, N) and tests, exactly, every row
+sum_j c_j x_j >= rhs in its lifted form
 
-    edge rows    w(Y+{i}, N) + w(Y+{j}, N) - w(Y+{e}, N) >= 0
-    demand row   sum over edges of w(Y+{e}, N) >= t * w(Y, N)
-    box rows     0 <= w(Y+{q}, N) <= w(Y, N)
+    sum_j c_j w(Y+{j}, N) >= rhs * w(Y, N)
 
 `verify_sap` adds one exact PSD check of the conditioned moment matrix at
 (Y, N) = (empty, empty); `verify_xyn_family` checks the whole family of
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
-from .graphs import Graph, build_pvc_lp, integral_opt
+from .graphs import Graph, build_pvc_lp, integral_opt, pvc_row_names
 from .linalg import psd_check
 from .moments import (
     DistParams,
@@ -45,7 +46,7 @@ from .moments import (
     build_cond_matrix,
     moment,
 )
-from .rational import ONE, ZERO, Rat
+from .rational import ONE, ZERO, Rat, integral
 from .simplex import LinearProgram
 
 
@@ -101,43 +102,41 @@ def yn_pairs(m: int, max_size: int, indices=None):
 # -- the per-pair constraint scan --------------------------------------------
 
 
-def _scan_pair(params: DistParams, t: int, y: tuple, n: tuple):
+def _lifted_rows(graph: Graph, lp: LinearProgram) -> tuple:
+    """The cover LP's rows as (name, ((j, c) for each c != 0), rhs) in integers."""
+    rows = []
+    for name, (coeffs, rhs) in zip(pvc_row_names(graph), lp.rows):
+        scale, ints = integral([*coeffs, rhs])
+        if scale != 1:
+            raise ValueError(f"cover LP row {name} is not integral")
+        rows.append((name, tuple((j, c) for j, c in enumerate(ints[:-1]) if c), ints[-1]))
+    return tuple(rows)
+
+
+def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     """(violation or None, rows checked) for one lifted multiplier pair.
 
-    The weights and rows are integers over `params.den`; a violation's
-    values are rebuilt as rationals.
+    Row sum_j c_j x_j >= rhs is checked as sum_j c_j w(Y+{j}, N) >=
+    rhs * w(Y, N).  The weights are integers over `params.den`; a
+    violation's two sides are rebuilt as rationals.
     """
     g = params.graph
-    den = params.den
-    n_rows = g.m + 1 + 2 * g.var_count
     wyn = _weight_overlap_ok(params, *_disjoint_pair(g, y, n))
     if wyn == 0:
         # every weight below is squeezed into [0, 0]; nothing can fail
-        return None, n_rows
+        return None, len(rows)
     nset = set(n)
     w = [
         0 if q in nset else _weight_overlap_ok(params, tuple(sorted(set(y) | {q})), n)
         for q in range(g.var_count)
     ]
-    checked = 0
-    for i, j in g.edges:
-        lhs = w[g.vertex_code(i)] + w[g.vertex_code(j)] - w[g.edge_code(i, j)]
-        checked += 1
-        if lhs < 0:
-            return Violation(f"edge:e{i}_{j}", y, n, Rat(lhs, den), ZERO), checked
-    demand = sum(w[g.edge_code(i, j)] for i, j in g.edges)
-    checked += 1
-    if demand < t * wyn:
-        return Violation("demand", y, n, Rat(demand, den), Rat(t * wyn, den)), checked
-    for q in range(g.var_count):
-        checked += 1
-        if w[q] < 0:
-            return Violation(f"box0:{g.var_name(q)}", y, n, Rat(w[q], den), ZERO), checked
-    for q in range(g.var_count):
-        checked += 1
-        if w[q] > wyn:
-            return Violation(f"box1:{g.var_name(q)}", y, n, Rat(w[q], den), Rat(wyn, den)), checked
-    return None, checked
+    for k, (name, coeffs, rhs) in enumerate(rows, 1):
+        lhs = 0
+        for j, c in coeffs:
+            lhs += c * w[j]
+        if lhs < rhs * wyn:
+            return Violation(name, y, n, Rat(lhs, params.den), Rat(rhs * wyn, params.den)), k
+    return None, len(rows)
 
 
 def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
@@ -146,11 +145,11 @@ def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
     return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)
 
 
-def _validate(params: DistParams, t: int, r: int) -> None:
+def _cover_lp(params: DistParams, t: int, r: int) -> LinearProgram:
+    """The LP every level lifts; `build_pvc_lp` refuses a t outside 0..|E|."""
     if r < 0:
         raise ValueError("level r must be nonnegative")
-    if not 0 <= t <= params.graph.m:
-        raise ValueError("need 0 <= t <= |E|")
+    return build_pvc_lp(params.graph, t)
 
 
 # -- the first-failure scan driver ------------------------------------------
@@ -164,13 +163,13 @@ def _scan_chunk(job):
     `xyn` family, one conditioned moment matrix (it counts once).
     Top level so it pickles for pool workers.
     """
-    params, t, max_size, xyn, indices = job
+    params, rows, max_size, xyn, indices = job
     checked = 0
     for y, n in yn_pairs(params.graph.var_count, max_size, indices):
         if xyn:
             violation, c = _check_matrix(params, y, n, "xyn:psd"), 1
         else:
-            violation, c = _scan_pair(params, t, y, n)
+            violation, c = _scan_pair(params, rows, y, n)
         checked += c
         if violation is not None:
             return violation, checked
@@ -186,7 +185,7 @@ def _chunk_ranges(total: int, pieces: int):
 MAX_THREADS = 64
 
 
-def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool, threads: int):
+def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, threads: int):
     """Scan `indices` in order and stop at the first violation.
 
     With threads > 1 the indices are split into ordered chunks run by a
@@ -196,11 +195,11 @@ def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool
     up to and including the first violation in canonical order.
     """
     if threads <= 1 or not indices:
-        return _scan_chunk((params, t, max_size, xyn, indices))
+        return _scan_chunk((params, rows, max_size, xyn, indices))
     # chunks carry params with an empty memo rather than pickling the caller's
     fresh = DistParams(params.graph, params.p)
     jobs = [
-        (fresh, t, max_size, xyn, indices[lo:hi])
+        (fresh, rows, max_size, xyn, indices[lo:hi])
         for lo, hi in _chunk_ranges(len(indices), threads * 4)
     ]
     checked = 0
@@ -218,14 +217,12 @@ def _first_failure(params: DistParams, t: int, max_size: int, indices, xyn: bool
     return None, checked
 
 
-def _verdict(params: DistParams, t: int, violation, checked: int) -> SaVerdict:
+def _verdict(params: DistParams, t: int, lp: LinearProgram, violation, checked: int) -> SaVerdict:
     """The verdict; a feasible one also gets the gap bound opt / objective."""
-    g = params.graph
-    objective = ZERO
-    for i in range(1, g.n + 1):
-        objective += g.weights[i - 1] * moment(params, (g.vertex_code(i),))
-    objective /= params.den
-    opt = integral_opt(g, t) if violation is None and objective > 0 else None
+    objective = sum(
+        (c * moment(params, (j,)) for j, c in enumerate(lp.objective) if c), ZERO
+    ) / params.den
+    opt = integral_opt(params.graph, t) if violation is None and objective > 0 else None
     gap = None if opt is None else opt / objective
     return SaVerdict(violation is None, violation, checked, objective, gap)
 
@@ -234,9 +231,11 @@ def _verdict(params: DistParams, t: int, violation, checked: int) -> SaVerdict:
 
 
 def _sa_scan(params: DistParams, t: int, r: int, threads: int):
-    _validate(params, t, r)
+    """(cover LP, first violation or None, rows checked) of the level-r scan."""
+    lp = _cover_lp(params, t, r)
     indices = range(yn_pair_count(params.graph.var_count, r))
-    return _first_failure(params, t, r, indices, False, threads)
+    rows = _lifted_rows(params.graph, lp)
+    return (lp, *_first_failure(params, rows, r, indices, False, threads))
 
 
 def verify_sa(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict:
@@ -246,10 +245,10 @@ def verify_sa(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict
 
 def verify_sap(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict:
     """verify_sa plus the PSD test of the unconditioned moment matrix minor."""
-    violation, checked = _sa_scan(params, t, r, threads)
+    lp, violation, checked = _sa_scan(params, t, r, threads)
     if violation is None:
         violation, checked = _check_matrix(params, (), (), "sa+:moment-psd"), checked + 1
-    return _verdict(params, t, violation, checked)
+    return _verdict(params, t, lp, violation, checked)
 
 
 def verify_xyn_family(
@@ -266,11 +265,11 @@ def verify_xyn_family(
     seed; pass None for the exhaustive family.  At r = 0 the family is
     empty and the verdict is trivially feasible.
     """
-    _validate(params, t, r)
+    lp = _cover_lp(params, t, r)
     indices = range(yn_pair_count(params.graph.var_count, r - 1))
     if sample is not None and sample < len(indices):
         indices = sorted(random.Random(seed).sample(indices, sample))
-    return _verdict(params, t, *_first_failure(params, t, r - 1, indices, True, threads))
+    return _verdict(params, t, lp, *_first_failure(params, (), r - 1, indices, True, threads))
 
 
 # -- explicit level-1 lifted LP ----------------------------------------------
@@ -284,8 +283,8 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     Each cover-LP row is multiplied by x_q and by (1 - x_q) for every
     q in V u E and linearized with idempotent unions (y_{A u {q}}).
     Exact duplicate rows are kept once; the normalization rows pinning
-    the empty-set variable to 1 come last.  Objective: sum of vertex
-    weights times the singleton vertex variables, minimized.
+    the empty-set variable to 1 come last.  The objective and the names
+    are the cover LP's, on the singleton variables.
     """
     m = graph.var_count
     n_vars = 1 + m + comb(m, 2)
@@ -331,8 +330,6 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     norm[0] = -ONE
     rows.append((tuple(norm), -ONE))
 
-    names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
-    objective = [ZERO] * n_vars
-    for i in range(1, graph.n + 1):
-        objective[var(graph.vertex_code(i))] = graph.weights[i - 1]
-    return LinearProgram(names=names, rows=tuple(rows), objective=tuple(objective))
+    names = tuple(f"y({','.join(base.names[q] for q in s)})" for s in sets)
+    objective = (ZERO, *base.objective) + (ZERO,) * comb(m, 2)  # the order of `sets`
+    return LinearProgram(names=names, rows=tuple(rows), objective=objective)

@@ -99,7 +99,7 @@ def allones_eigenvalue_after_schur(zbar: SymMatrix):
         raise ValueError(f"Schur pivot S_n = {sn} is not positive")
     n, alpha, beta = zbar.n - 1, zbar.get(0, 1), zbar.get(1, 2)
     eig = alpha + (n - 1) * beta - n * alpha * alpha / sn
-    sc = schur_complement(zbar, 0)
+    sc = schur_complement(zbar)
     sums = {sum(sc.row(i), ZERO) for i in range(sc.n)}
     if sums != {eig}:
         raise AssertionError("all-ones direction is not an eigenvector")

@@ -22,7 +22,8 @@ the level-1 slack minor of the 120-clique (`lasserre --n 120 --r 1 --t
 row-gcd form 0.27 s (Python 3.11, one core of a 2-CPU x86-64 VM).
 Pivots, the L factor needed for a witness and the witness itself are
 rebuilt as rationals, so the verdict is the one the rational elimination
-gives.
+gives.  `schur_complement` is the first step of the same elimination:
+`_eliminate_below` at index 0.
 """
 
 from __future__ import annotations
@@ -59,21 +60,6 @@ class SymMatrix:
 
     def set(self, i: int, j: int, value) -> None:
         self._e[self._idx(i, j)] = as_rational(value)
-
-    @classmethod
-    def from_rows(cls, rows) -> "SymMatrix":
-        """Build from a full square array; raises if it is not symmetric."""
-        n = len(rows)
-        m = cls(n)
-        vals = [[as_rational(x) for x in row] for row in rows]
-        if any(len(row) != n for row in vals):
-            raise ValueError("not a square array")
-        for i in range(n):
-            for j in range(i, n):
-                if vals[i][j] != vals[j][i]:
-                    raise ValueError(f"asymmetric at ({i},{j})")
-                m._e[m._idx(i, j)] = vals[i][j]
-        return m
 
     @classmethod
     def from_function(cls, n: int, fn) -> "SymMatrix":
@@ -158,6 +144,35 @@ def _negative(m: SymMatrix, v: list) -> PsdVerdict:
     return PsdVerdict(False, witness=tuple(v), value=val)
 
 
+def _eliminate_below(w: list, dens: list, k: int) -> list:
+    """Eliminate pivot k (w[k][k] > 0) from the columns past k of the rows
+    below it, in place; the L column as (row, numerator, denominator)."""
+    wk, dk = w[k], dens[k]
+    p = wk[k]
+    tail = wk[k + 1:]
+    col = []
+    for i in range(k + 1, len(w)):
+        wi = w[i]
+        a = wi[k]
+        if a == 0:
+            continue
+        # row_i -= f row_k with f = (a / d_i) / (p / d_k): the new
+        # numerators are p A_i - a A_k over d_i p, after dividing p and a
+        # by their gcd
+        g = gcd(p, a)
+        pg, ag = p // g, a // g
+        col.append((i, a * dk, dens[i] * p))
+        new = [pg * x - ag * y for x, y in zip(wi[k + 1:], tail)]
+        den = dens[i] * pg
+        g = gcd(den, *new)
+        if g > 1:
+            new = [x // g for x in new]
+            den //= g
+        wi[k + 1:] = new
+        dens[i] = den
+    return col
+
+
 def psd_check(m: SymMatrix) -> PsdVerdict:
     """Exact PSD verdict for a symmetric rational matrix.
 
@@ -165,9 +180,7 @@ def psd_check(m: SymMatrix) -> PsdVerdict:
     nonnegative pivot list or a strict rational counterexample vector.
     """
     n = m.n
-    scaled = [integral(m.row(i)) for i in range(n)]
-    dens = [den for den, _row in scaled]
-    w = [row for _den, row in scaled]
+    dens, w = map(list, zip(*map(integral, m.rows())))  # row i is w[i] / dens[i]
     lcols: dict[int, list] = {}
     pivots = []
     for k in range(n):
@@ -187,50 +200,23 @@ def psd_check(m: SymMatrix) -> PsdVerdict:
             pivots.append(ZERO)
             continue
         pivots.append(Rat(p, dk))
-        tail = wk[k + 1:]
-        col_entries = []
-        for i in range(k + 1, n):
-            wi = w[i]
-            a = wi[k]
-            if a == 0:
-                continue
-            # row_i -= f row_k with f = (a / d_i) / (p / d_k): the new
-            # numerators are p A_i - a A_k over d_i p, after dividing p and a
-            # by their gcd
-            g = gcd(p, a)
-            pg, ag = p // g, a // g
-            col_entries.append((i, a * dk, dens[i] * p))
-            new = [pg * x - ag * y for x, y in zip(wi[k + 1:], tail)]
-            den = dens[i] * pg
-            g = gcd(den, *new)
-            if g > 1:
-                new = [x // g for x in new]
-                den //= g
-            wi[k + 1:] = new
-            dens[i] = den
-        if col_entries:
-            lcols[k] = col_entries
+        col = _eliminate_below(w, dens, k)
+        if col:
+            lcols[k] = col
     return PsdVerdict(True, pivots=tuple(pivots))
 
 
-def schur_complement(m: SymMatrix, pivot_index: int) -> SymMatrix:
-    """Eliminate one index: M'(i,j) = m(i,j) - m(i,p) m(p,j) / m(p,p).
+def schur_complement(m: SymMatrix) -> SymMatrix:
+    """The first LDL^T step: eliminate index 0 as `psd_check` does, giving
+    M'(i,j) = m(i,j) - m(i,0) m(0,j) / m(0,0) on the indices past 0.
 
     Requires a strictly positive pivot; then m is PSD iff M' is.
     """
-    n = m.n
-    if not 0 <= pivot_index < n:
-        raise ValueError("pivot index out of range")
-    d = m.get(pivot_index, pivot_index)
+    d = m.get(0, 0)
     if d <= 0:
         raise ValueError(f"pivot must be positive, got {d}")
-    if n == 1:
+    if m.n == 1:
         raise ValueError("cannot take the Schur complement of a 1x1 matrix")
-    keep = [i for i in range(n) if i != pivot_index]
-    out = SymMatrix(n - 1)
-    for a, i in enumerate(keep):
-        mi = m.get(i, pivot_index)
-        for b in range(a, n - 1):
-            j = keep[b]
-            out._e[out._idx(a, b)] = m.get(i, j) - mi * m.get(pivot_index, j) / d
-    return out
+    dens, w = map(list, zip(*map(integral, m.rows())))  # row i is w[i] / dens[i]
+    _eliminate_below(w, dens, 0)
+    return SymMatrix.from_function(m.n - 1, lambda i, j: Rat(w[i + 1][j + 1], dens[i + 1]))

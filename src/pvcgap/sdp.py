@@ -70,20 +70,6 @@ def build_star_sdp_solution(n: int, t: int) -> GramSolution:
     return GramSolution(graph=g, t=t, gram=gram)
 
 
-def gram_from_cover(g: Graph, t: int, cover) -> GramSolution:
-    """Integral one-dimensional solution: v_i = v_0 inside the cover,
-    -v_0 outside."""
-    sign = [ONE if i in cover else -ONE for i in range(1, g.n + 1)]
-    gram = SymMatrix(g.n + 1)
-    gram.set(0, 0, ONE)
-    for i in range(1, g.n + 1):
-        gram.set(i, i, ONE)
-        gram.set(0, i, sign[i - 1])
-        for j in range(i + 1, g.n + 1):
-            gram.set(i, j, sign[i - 1] * sign[j - 1])
-    return GramSolution(graph=g, t=t, gram=gram)
-
-
 def verify_hs_sdp(sol: GramSolution) -> Certificate:
     """Exact feasibility check of a Gram point, with objective and gap.
 

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 
 from pvcgap import hierarchy
-from pvcgap.rational import ONE, ZERO, Rat
+from pvcgap.linalg import SymMatrix
+from pvcgap.rational import ONE, ZERO, Rat, as_rational
 
 
 @pytest.fixture
@@ -20,6 +21,19 @@ def fork_workers(monkeypatch):
 
 def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3, max_den: int = 6):
     return Rat(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def sym_from_rows(rows) -> SymMatrix:
+    """A SymMatrix from a full square array; raises if it is not symmetric."""
+    n = len(rows)
+    vals = [[as_rational(x) for x in row] for row in rows]
+    if any(len(row) != n for row in vals):
+        raise ValueError("not a square array")
+    for i in range(n):
+        for j in range(i, n):
+            if vals[i][j] != vals[j][i]:
+                raise ValueError(f"asymmetric at ({i},{j})")
+    return SymMatrix.from_function(n, lambda i, j: vals[i][j])
 
 
 def dot(a, b):

@@ -164,6 +164,10 @@ def test_graph_opt_and_io_errors(tmp_path):
         r = run("graph-opt", "--graph", str(path), "--t", "0")
         assert r.returncode == 1 and r.stdout == "", text
         assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, text
+    path.write_text("2 1\n1 2\nw 1 -5\n")  # refused, not certified with integral_opt -5
+    r = run("graph-opt", "--graph", str(path), "--t", "1")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("error: vertex weights must be nonnegative"), r.stderr
 
 
 def test_failed_out_write_prints_nothing(tmp_path):
@@ -203,6 +207,7 @@ def test_usage_errors_exit_one():
         (["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "-1"], "--t"),
         (["verify", "--level", "sa", "--n", "6", "--r", "-1", "--t", "1"], "--r"),
         (["verify", "--level", "sa", "--n", "0", "--r", "1", "--t", "1"], "--n"),
+        (["lasserre", "--n", "12", "--r", "2", "--t", "0"], "--t"),
     ):
         r = run(*bad)
         assert r.returncode == 1, bad

@@ -7,16 +7,25 @@ from pvcgap.graphs import (
     brute_force_opt,
     brute_force_witness,
     build_pvc_lp,
-    format_graph,
     integral_opt,
     make_clique,
     make_star,
     parse_graph,
 )
-from pvcgap.rational import Rat
+from pvcgap.rational import ONE, Rat, rational_str
 from pvcgap.simplex import lp_solve
 
 from conftest import dot
+
+
+def format_graph(g: Graph) -> str:
+    """The graph file text `parse_graph` reads back as g."""
+    out = [f"{g.n} {g.m}"]
+    out.extend(f"{i} {j}" for i, j in g.edges)
+    for i, w in enumerate(g.weights, start=1):
+        if w != ONE:
+            out.append(f"w {i} {rational_str(w)}")
+    return "\n".join(out) + "\n"
 
 
 def test_clique_edge_counts():
@@ -139,6 +148,39 @@ def test_weighted_brute_force():
     g = Graph(3, ((1, 2), (2, 3)), weights=(Rat(5), Rat(1), Rat(5)))
     # vertex 2 covers both edges at weight 1
     assert brute_force_opt(g, 2) == Rat(1)
+
+
+def _all_masks_opt(g: Graph, t: int):
+    """Least weight of a vertex set covering >= t edges, over every subset."""
+    best = None
+    for mask in range(1 << g.n):
+        chosen = {v for v in range(1, g.n + 1) if mask >> (v - 1) & 1}
+        if sum(1 for i, j in g.edges if i in chosen or j in chosen) >= t:
+            weight = sum((g.weights[v - 1] for v in chosen), Rat(0))
+            best = weight if best is None or weight < best else best
+    return best
+
+
+def test_brute_force_equals_the_all_masks_oracle_on_weighted_graphs():
+    rng = random.Random(2014)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        edges = tuple(e for e in make_clique(n).edges if rng.random() < 0.5)
+        weights = tuple(rng.choice([Rat(0), Rat(1), Rat(rng.randint(0, 9), rng.randint(1, 4))])
+                        for _ in range(n))
+        g = Graph(n, edges, weights)
+        t = rng.randint(0, g.m)
+        weight, cover = brute_force_witness(g, t)
+        assert weight == _all_masks_opt(g, t) == sum((g.weights[v - 1] for v in cover), Rat(0))
+        assert sum(1 for i, j in g.edges if i in cover or j in cover) >= t
+
+
+def test_negative_weights_are_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(2, ((1, 2),), (Rat(1), Rat(-5)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        parse_graph("2 1\n1 2\nw 1 -5\n")
+    assert Graph(2, ((1, 2),), (Rat(0), Rat(0))).weights == (Rat(0), Rat(0))
 
 
 def test_graph_file_round_trip():

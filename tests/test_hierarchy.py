@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,7 +16,7 @@ from pvcgap.hierarchy import (
     yn_pairs,
 )
 from pvcgap.linalg import PsdVerdict
-from pvcgap.moments import DistParams, cond_weight
+from pvcgap.moments import DistParams, cond_weight, moment
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import lp_solve
 
@@ -212,6 +213,51 @@ def test_integral_all_ones_point_passes_every_verifier():
         assert verify_sa(params, t, 2).feasible
         assert verify_sap(DistParams(g, ONE), t, 2).feasible
         assert verify_xyn_family(DistParams(g, ONE), t, 2).feasible
+
+
+def _weights_at_the_empty_pair(weights, default, _params, ys, _ns):
+    return weights.get(ys, default)
+
+
+@pytest.mark.parametrize("weights,default,name,lhs,rhs,checked", [
+    # w(v1) + w(v2) - w(e1_2) = 1 + 1 - 5 fails the first row
+    ({(): 1, (4,): 5}, 1, "edge:e1_2", Rat(-3), ZERO, 1),
+    # -w(v3) >= -w() fails after 6 edge rows, the demand row, 10 lower and 3 upper box rows
+    ({(): 2, (2,): 3}, 2, "box1:v3", Rat(-3), Rat(-2), 6 + 1 + 10 + 3),
+], ids=["edge", "box1"])
+def test_a_violation_reports_the_rows_own_name_and_sides(
+        monkeypatch, weights, default, name, lhs, rhs, checked):
+    g = make_clique(4)
+    params = DistParams(g, Rat(1, 3))
+    assert g.edge_code(1, 2) == 4
+    monkeypatch.setattr(hierarchy, "_weight_overlap_ok",
+                        partial(_weights_at_the_empty_pair, weights, default))
+    verdict = verify_sa(params, 1, 1)
+    assert verdict.violated == hierarchy.Violation(
+        name, (), (), lhs / params.den, rhs / params.den)
+    assert verdict.constraints_checked == checked
+    assert verdict.integrality_gap_lower_bound is None
+
+
+def _sa1_rows_hold(params, t) -> bool:
+    """Every row of the explicit level-1 lifted LP at y_S = moment(S) / den."""
+    g = params.graph
+    sets = [()] + [(q,) for q in range(g.var_count)] + list(combinations(range(g.var_count), 2))
+    y = [moment(params, s) for s in sets]  # y_S times den
+    lp = generate_sa1_lp(g, t)
+    assert len(lp.names) == len(sets)
+    return all(sum((c * y[j] for j, c in enumerate(coeffs) if c), ZERO) >= rhs * params.den
+               for coeffs, rhs in lp.rows)
+
+
+@pytest.mark.parametrize("p", [None, Rat(1, 100)], ids=["canonical", "p1_100"])
+@pytest.mark.parametrize("g", [make_clique(6), make_clique(7), make_star(4)],
+                         ids=["K6", "K7", "star4"])
+def test_level_one_scan_and_the_explicit_lifted_lp_agree(g, p):
+    # both lift build_pvc_lp, so the scan is feasible exactly when every lifted row holds
+    t, r = 1, 1
+    params = DistParams(g, Rat(t, comb(g.n - 2 * r, 2)) if p is None else p)
+    assert verify_sa(params, t, r).feasible == _sa1_rows_hold(params, t)
 
 
 def test_rejects_bad_arguments():

@@ -1,11 +1,18 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import pvcgap
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.tracer import TARGETS  # noqa: E402
+
 MODULES = sorted(Path(pvcgap.__file__).parent.glob("*.py"))
+
+# kept in src/ although only tests call them: the oracles the closed forms are checked against
+ORACLES = {"level1_slack_matrix", "zbar_by_enumeration"}
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -36,3 +43,29 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import gcd, lcm\n__all__ = ['lcm']\n")
     assert _unused_imports(tree) == ["gcd (line 2)", "os (line 1)"]
+
+
+def _dead_definitions(trees: dict, external: set) -> list:
+    """Top-level functions and classes that no module, and no name in
+    `external`, refers to outside their own definition."""
+    defined, used = [], set(external)
+    for module, tree in trees.items():
+        for node in tree.body:
+            own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            defined.extend((module, name) for name in own)
+            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            used |= names - own
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_no_dead_helpers():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    external = ORACLES | {attr for _module, attr, _span in TARGETS}
+    assert _dead_definitions(trees, external) == []
+
+
+def test_the_check_sees_a_dead_helper():
+    code = "def used():\n    return 1\n\n\ndef dead(k):\n    return dead(k - 1)\n\n\nX = used()\n"
+    assert _dead_definitions({"m": ast.parse(code)}, set()) == ["m.dead"]
+    assert _dead_definitions({"m": ast.parse(code)}, {"dead"}) == []

@@ -53,7 +53,7 @@ def test_closed_form_equals_enumeration_spot():
 def test_allones_direction_is_an_eigenvector():
     zbar = build_zbar(8, 1, Rat(1, 9))
     eig = allones_eigenvalue_after_schur(zbar)
-    sc = schur_complement(zbar, 0)
+    sc = schur_complement(zbar)
     for i in range(sc.n):
         assert sum(sc.row(i), ZERO) == eig
 

@@ -16,9 +16,10 @@ from pvcgap.linalg import PsdVerdict, SymMatrix, psd_check, quadratic_form, schu
 from pvcgap.moments import DistParams, build_cond_matrix
 from pvcgap.rational import ONE, ZERO, Rat
 
-from conftest import rand_rational
+from conftest import rand_rational, sym_from_rows
 
 _SRC = os.path.dirname(os.path.dirname(linalg.__file__))
+_TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 # -- the rational LDL^T that psd_check replaced, kept as its oracle ----------
@@ -91,7 +92,7 @@ def _assert_same_verdicts(matrices) -> Counter:
 
 
 def test_identity_is_psd():
-    v = psd_check(SymMatrix.from_rows([[1, 0], [0, 1]]))
+    v = psd_check(sym_from_rows([[1, 0], [0, 1]]))
     assert v.is_psd
     assert v.pivots == (Rat(1), Rat(1))
 
@@ -102,7 +103,7 @@ def test_huge_matrix_is_refused_before_allocating():
 
 
 def test_indefinite_2x2_gets_exact_witness():
-    m = SymMatrix.from_rows([[1, 2], [2, 1]])
+    m = sym_from_rows([[1, 2], [2, 1]])
     v = psd_check(m)
     assert not v.is_psd
     assert v.value < 0
@@ -112,14 +113,14 @@ def test_indefinite_2x2_gets_exact_witness():
 
 
 def test_zero_pivot_with_nonzero_row_is_rejected():
-    m = SymMatrix.from_rows([[0, 1], [1, 0]])
+    m = sym_from_rows([[0, 1], [1, 0]])
     v = psd_check(m)
     assert not v.is_psd
     assert quadratic_form(m, v.witness) == v.value < 0
 
 
 def test_zero_pivot_with_zero_row_is_fine():
-    m = SymMatrix.from_rows([[0, 0], [0, 3]])
+    m = sym_from_rows([[0, 0], [0, 3]])
     v = psd_check(m)
     assert v.is_psd
     assert v.pivots == (Rat(0), Rat(3))
@@ -183,12 +184,12 @@ def test_psd_verdict_agrees_with_float_eigenvalues():
 
 
 def test_schur_complement_formula_cases():
-    assert schur_complement(SymMatrix.from_rows([[1, 1], [1, 1]]), 0).rows() == [[Rat(0)]]
-    assert schur_complement(SymMatrix.from_rows([[2, 1], [1, 2]]), 0).rows() == [[Rat(3, 2)]]
+    assert schur_complement(sym_from_rows([[1, 1], [1, 1]])).rows() == [[Rat(0)]]
+    assert schur_complement(sym_from_rows([[2, 1], [1, 2]])).rows() == [[Rat(3, 2)]]
     with pytest.raises(ValueError):
-        schur_complement(SymMatrix.from_rows([[0, 1], [1, 2]]), 0)
+        schur_complement(sym_from_rows([[0, 1], [1, 2]]))
     with pytest.raises(ValueError):
-        schur_complement(SymMatrix.from_rows([[-1, 0], [0, 2]]), 0)
+        schur_complement(sym_from_rows([[-1, 0], [0, 2]]))
 
 
 def test_schur_complement_preserves_psd_verdict():
@@ -202,13 +203,34 @@ def test_schur_complement_preserves_psd_verdict():
         )
         if m.get(0, 0) <= 0:
             continue
-        reduced = schur_complement(m, 0)
+        reduced = schur_complement(m)
         assert psd_check(m).is_psd == psd_check(reduced).is_psd
+
+
+def _reference_schur(m: SymMatrix) -> SymMatrix:
+    """The rational formula schur_complement had before it became an LDL^T step."""
+    d = m.get(0, 0)
+    return SymMatrix.from_function(
+        m.n - 1, lambda i, j: m.get(i + 1, j + 1) - m.get(i + 1, 0) * m.get(0, j + 1) / d)
+
+
+def test_schur_complement_is_the_rational_formula():
+    rng = random.Random(4242)
+    matrices = [build_zbar(12, 1, Rat(1, 45))]
+    while len(matrices) < 80:
+        n = rng.randint(2, 7)
+        raw = [[Rat(0) if rng.random() < 0.3 else rand_rational(rng, -5, 5, 9)
+                for _ in range(n)] for _ in range(n)]
+        m = SymMatrix.from_function(n, lambda i, j: raw[i][j] + raw[j][i])
+        if m.get(0, 0) > 0:
+            matrices.append(m)
+    for m in matrices:
+        assert schur_complement(m) == _reference_schur(m)
 
 
 def test_asymmetric_input_is_rejected():
     with pytest.raises(ValueError):
-        SymMatrix.from_rows([[1, 2], [3, 1]])
+        sym_from_rows([[1, 2], [3, 1]])
 
 
 def test_verdicts_equal_the_rational_ldlt_on_every_branch():
@@ -250,11 +272,12 @@ def test_witness_check_survives_python_optimize(rows):
     # a witness whose form is not negative must raise even under python -O
     code = (
         "import pvcgap.linalg as la\n"
+        "from conftest import sym_from_rows\n"
         "la.quadratic_form = lambda m, v: 0\n"
-        f"la.psd_check(la.SymMatrix.from_rows({rows!r}))\n"
+        f"la.psd_check(sym_from_rows({rows!r}))\n"
     )
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    path = [_SRC, _TESTS, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1

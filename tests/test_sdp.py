@@ -2,9 +2,23 @@ import pytest
 
 from pvcgap.certificates import negative_verdict
 from pvcgap.graphs import make_star
-from pvcgap.linalg import psd_check
+from pvcgap.linalg import SymMatrix, psd_check
 from pvcgap.rational import ONE, Rat
-from pvcgap.sdp import GramSolution, build_star_sdp_solution, gram_from_cover, verify_hs_sdp
+from pvcgap.sdp import GramSolution, build_star_sdp_solution, verify_hs_sdp
+
+
+def gram_from_cover(g, t, cover) -> GramSolution:
+    """Integral one-dimensional solution: v_i = v_0 inside the cover,
+    -v_0 outside."""
+    sign = [ONE if i in cover else -ONE for i in range(1, g.n + 1)]
+    gram = SymMatrix(g.n + 1)
+    gram.set(0, 0, ONE)
+    for i in range(1, g.n + 1):
+        gram.set(i, i, ONE)
+        gram.set(0, i, sign[i - 1])
+        for j in range(i + 1, g.n + 1):
+            gram.set(i, j, sign[i - 1] * sign[j - 1])
+    return GramSolution(graph=g, t=t, gram=gram)
 
 
 def test_star_inner_products():
