@@ -9,7 +9,7 @@ part of the certificate format and must not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .rational import ONE, ZERO, Rat, as_rational
@@ -177,43 +177,44 @@ def load_graph(path) -> Graph:
 # -- the t-partial-vertex-cover relaxation ----------------------------------
 
 
-def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
-    """LP over V u E: cover each chosen edge, demand >= t edges, 0..1 box.
-
-    Row order (fixed, part of the certificate format): one row per edge,
-    the demand row, all lower box rows, all upper box rows, as named by
-    `pvc_row_names`.  Every coefficient and right-hand side is an integer.
-    """
+def check_demand(g: Graph, t: int) -> None:
+    """Refuse a demand t outside 0..|E|, for which t-PVC has no integral cover."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t > g.m:
         raise ValueError(f"t={t} exceeds edge count {g.m}: integrally infeasible")
-    nv = g.var_count
+
+
+def pvc_rows(g: Graph, t: int) -> tuple:
+    """The rows sum_j c_j x_j >= rhs of the t-PVC relaxation over V u E.
+
+    Each row is (name, ((j, c) for each c != 0), rhs) in integers.  Row
+    order (fixed, part of the certificate format): one row per edge, the
+    demand row, all lower box rows x_q >= 0, all upper box rows -x_q >= -1.
+    """
+    check_demand(g, t)
+    names = g.var_names()
+    rows = [(f"edge:{names[e]}", ((i - 1, 1), (j - 1, 1), (e, -1)), 0)
+            for e, (i, j) in enumerate(g.edges, g.n)]
+    rows.append(("demand", tuple((e, 1) for e in range(g.n, g.var_count)), t))
+    rows += [(f"box0:{v}", ((q, 1),), 0) for q, v in enumerate(names)]
+    rows += [(f"box1:{v}", ((q, -1),), -1) for q, v in enumerate(names)]
+    return tuple(rows)
+
+
+def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
+    """The rows of `pvc_rows` as a dense LP; minimize the vertex weights."""
     rows = []
-    for i, j in g.edges:
-        coeffs = [ZERO] * nv
-        coeffs[g.vertex_code(i)] = ONE
-        coeffs[g.vertex_code(j)] = ONE
-        coeffs[g.edge_code(i, j)] = -ONE
-        rows.append((tuple(coeffs), ZERO))
-    rows.append(((ZERO,) * g.n + (ONE,) * g.m, Rat(t)))
-    for sign, rhs in ((ONE, ZERO), (-ONE, -ONE)):  # x_q >= 0, then -x_q >= -1
-        for q in range(nv):
-            coeffs = [ZERO] * nv
-            coeffs[q] = sign
-            rows.append((tuple(coeffs), rhs))
+    for _, coeffs, rhs in pvc_rows(g, t):
+        dense = [ZERO] * g.var_count
+        for j, c in coeffs:
+            dense[j] = Rat(c)
+        rows.append((tuple(dense), Rat(rhs)))
     return LinearProgram(
         names=tuple(g.var_names()),
         rows=tuple(rows),
         objective=g.weights + (ZERO,) * g.m,
     )
-
-
-def pvc_row_names(g: Graph) -> tuple:
-    """Certificate names of the rows of `build_pvc_lp(g, t)`, in its row order."""
-    names = g.var_names()
-    return tuple([f"edge:{e}" for e in names[g.n:]] + ["demand"]
-                 + [f"box0:{v}" for v in names] + [f"box1:{v}" for v in names])
 
 
 # -- brute-force integral oracle --------------------------------------------
@@ -225,21 +226,19 @@ def brute_force_witness(g: Graph, t: int) -> tuple:
     """(minimum weight, one optimal vertex set) by exhaustive enumeration.
 
     Subsets are walked by size.  None of `size` or more vertices weighs
-    less than size * (least weight), so the walk ends once that reaches the
-    best weight found: at the first cover found, with unit weights.
+    less than the `size` least weights together, so the walk ends once that
+    floor reaches the best weight found: at the first cover found, with
+    unit weights.
     """
     if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_N}, got n = {g.n}")
-    if t < 0 or t > g.m:
-        raise ValueError("need 0 <= t <= |E|")
+    check_demand(g, t)
     vertex_masks = [0] * g.n
     for k, (i, j) in enumerate(g.edges):
         vertex_masks[i - 1] |= 1 << k
         vertex_masks[j - 1] |= 1 << k
-    least = min(g.weights)
     best = best_set = None
-    for size in range(g.n + 1):
-        floor = size * least
+    for size, floor in enumerate(accumulate(sorted(g.weights), initial=ZERO)):
         if best is not None and floor >= best:
             break
         for subset in combinations(range(g.n), size):

@@ -2,9 +2,9 @@
 
 `verify_sa` checks the moment vector of the random-cover distribution
 against every product-lifted constraint of the cover polytope up to a
-given level r.  The rows are those of the LP that `graphs.build_pvc_lp`
-builds, in its order and under the names `graphs.pvc_row_names` gives
-them: for each disjoint pair (Y, N) with |Y u N| <= r it evaluates the
+given level r.  The rows are `graphs.pvc_rows`, the sparse integer form
+of the LP that `graphs.build_pvc_lp` builds, in its order and under its
+row names: for each disjoint pair (Y, N) with |Y u N| <= r it evaluates the
 linearized weights w(Y u {q}, N) and tests, exactly, every row
 sum_j c_j x_j >= rhs in its lifted form
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
-from .graphs import Graph, build_pvc_lp, integral_opt, pvc_row_names
+from .graphs import Graph, check_demand, integral_opt, pvc_rows
 from .linalg import psd_check
 from .moments import (
     DistParams,
@@ -46,7 +46,7 @@ from .moments import (
     build_cond_matrix,
     moment,
 )
-from .rational import ONE, ZERO, Rat, integral
+from .rational import ONE, ZERO, Rat
 from .simplex import LinearProgram
 
 
@@ -102,17 +102,6 @@ def yn_pairs(m: int, max_size: int, indices=None):
 # -- the per-pair constraint scan --------------------------------------------
 
 
-def _lifted_rows(graph: Graph, lp: LinearProgram) -> tuple:
-    """The cover LP's rows as (name, ((j, c) for each c != 0), rhs) in integers."""
-    rows = []
-    for name, (coeffs, rhs) in zip(pvc_row_names(graph), lp.rows):
-        scale, ints = integral([*coeffs, rhs])
-        if scale != 1:
-            raise ValueError(f"cover LP row {name} is not integral")
-        rows.append((name, tuple((j, c) for j, c in enumerate(ints[:-1]) if c), ints[-1]))
-    return tuple(rows)
-
-
 def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     """(violation or None, rows checked) for one lifted multiplier pair.
 
@@ -145,11 +134,10 @@ def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
     return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)
 
 
-def _cover_lp(params: DistParams, t: int, r: int) -> LinearProgram:
-    """The LP every level lifts; `build_pvc_lp` refuses a t outside 0..|E|."""
+def _validate(params: DistParams, t: int, r: int) -> None:
     if r < 0:
         raise ValueError("level r must be nonnegative")
-    return build_pvc_lp(params.graph, t)
+    check_demand(params.graph, t)
 
 
 # -- the first-failure scan driver ------------------------------------------
@@ -217,12 +205,14 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
     return None, checked
 
 
-def _verdict(params: DistParams, t: int, lp: LinearProgram, violation, checked: int) -> SaVerdict:
-    """The verdict; a feasible one also gets the gap bound opt / objective."""
-    objective = sum(
-        (c * moment(params, (j,)) for j, c in enumerate(lp.objective) if c), ZERO
-    ) / params.den
-    opt = integral_opt(params.graph, t) if violation is None and objective > 0 else None
+def _verdict(params: DistParams, t: int, violation, checked: int) -> SaVerdict:
+    """The verdict; a feasible one also gets the gap bound opt / objective.
+
+    The objective is the cover LP's: the vertex weights, on vertex codes.
+    """
+    g = params.graph
+    objective = sum((w * moment(params, (q,)) for q, w in enumerate(g.weights)), ZERO) / params.den
+    opt = integral_opt(g, t) if violation is None and objective > 0 else None
     gap = None if opt is None else opt / objective
     return SaVerdict(violation is None, violation, checked, objective, gap)
 
@@ -231,11 +221,9 @@ def _verdict(params: DistParams, t: int, lp: LinearProgram, violation, checked: 
 
 
 def _sa_scan(params: DistParams, t: int, r: int, threads: int):
-    """(cover LP, first violation or None, rows checked) of the level-r scan."""
-    lp = _cover_lp(params, t, r)
+    _validate(params, t, r)
     indices = range(yn_pair_count(params.graph.var_count, r))
-    rows = _lifted_rows(params.graph, lp)
-    return (lp, *_first_failure(params, rows, r, indices, False, threads))
+    return _first_failure(params, pvc_rows(params.graph, t), r, indices, False, threads)
 
 
 def verify_sa(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict:
@@ -245,10 +233,10 @@ def verify_sa(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict
 
 def verify_sap(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict:
     """verify_sa plus the PSD test of the unconditioned moment matrix minor."""
-    lp, violation, checked = _sa_scan(params, t, r, threads)
+    violation, checked = _sa_scan(params, t, r, threads)
     if violation is None:
         violation, checked = _check_matrix(params, (), (), "sa+:moment-psd"), checked + 1
-    return _verdict(params, t, lp, violation, checked)
+    return _verdict(params, t, violation, checked)
 
 
 def verify_xyn_family(
@@ -265,11 +253,11 @@ def verify_xyn_family(
     seed; pass None for the exhaustive family.  At r = 0 the family is
     empty and the verdict is trivially feasible.
     """
-    lp = _cover_lp(params, t, r)
+    _validate(params, t, r)
     indices = range(yn_pair_count(params.graph.var_count, r - 1))
     if sample is not None and sample < len(indices):
         indices = sorted(random.Random(seed).sample(indices, sample))
-    return _verdict(params, t, lp, *_first_failure(params, (), r - 1, indices, True, threads))
+    return _verdict(params, t, *_first_failure(params, (), r - 1, indices, True, threads))
 
 
 # -- explicit level-1 lifted LP ----------------------------------------------
@@ -283,8 +271,8 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     Each cover-LP row is multiplied by x_q and by (1 - x_q) for every
     q in V u E and linearized with idempotent unions (y_{A u {q}}).
     Exact duplicate rows are kept once; the normalization rows pinning
-    the empty-set variable to 1 come last.  The objective and the names
-    are the cover LP's, on the singleton variables.
+    the empty-set variable to 1 come last.  The objective is the cover
+    LP's vertex weights, on the singleton variables.
     """
     m = graph.var_count
     n_vars = 1 + m + comb(m, 2)
@@ -296,7 +284,6 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     def var(*codes) -> int:
         return index[tuple(sorted(set(codes)))]
 
-    base = build_pvc_lp(graph, t)
     rows = []
     seen = set()
 
@@ -307,8 +294,7 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
         seen.add(key)
         rows.append(key)
 
-    for coeffs, rhs in base.rows:
-        nz = [(j, c) for j, c in enumerate(coeffs) if c != 0]
+    for _, nz, rhs in pvc_rows(graph, t):
         for q in range(m):
             lifted = [ZERO] * n_vars
             for j, c in nz:
@@ -330,6 +316,6 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     norm[0] = -ONE
     rows.append((tuple(norm), -ONE))
 
-    names = tuple(f"y({','.join(base.names[q] for q in s)})" for s in sets)
-    objective = (ZERO, *base.objective) + (ZERO,) * comb(m, 2)  # the order of `sets`
+    names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
+    objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))  # as `sets`
     return LinearProgram(names=names, rows=tuple(rows), objective=objective)

@@ -240,6 +240,8 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
     huge.write_text("1000000000 0\n")
     for argv in (
         ["verify", "--level", "sa", "--n", "100000", "--r", "1", "--t", "1"],
+        # K300's one conditioned moment matrix, before its cover LP or any row exists
+        ["verify", "--level", "xyn", "--n", "300", "--r", "1", "--t", "1"],
         ["lasserre", "--n", "100000", "--r", "1", "--t", "1"],
         # past the integral oracle's cap, before any LP is built
         ["star", "--n", "5000", "--t", "1"],
@@ -253,6 +255,20 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
                            env=ENV, preexec_fn=_limit_address_space)
         assert r.returncode == 1 and r.stdout == "", argv
         assert r.stderr.startswith("error:") and "cap" in r.stderr, (argv, r.stderr)
+
+
+def test_a_large_level_zero_scan_runs_within_the_address_limit():
+    # K300 has 45,150 variables: one pair over 135,151 sparse rows, where a
+    # dense copy of the cover LP would hold about 6 * 10**9 entries
+    start = time.monotonic()
+    r = subprocess.run(PY + ["verify", "--level", "sa", "--n", "300", "--r", "0", "--t", "1"],
+                       capture_output=True, text=True, timeout=60,
+                       env=ENV, preexec_fn=_limit_address_space)
+    assert r.returncode == 0, r.stderr
+    cert = json.loads(r.stdout)
+    assert cert["verdict"] == "feasible"
+    assert cert["values"]["constraints_checked"] == 300 * 299 // 2 + 1 + 2 * (300 + 300 * 299 // 2)
+    assert time.monotonic() - start < 30
 
 
 def _interrupt(*_args):

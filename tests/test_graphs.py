@@ -1,7 +1,10 @@
 import random
+from functools import partial
+from itertools import combinations
 
 import pytest
 
+from pvcgap import graphs
 from pvcgap.graphs import (
     Graph,
     brute_force_opt,
@@ -11,6 +14,7 @@ from pvcgap.graphs import (
     make_clique,
     make_star,
     parse_graph,
+    pvc_rows,
 )
 from pvcgap.rational import ONE, Rat, rational_str
 from pvcgap.simplex import lp_solve
@@ -75,6 +79,27 @@ def test_pvc_lp_row_and_variable_counts():
     assert demand[1] == Rat(6)
     with pytest.raises(ValueError):
         build_pvc_lp(make_clique(4), 7)
+
+
+def test_the_dense_lp_is_the_sparse_rows_in_their_order():
+    g = Graph(3, ((1, 2), (2, 3)), weights=(Rat(5), Rat(0), Rat(1, 2)))
+    rows = pvc_rows(g, 2)
+    assert [name for name, _, _ in rows] == [
+        "edge:e1_2", "edge:e2_3", "demand",
+        "box0:v1", "box0:v2", "box0:v3", "box0:e1_2", "box0:e2_3",
+        "box1:v1", "box1:v2", "box1:v3", "box1:e1_2", "box1:e2_3"]
+    assert rows[1] == ("edge:e2_3", ((1, 1), (2, 1), (4, -1)), 0)
+    assert rows[2] == ("demand", ((3, 1), (4, 1)), 2)
+    assert rows[-1] == ("box1:e2_3", ((4, -1),), -1)
+    lp = build_pvc_lp(g, 2)
+    assert lp.names == ("v1", "v2", "v3", "e1_2", "e2_3")
+    assert lp.objective == g.weights + (Rat(0), Rat(0))
+    assert lp.rows == tuple(
+        (tuple(Rat(dict(coeffs).get(j, 0)) for j in range(g.var_count)), Rat(rhs))
+        for _, coeffs, rhs in rows)
+    for t in (-1, 3):
+        with pytest.raises(ValueError):
+            pvc_rows(g, t)
 
 
 def test_full_demand_is_vertex_cover():
@@ -173,6 +198,29 @@ def test_brute_force_equals_the_all_masks_oracle_on_weighted_graphs():
         weight, cover = brute_force_witness(g, t)
         assert weight == _all_masks_opt(g, t) == sum((g.weights[v - 1] for v in cover), Rat(0))
         assert sum(1 for i, j in g.edges if i in cover or j in cover) >= t
+
+
+def _counted_combinations(visited, pool, k):
+    for subset in combinations(pool, k):
+        visited.append(subset)
+        yield subset
+
+
+def test_a_zero_weight_does_not_defeat_the_size_bound(monkeypatch):
+    # the floor of `size` vertices is the sum of the `size` least weights, not
+    # size * 0, so a zero weight still stops the walk long before all 2^n subsets
+    rng = random.Random(7)
+    n = 14
+    edges = tuple(e for e in make_clique(n).edges if rng.random() < 0.3)
+    visited = []
+    monkeypatch.setattr(graphs, "combinations", partial(_counted_combinations, visited))
+    for weights in ((Rat(0),) + (Rat(1),) * (n - 1), (Rat(0), Rat(0)) + (Rat(1, 2),) * (n - 2)):
+        g = Graph(n, edges, weights)
+        t = g.m // 2
+        visited.clear()
+        weight, cover = brute_force_witness(g, t)
+        assert weight == _all_masks_opt(g, t) == sum((g.weights[v - 1] for v in cover), Rat(0))
+        assert len(visited) < 2**n // 8, len(visited)
 
 
 def test_negative_weights_are_refused():
