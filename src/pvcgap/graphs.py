@@ -117,6 +117,32 @@ def make_star(n: int) -> Graph:
     return Graph(n + 1, tuple((i, n + 1) for i in range(1, n + 1)))
 
 
+def twin_swaps(g: Graph) -> tuple:
+    """Swaps of equal-weight twin vertices, as permutations of the V u E codes.
+
+    Vertices a and b are twins when N(a) - {b} = N(b) - {a}, so swapping
+    them, and each edge {a, c} with {b, c}, maps g onto itself.  Each
+    vertex b with an equal-weight twin a < b gets one swap, with the least
+    such a; on the star these are the swaps of leaf 1 with each other leaf.
+    """
+    nbrs = [set() for _ in range(g.n + 1)]
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    swaps = []
+    for b in range(1, g.n + 1):
+        a = next((a for a in range(1, b) if g.weights[a - 1] == g.weights[b - 1]
+                  and nbrs[a] - {b} == nbrs[b] - {a}), None)
+        if a is None:
+            continue
+        image = {a: b, b: a}
+        perm = list(range(g.n))
+        perm[a - 1], perm[b - 1] = b - 1, a - 1
+        perm += [g.edge_code(image.get(i, i), image.get(j, j)) for i, j in g.edges]
+        swaps.append(tuple(perm))
+    return tuple(swaps)
+
+
 # -- graph text format ------------------------------------------------------
 #
 #   n m

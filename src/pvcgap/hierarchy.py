@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
-from .graphs import Graph, check_demand, integral_opt, pvc_rows
+from .graphs import Graph, check_demand, integral_opt, pvc_rows, twin_swaps
 from .linalg import psd_check
 from .moments import (
     DistParams,
@@ -46,7 +46,7 @@ from .moments import (
     build_cond_matrix,
     moment,
 )
-from .rational import ONE, ZERO, Rat
+from .rational import ZERO, Rat
 from .simplex import LinearProgram
 
 
@@ -271,8 +271,12 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     Each cover-LP row is multiplied by x_q and by (1 - x_q) for every
     q in V u E and linearized with idempotent unions (y_{A u {q}}).
     Exact duplicate rows are kept once; the normalization rows pinning
-    the empty-set variable to 1 come last.  The objective is the cover
-    LP's vertex weights, on the singleton variables.
+    the empty-set variable to 1 come last.  Rows are in integers.  The
+    objective is the cover LP's vertex weights, on the singleton
+    variables.  The program carries the `graphs.twin_swaps` of the graph,
+    lifted to the set variables, as its generators, so `lp_solve` solves
+    it on their orbits (on the star: 10 variable orbits and 46 row orbits
+    for every n >= 4).
     """
     m = graph.var_count
     n_vars = 1 + m + comb(m, 2)
@@ -287,35 +291,38 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     rows = []
     seen = set()
 
-    def add(coeffs: list, rhs) -> None:
+    def add(coeffs: list, rhs: int) -> None:
         key = (tuple(coeffs), rhs)
-        if key in seen or all(c == 0 for c in coeffs):
+        if key in seen or not any(coeffs):
             return
         seen.add(key)
         rows.append(key)
 
     for _, nz, rhs in pvc_rows(graph, t):
         for q in range(m):
-            lifted = [ZERO] * n_vars
+            lifted = [0] * n_vars
             for j, c in nz:
                 lifted[var(j, q)] += c
             lifted[var(q)] -= rhs
-            add(lifted, ZERO)
-            lifted = [ZERO] * n_vars
+            add(lifted, 0)
+            lifted = [0] * n_vars
             for j, c in nz:
                 lifted[var(j)] += c
                 lifted[var(j, q)] -= c
             lifted[0] -= rhs
             lifted[var(q)] += rhs
-            add(lifted, ZERO)
+            add(lifted, 0)
 
-    norm = [ZERO] * n_vars
-    norm[0] = ONE
-    rows.append((tuple(norm), ONE))
-    norm = [ZERO] * n_vars
-    norm[0] = -ONE
-    rows.append((tuple(norm), -ONE))
+    norm = [0] * n_vars
+    norm[0] = 1
+    rows.append((tuple(norm), 1))
+    norm = [0] * n_vars
+    norm[0] = -1
+    rows.append((tuple(norm), -1))
 
     names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
     objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))  # as `sets`
-    return LinearProgram(names=names, rows=tuple(rows), objective=objective)
+    generators = tuple(tuple(index[tuple(sorted(swap[q] for q in s))] for s in sets)
+                       for swap in twin_swaps(graph))
+    return LinearProgram(names=names, rows=tuple(rows), objective=objective,
+                         generators=generators)

@@ -2,22 +2,32 @@
 
 `LinearProgram` holds a conified 0-1 polytope in a fixed normal form:
 every constraint row reads  coeffs . x >= rhs, variables are free
-(bounds are rows like any other), and the objective is minimized.
-`lp_solve` runs a two-phase primal simplex over the rationals on one
-tableau.  Phase 1 carries both objective rows, so phase 2 continues from
-the phase-1 basis; after phase 1 the artificial columns and the phase-1
-row are cut away.  Each row is scaled to integers by `rational.integral`
-and the tableau is kept in integers over one common denominator, so a
-pivot does no gcd work.  It pivots by Dantzig's rule and falls back to
-Bland's rule only after a degenerate stall (the star-6 level-1 lifted LP
-takes 307 pivots, none by Bland), so it is deterministic and terminates
-on every input.
+(bounds are rows like any other), and the objective is minimized.  Its
+`generators` are permutations of the variables that map the row set onto
+itself and fix the objective; averaging over the group they generate
+turns any optimum into one that is constant on variable orbits.
 
-Every program pvcgap builds has an optimum, so `lp_solve` returns only
-that: the value, a primal solution and dual multipliers, re-verified
-exactly (primal feasibility, dual sign, complementary slackness,
-stationarity, strong duality) before being returned.  An infeasible or
-unbounded program raises ValueError.
+`lp_solve` therefore solves the orbit program: one variable per variable
+orbit, and one row per row orbit, the orbit's first row with its
+coefficients summed over each variable orbit.  With no generators that
+is the program itself, row for row.  A two-phase primal simplex over the
+rationals solves it on one tableau.  Phase 1 carries both objective
+rows, so phase 2 continues from the phase-1 basis; after phase 1 the
+artificial columns and the phase-1 row are cut away.  Each row is scaled
+to integers by `rational.integral` and the tableau is kept in integers
+over one common denominator, so a pivot does no gcd work.  It pivots by
+Dantzig's rule and falls back to Bland's rule only after a degenerate
+stall, so it is deterministic and terminates on every input.
+
+The orbit optimum is expanded back (x_j is the value of j's orbit, and
+each row-orbit multiplier is spread evenly over the rows of its orbit)
+and re-verified exactly on the full program before it is returned:
+primal feasibility, dual sign, complementary slackness, stationarity and
+strong duality.  Under a valid symmetry the spread dual is stationary,
+so a wrong aggregation raises instead of returning a wrong value.
+Generators that are not permutations, that map a row outside the row
+set or that move the objective raise ValueError, as does an infeasible
+or unbounded program: every program pvcgap builds has an optimum.
 
 As a presolve step, rows of the shape a*x_j >= 0 (a > 0) are absorbed as
 variable nonnegativity; their multipliers are read from the reduced cost
@@ -42,6 +52,7 @@ class LinearProgram:
     names: tuple
     rows: tuple  # ((coeffs, rhs), ...) each row means coeffs . x >= rhs
     objective: tuple
+    generators: tuple = ()  # each maps variable j to generator[j]
 
     def __post_init__(self):
         nv = len(self.names)
@@ -50,6 +61,9 @@ class LinearProgram:
         for k, (coeffs, _rhs) in enumerate(self.rows):
             if len(coeffs) != nv:
                 raise ValueError(f"row {k} has {len(coeffs)} coefficients, want {nv}")
+        for k, gen in enumerate(self.generators):
+            if sorted(gen) != list(range(nv)):
+                raise ValueError(f"generator {k} is not a permutation of the {nv} variables")
 
     @property
     def n_vars(self) -> int:
@@ -74,7 +88,7 @@ class _Tableau:
 
     Every entry is an integer: the true tableau value times `d`, the
     absolute determinant of the current basis in the row-scaled integer
-    program that `lp_solve` builds.  A pivot on (r, s) with p = T[r][s] > 0
+    program that `_solve` builds.  A pivot on (r, s) with p = T[r][s] > 0
     keeps row r, sets every other row i to (p*T[i] - T[i][s]*T[r]) / d and
     makes p the new d.  The division is exact because the results are
     minors of the starting integer matrix, so no entry is ever reduced by a
@@ -168,17 +182,86 @@ class _Tableau:
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Solve exactly; deterministic (fixed pivot rules, fixed column layout).
+    """Solve exactly on the orbits of `lp.generators`, then re-verify on `lp`.
 
-    Raises ValueError when the program is infeasible or unbounded.
+    Deterministic (fixed pivot rules, fixed column layout).  Raises
+    ValueError when the program is infeasible or unbounded, or when a
+    generator is not a symmetry of it.
     """
     c = [as_rational(x) for x in lp.objective]
-    nv = lp.n_vars
+    support = [[(j, a) for j, a in enumerate(coeffs) if a] for coeffs, _rhs in lp.rows]
+    var_orbits, row_orbits = _orbits(lp, c, support)
+    orbit_of = [0] * lp.n_vars
+    for k, orbit in enumerate(var_orbits):
+        for j in orbit:
+            orbit_of[j] = k
+    rows = []
+    for orbit in row_orbits:
+        coeffs = [0] * len(var_orbits)
+        for j, a in support[orbit[0]]:
+            coeffs[orbit_of[j]] += a
+        rows.append((coeffs, lp.rows[orbit[0]][1]))
+    z, u = _solve(rows, [sum(c[j] for j in orbit) for orbit in var_orbits])
+    x = [z[k] for k in orbit_of]
+    dual = [ZERO] * lp.n_rows
+    for orbit, uk in zip(row_orbits, u):
+        for i in orbit:
+            dual[i] = uk / len(orbit)
+    return _optimal_result(lp, c, support, x, dual)
+
+
+def _classes(n: int, pairs) -> list:
+    """The classes of range(n) that `pairs` join, each ascending, by least member."""
+    parent = list(range(n))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for a, b in pairs:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    classes = {}
+    for k in range(n):
+        classes.setdefault(root(k), []).append(k)
+    return list(classes.values())
+
+
+def _orbits(lp: LinearProgram, c: list, support: list) -> tuple:
+    """(variable orbits, row orbits) of the group `lp.generators` generate.
+
+    Raises ValueError unless every generator fixes the objective and maps
+    the rows, which must then be distinct, onto themselves.
+    """
+    rows_at = {}
+    if lp.generators:
+        for i, (nz, (_coeffs, rhs)) in enumerate(zip(support, lp.rows)):
+            rows_at.setdefault((frozenset(nz), rhs), i)
+        if len(rows_at) != lp.n_rows:
+            raise ValueError("a program with generators needs distinct rows")
+    row_pairs = []
+    for k, gen in enumerate(lp.generators):
+        if [c[j] for j in gen] != c:
+            raise ValueError(f"generator {k} moves the objective")
+        for i, (nz, (_coeffs, rhs)) in enumerate(zip(support, lp.rows)):
+            image = rows_at.get((frozenset((gen[j], a) for j, a in nz), rhs))
+            if image is None:
+                raise ValueError(f"generator {k} maps row {i} outside the row set")
+            row_pairs.append((i, image))
+    var_pairs = ((j, image) for gen in lp.generators for j, image in enumerate(gen))
+    return _classes(lp.n_vars, var_pairs), _classes(lp.n_rows, row_pairs)
+
+
+def _solve(rows: list, c: list) -> tuple:
+    """(primal, one multiplier per row) of min c . x over `rows`."""
+    nv = len(c)
 
     # presolve: absorb a*x_j >= 0 (a > 0) rows as variable nonnegativity
     absorber = {}  # var -> (original row index, coefficient)
     solver_rows = []  # (original row index, coeffs, rhs)
-    for idx, (coeffs, rhs) in enumerate(lp.rows):
+    for idx, (coeffs, rhs) in enumerate(rows):
         if rhs == 0:
             nz = [(j, a) for j, a in enumerate(coeffs) if a != 0]
             if len(nz) == 1 and nz[0][1] > 0:
@@ -245,9 +328,9 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     _drop_artificials(tab, n_struct + m)
     tab.run(obj2)
     x = _primal_from_tableau(tab, col_var, nv)
-    dual = _multipliers(tab, obj2, obj_scale, lp.n_rows, solver_rows, n_struct,
+    dual = _multipliers(tab, obj2, obj_scale, len(rows), solver_rows, n_struct,
                         absorber, pos_col)
-    return _optimal_result(lp, c, x, dual)
+    return x, dual
 
 
 def _drop_artificials(tab: _Tableau, keep_cols: int) -> None:
@@ -275,7 +358,7 @@ def _primal_from_tableau(tab: _Tableau, col_var, nv: int) -> list:
 
 def _multipliers(tab, obj, obj_scale, n_rows, solver_rows, n_struct, absorber,
                  pos_col):
-    """One optimal dual multiplier per original row, read from the final obj.
+    """One optimal dual multiplier per row given to `_solve`, read from the final obj.
 
     A solver row's multiplier is the reduced cost of its surplus column; an
     absorbed a*x_j >= 0 row's is the reduced cost of x_j divided by a.
@@ -289,26 +372,28 @@ def _multipliers(tab, obj, obj_scale, n_rows, solver_rows, n_struct, absorber,
     return u
 
 
-def _optimal_result(lp, c, x, dual):
+def _optimal_result(lp, c, support, x, dual):
     value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
 
     # certify before reporting: feasibility, stationarity, complementary
-    # slackness and strong duality must all hold exactly
+    # slackness and strong duality must all hold exactly; `support` holds
+    # each row's nonzero coefficients, so zero terms are skipped
     dual_value = ZERO
-    for (coeffs, rhs), u in zip(lp.rows, dual):
+    lhs = [ZERO] * lp.n_vars  # sum_i dual[i] * row i, by variable
+    for nz, (_coeffs, rhs), u in zip(support, lp.rows, dual):
         if u < 0:
             raise RuntimeError("negative dual multiplier")
-        slack = sum((a * xj for a, xj in zip(coeffs, x)), ZERO) - rhs
+        slack = sum((a * x[j] for j, a in nz), ZERO) - rhs
         if slack < 0:
             raise RuntimeError("reported primal violates a row")
-        if u != 0 and slack != 0:
-            raise RuntimeError("complementary slackness failed")
-        dual_value += u * rhs
-    for j in range(lp.n_vars):
-        lhs = sum((lp.rows[i][0][j] * dual[i] for i in range(lp.n_rows)), ZERO)
-        if lhs != c[j]:
-            raise RuntimeError("dual stationarity failed")
+        if u != 0:
+            if slack != 0:
+                raise RuntimeError("complementary slackness failed")
+            dual_value += u * rhs
+            for j, a in nz:
+                lhs[j] += a * u
+    if lhs != c:
+        raise RuntimeError("dual stationarity failed")
     if dual_value != value:
         raise RuntimeError("strong duality failed")
     return LpResult(value, tuple(x), tuple(dual))
-

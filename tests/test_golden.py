@@ -31,6 +31,8 @@ CASES = {
         ["verify", "--level", "xyn", "--n", "8", "--r", "2", "--t", "1",
          "--sample", "10", "--seed", "3"], 0),
     "star-n4-t2": (["star", "--n", "4", "--t", "2"], 0),
+    # the instance perfbench's lp-star workload times
+    "star-n6-t3": (["star", "--n", "6", "--t", "3"], 0),
     "lasserre-n12-r2-t1": (["lasserre", "--n", "12", "--r", "2", "--t", "1"], 2),
     "lasserre-n13-r2-t1": (["lasserre", "--n", "13", "--r", "2", "--t", "1"], 0),
     "gap-table-small": (
