@@ -117,24 +117,27 @@ def make_star(n: int) -> Graph:
     return Graph(n + 1, tuple((i, n + 1) for i in range(1, n + 1)))
 
 
-def twin_swaps(g: Graph) -> tuple:
-    """Swaps of equal-weight twin vertices, as permutations of the V u E codes.
-
-    Vertices a and b are twins when N(a) - {b} = N(b) - {a}, so swapping
-    them, and each edge {a, c} with {b, c}, maps g onto itself.  Each
-    vertex b with an equal-weight twin a < b gets one swap, with the least
-    such a; on the star these are the swaps of leaf 1 with each other leaf.
+def least_twins(g: Graph) -> list:
+    """(a, b) for each vertex b with an equal-weight twin a < b, with the least
+    such a.  Vertices a and b are twins when N(a) - {b} = N(b) - {a}; twins
+    of equal weight form classes, so a is the least vertex of b's class.
     """
     nbrs = [set() for _ in range(g.n + 1)]
     for i, j in g.edges:
         nbrs[i].add(j)
         nbrs[j].add(i)
+    least = [(next((a for a in range(1, b) if g.weights[a - 1] == g.weights[b - 1]
+                    and nbrs[a] - {b} == nbrs[b] - {a}), None), b) for b in range(1, g.n + 1)]
+    return [(a, b) for a, b in least if a is not None]
+
+
+def twin_swaps(g: Graph) -> tuple:
+    """Swaps of equal-weight twin vertices, as permutations of the V u E codes:
+    for each pair (a, b) of `least_twins`, a with b and each edge {a, c} with
+    {b, c}.  On the star these are the swaps of leaf 1 with each other leaf.
+    """
     swaps = []
-    for b in range(1, g.n + 1):
-        a = next((a for a in range(1, b) if g.weights[a - 1] == g.weights[b - 1]
-                  and nbrs[a] - {b} == nbrs[b] - {a}), None)
-        if a is None:
-            continue
+    for a, b in least_twins(g):
         image = {a: b, b: a}
         perm = list(range(g.n))
         perm[a - 1], perm[b - 1] = b - 1, a - 1
@@ -286,5 +289,12 @@ def brute_force_opt(g: Graph, t: int):
 
 
 def integral_opt(g: Graph, t: int):
-    """Exact integral optimum of t-PVC on g, or None when no oracle covers g."""
-    return brute_force_opt(g, t) if g.n <= BRUTE_FORCE_MAX_N else None
+    """Exact integral optimum of t-PVC on g, or None when no oracle covers g:
+    brute force up to BRUTE_FORCE_MAX_N vertices, and past it, on the
+    unit-weight n-clique, the least k with C(n,2) - C(n-k,2) >= t edges.
+    """
+    if g.n <= BRUTE_FORCE_MAX_N:
+        return brute_force_opt(g, t)
+    if g.m == comb(g.n, 2) and all(w == 1 for w in g.weights):
+        return Rat(next(k for k in range(g.n + 1) if g.m - comb(g.n - k, 2) >= t))
+    return None

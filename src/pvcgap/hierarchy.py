@@ -10,6 +10,11 @@ sum_j c_j x_j >= rhs in its lifted form
 
     sum_j c_j w(Y+{j}, N) >= rhs * w(Y, N)
 
+Relabelling equal-weight twin vertices maps the graph, the distribution
+and so every weight onto itself.  The weights of a pair are computed, and
+cross-checked, once per orbit of that group and relabelled for the other
+pairs of the orbit: 22 orbits on K_n at r = 2, for any n.
+
 `verify_sap` adds one exact PSD check of the conditioned moment matrix at
 (Y, N) = (empty, empty); `verify_xyn_family` checks the whole family of
 conditioned moment matrices with |Y u N| <= r-1 (exhaustively or on a
@@ -34,18 +39,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, groupby, islice, permutations, product
 from math import comb
 
-from .graphs import Graph, check_demand, integral_opt, pvc_rows, twin_swaps
+from .graphs import Graph, check_demand, integral_opt, least_twins, pvc_rows, twin_swaps
 from .linalg import psd_check
-from .moments import (
-    DistParams,
-    _disjoint_pair,
-    _weight_overlap_ok,
-    build_cond_matrix,
-    moment,
-)
+from .moments import DistParams, _weight_overlap_ok, build_cond_matrix, moment
 from .rational import ZERO, Rat
 from .simplex import LinearProgram
 
@@ -102,6 +101,65 @@ def yn_pairs(m: int, max_size: int, indices=None):
 # -- the per-pair constraint scan --------------------------------------------
 
 
+def _twin_group(g: Graph) -> tuple:
+    """(twin class of each vertex, members of each class (none but for its
+    least vertex), code table with vertex codes on its diagonal, ends of each
+    code).  A vertex's least twin, from `least_twins`, is the least of its class.
+    """
+    cls = list(range(g.n))
+    for a, b in least_twins(g):
+        cls[b - 1] = a - 1
+    ends = [(v, v) for v in range(g.n)] + [(i - 1, j - 1) for i, j in g.edges]
+    code = [[None] * g.n for _ in range(g.n)]
+    for c, (i, j) in enumerate(ends):
+        code[i][j] = code[j][i] = c
+    return cls, [[w for w in range(g.n) if cls[w] == v] for v in range(g.n)], code, ends
+
+
+def _canonical_pair(group: tuple, y: tuple, n: tuple) -> tuple:
+    """(key, perm): the least image (Y', N') of the pair when its touched
+    vertices, sorted by (twin class, signature), go to the least members of
+    their class in every order inside each cell of equal (class, signature),
+    and that relabelling of the V u E codes.  A signature counts: in Y, in N,
+    incident Y-edges, incident N-edges.
+    """
+    cls, members, code, ends = group
+    sides, label = [[ends[c] for c in codes] for codes in (y, n)], {}
+    for s, side in enumerate(sides):
+        for i, j in side:
+            for v in {i, j}:
+                label.setdefault(v, [cls[v], 0, 0, 0, 0])[1 + s + 2 * (i != j)] += 1
+    touched = sorted(label, key=label.get)
+    dst = [members[c][k] for c, vs in groupby(touched, cls.__getitem__) for k, _ in enumerate(vs)]
+    best = None
+    for cells in product(*(permutations(vs) for _, vs in groupby(touched, label.get))):
+        vmap = dict(zip(chain.from_iterable(cells), dst))
+        image = tuple(tuple(sorted(code[vmap[i]][vmap[j]] for i, j in side)) for side in sides)
+        if best is None or image < best:
+            best, best_map = image, vmap
+    # the untouched vertices of each class, in order, take its other members
+    free = (v for vs in members for v in vs if v not in dst)
+    perm = dict(zip((v for vs in members for v in vs if v not in label), free)) | best_map
+    return best, [code[perm[i]][perm[j]] for i, j in ends]
+
+
+def _pair_weights(params: DistParams, y: tuple, n: tuple) -> tuple:
+    """(w(Y, N), [w(Y+{q}, N) for every code q], or None if w(Y, N) = 0), times
+    `params.den`: `_weight_overlap_ok` computes them once per twin orbit, at
+    its key, into `params._orbit_weights` (which keeps the twin group under
+    None), and the orbit's other pairs relabel them: w(Y+{q}, N) = w_key[perm[q]].
+    """
+    memo = params._orbit_weights
+    memo[None] = memo.get(None) or _twin_group(params.graph)
+    key, perm = _canonical_pair(memo[None], y, n)
+    if key not in memo:
+        (ys, ns), wyn = key, _weight_overlap_ok(params, *key)
+        memo[key] = wyn, [0 if q in ns else _weight_overlap_ok(params, tuple(sorted({*ys, q})), ns)
+                          for q in range(params.graph.var_count)] if wyn else None
+    wyn, w = memo[key]
+    return (wyn, w) if w is None or key == (y, n) else (wyn, [w[q] for q in perm])
+
+
 def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     """(violation or None, rows checked) for one lifted multiplier pair.
 
@@ -109,16 +167,10 @@ def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     rhs * w(Y, N).  The weights are integers over `params.den`; a
     violation's two sides are rebuilt as rationals.
     """
-    g = params.graph
-    wyn = _weight_overlap_ok(params, *_disjoint_pair(g, y, n))
+    wyn, w = _pair_weights(params, y, n)
     if wyn == 0:
         # every weight below is squeezed into [0, 0]; nothing can fail
         return None, len(rows)
-    nset = set(n)
-    w = [
-        0 if q in nset else _weight_overlap_ok(params, tuple(sorted(set(y) | {q})), n)
-        for q in range(g.var_count)
-    ]
     for k, (name, coeffs, rhs) in enumerate(rows, 1):
         lhs = 0
         for j, c in coeffs:

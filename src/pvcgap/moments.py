@@ -51,11 +51,13 @@ class DistParams:
 
     `den` is the common denominator of every moment of the graph: the
     memo and the kernels hold probabilities as integers over it.
+    `_orbit_weights` is the memo of `hierarchy._pair_weights`.
     """
 
     graph: Graph
     p: object
     _memo: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _orbit_weights: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     den: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

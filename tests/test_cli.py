@@ -42,12 +42,13 @@ def test_verify_infeasible_exits_two_with_witness():
     assert doc["witness"]["Y"] == [] and doc["witness"]["N"] == []
 
 
-def test_verify_past_the_integral_oracle_has_no_gap_bound():
+def test_verify_past_the_brute_force_cap_has_the_clique_gap_bound():
     r = run("verify", "--level", "sa", "--n", "26", "--r", "0", "--t", "1")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["verdict"] == "feasible"
-    assert "integrality_gap_lower_bound" not in doc["values"]
+    # one vertex covers t = 1 edge, and the objective is 26 * 1/C(26, 2) = 2/25
+    assert doc["values"]["integrality_gap_lower_bound"]["exact"] == "25/2"
 
 
 def test_verify_sap_and_xyn_levels():

@@ -1,6 +1,7 @@
 import random
 from functools import partial
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -165,8 +166,19 @@ def test_integral_opt_is_brute_force_up_to_its_cap():
     for g, t in ((weighted, 2), (make_clique(8), 20), (make_star(23), 5), (make_clique(24), 1)):
         assert g.n <= 24
         assert integral_opt(g, t) == brute_force_opt(g, t)
-    for g in (make_clique(25), make_star(24)):
+    for g in (make_star(24), Graph(25, make_clique(25).edges, (2,) + (1,) * 24)):
         assert integral_opt(g, 1) is None
+
+
+def test_integral_opt_on_a_unit_weight_clique_is_the_closed_form(monkeypatch):
+    want = {(n, t): brute_force_opt(make_clique(n), t)
+            for n in range(1, 13) for t in range(comb(n, 2) + 1)}
+    monkeypatch.setattr(graphs, "BRUTE_FORCE_MAX_N", 0)  # every clique is past the cap
+    assert {(n, t): integral_opt(make_clique(n), t) for n, t in want} == want
+    monkeypatch.undo()
+    # k vertices of K30 cover 29 + 28 + ... + (30 - k) edges
+    k30 = make_clique(30)
+    assert [integral_opt(k30, t) for t in (0, 1, 29, 30, 57, 58, 435)] == [0, 1, 1, 2, 2, 3, 29]
 
 
 def test_weighted_brute_force():
