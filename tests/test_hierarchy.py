@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from pvcgap import hierarchy
+from pvcgap import hierarchy, moments
 from pvcgap.graphs import make_clique, make_star, build_pvc_lp, brute_force_opt
 from pvcgap.hierarchy import (
     generate_sa1_lp,
@@ -230,7 +230,7 @@ def test_a_violation_reports_the_rows_own_name_and_sides(
     g = make_clique(4)
     params = DistParams(g, Rat(1, 3))
     assert g.edge_code(1, 2) == 4
-    monkeypatch.setattr(hierarchy, "_weight_overlap_ok",
+    monkeypatch.setattr(moments, "_weight_overlap_ok",
                         partial(_weights_at_the_empty_pair, weights, default))
     verdict = verify_sa(params, 1, 1)
     assert verdict.violated == hierarchy.Violation(

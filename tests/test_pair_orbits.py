@@ -1,4 +1,5 @@
-"""The lifted-row scan on twin-vertex orbits against the per-pair weights it replaced."""
+"""The lifted-row scan and the conditioned moment matrices on twin-vertex
+orbits against the per-pair weights and matrices they replaced."""
 
 import re
 from functools import partial
@@ -8,15 +9,18 @@ import pytest
 
 from pvcgap import hierarchy, moments
 from pvcgap.graphs import Graph, make_clique, make_star, twin_swaps
-from pvcgap.hierarchy import (
+from pvcgap.hierarchy import verify_sa, verify_sap, verify_xyn_family, yn_pair_count, yn_pairs
+from pvcgap.linalg import SymMatrix, quadratic_form
+from pvcgap.moments import (
+    DistParams,
+    MomentMismatch,
     _canonical_pair,
+    _disjoint_pair,
     _pair_weights,
     _twin_group,
-    verify_sa,
-    verify_sap,
-    yn_pairs,
+    _weight_overlap_ok,
+    build_cond_matrix,
 )
-from pvcgap.moments import DistParams, MomentMismatch, _weight_overlap_ok
 from pvcgap.rational import Rat
 
 PATH6 = Graph(6, tuple((i, i + 1) for i in range(1, 6)))
@@ -126,3 +130,109 @@ def test_a_corrupted_representative_weight_fails_the_cross_check(monkeypatch):
     monkeypatch.setattr(moments, "_enumerate_on_off", off_by_one)
     with pytest.raises(MomentMismatch, match=re.escape(f"Y={event[0]} N={event[1]}")):
         verify_sa(DistParams(g, p), 1, 1)
+
+
+# -- conditioned moment matrices ----------------------------------------------
+
+
+def _direct_matrix(cache, params, y, n):
+    """The conditioned moment matrix with every entry from `_weight_overlap_ok`:
+    the per-pair builder `build_cond_matrix` was before it built by orbit.
+    `cache` keeps the entries, by event, for the matrices of one graph and p."""
+    ys, ns = _disjoint_pair(params.graph, y, n)
+    nvars = params.graph.var_count
+    sets = [ys] + [ys if c in ys else tuple(sorted(ys + (c,))) for c in range(nvars)]
+
+    def entry(i, j):
+        union = tuple(sorted(set(sets[i]) | set(sets[j])))
+        if (union, ns) not in cache:
+            cache[union, ns] = Rat(_weight_overlap_ok(params, union, ns), params.den)
+        return cache[union, ns]
+
+    return SymMatrix.from_function(1 + nvars, entry)
+
+
+@pytest.mark.parametrize("name", ["K7", "star5", "P6"])
+def test_relabelled_matrices_equal_the_direct_ones(name):
+    g = GRAPHS[name]
+    params, cache = DistParams(g, Rat(1, 7)), {}
+    for y, n in yn_pairs(g.var_count, 2):
+        assert build_cond_matrix(params, y, n) == _direct_matrix(cache, params, y, n), (y, n)
+
+
+def _xyn_cases():
+    canonical = [(n, r, Rat(1, comb(n - 2 * r, 2)))
+                 for n in range(4, 10) for r in range(4) if n - 2 * r >= 2]
+    return canonical + [(n, r, Rat(1, 100)) for n in range(4, 10) for r in range(4)]
+
+
+@pytest.mark.parametrize("n,r,p", _xyn_cases())
+def test_matrix_verdicts_equal_the_oracle(monkeypatch, n, r, p):
+    g = make_clique(n)
+    sample = 12 if yn_pair_count(g.var_count, r - 1) > 400 else None
+
+    def verdicts():
+        return (verify_xyn_family(DistParams(g, p), 1, r, sample=sample, seed=n),
+                verify_xyn_family(DistParams(g, p), 1, r, sample=5, seed=r),
+                r <= 2 and verify_sap(DistParams(g, p), 1, r))
+
+    got = verdicts()
+    monkeypatch.setattr(hierarchy, "build_cond_matrix", partial(_direct_matrix, {}))
+    assert got == verdicts()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_non_psd_orbit_names_its_first_pair(monkeypatch, fork_workers, threads):
+    g = make_clique(6)
+    p, m = Rat(1, 7), g.var_count
+    key = ((), (2, g.edge_code(1, 2)))
+    matrix_rows = moments._matrix_rows
+
+    def negative_at_key(params, ys, ns):
+        rows = matrix_rows(params, ys, ns)
+        if (ys, ns) == key:
+            rows[0][0] = -rows[0][0]
+        return rows
+
+    monkeypatch.setattr(moments, "_matrix_rows", negative_at_key)
+    group = _twin_group(g)
+    first, (y, n) = next((k, pair) for k, pair in enumerate(yn_pairs(m, 2))
+                         if _canonical_pair(group, *pair)[0] == key)
+    assert (y, n) == ((), (0, g.edge_code(2, 3))) != key
+    verdict = verify_xyn_family(DistParams(g, p), 1, 3, threads=threads)
+    assert not verdict.feasible and verdict.constraints_checked == first + 1
+    v = verdict.violated
+    assert (v.constraint, v.y, v.n) == ("xyn:psd", y, n)
+    matrix = build_cond_matrix(DistParams(g, p), y, n)
+    assert quadratic_form(matrix, hierarchy.psd_check(matrix).witness) == v.lhs < 0
+
+
+def test_a_corrupted_representative_matrix_entry_fails_the_cross_check(monkeypatch):
+    g = make_clique(6)
+    p = Rat(1, comb(4, 2))
+    # w({e2_3, e4_5}, {v1}) is no family pair's w(Y+{q}, N) at r = 2: the
+    # scan reaches it only as an entry of the key ((), (v1,))'s matrix
+    event = ((g.edge_code(2, 3), g.edge_code(4, 5)), (g.vertex_code(1),))
+    assert _canonical_pair(_twin_group(g), (), event[1])[0] == ((), event[1])
+    assert verify_xyn_family(DistParams(g, p), 1, 2).feasible
+    enumerate_on_off = moments._enumerate_on_off
+
+    def off_by_one(params, on, off):
+        value = enumerate_on_off(params, on, off)
+        return value + 1 if (tuple(on), tuple(off)) == event else value
+
+    monkeypatch.setattr(moments, "_enumerate_on_off", off_by_one)
+    with pytest.raises(MomentMismatch, match=re.escape(f"Y={event[0]} N={event[1]}")):
+        verify_xyn_family(DistParams(g, p), 1, 2)
+
+
+def test_a_twin_free_graph_memoizes_no_orbit(monkeypatch):
+    g = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
+    assert twin_swaps(g) == ()
+    sa, xyn = DistParams(g, Rat(1, 7)), DistParams(g, Rat(1, 7))
+    got = verify_sa(sa, 1, 2), verify_xyn_family(xyn, 1, 2)
+    assert set(sa._orbits) == set(xyn._orbits) == {None}
+    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_oracle_scan_pair, {}))
+    monkeypatch.setattr(hierarchy, "build_cond_matrix", partial(_direct_matrix, {}))
+    assert got == (verify_sa(DistParams(g, Rat(1, 7)), 1, 2),
+                   verify_xyn_family(DistParams(g, Rat(1, 7)), 1, 2))
