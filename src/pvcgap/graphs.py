@@ -232,18 +232,9 @@ def pvc_rows(g: Graph, t: int) -> tuple:
 
 
 def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
-    """The rows of `pvc_rows` as a dense LP; minimize the vertex weights."""
-    rows = []
-    for _, coeffs, rhs in pvc_rows(g, t):
-        dense = [ZERO] * g.var_count
-        for j, c in coeffs:
-            dense[j] = Rat(c)
-        rows.append((tuple(dense), Rat(rhs)))
-    return LinearProgram(
-        names=tuple(g.var_names()),
-        rows=tuple(rows),
-        objective=g.weights + (ZERO,) * g.m,
-    )
+    """The rows of `pvc_rows`, unnamed, as an LP; minimize the vertex weights."""
+    return LinearProgram(tuple(g.var_names()), tuple((c, rhs) for _, c, rhs in pvc_rows(g, t)),
+                         g.weights + (ZERO,) * g.m)
 
 
 # -- brute-force integral oracle --------------------------------------------

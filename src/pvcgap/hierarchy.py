@@ -2,10 +2,11 @@
 
 `verify_sa` checks the moment vector of the random-cover distribution
 against every product-lifted constraint of the cover polytope up to a
-given level r.  The rows are `graphs.pvc_rows`, the sparse integer form
-of the LP that `graphs.build_pvc_lp` builds, in its order and under its
-row names: for each disjoint pair (Y, N) with |Y u N| <= r it evaluates the
-linearized weights w(Y u {q}, N) and tests, exactly, every row
+given level r.  The rows are `graphs.pvc_rows`, in their order and under
+their names; without the names they are the rows of `graphs.build_pvc_lp`
+and the rows `generate_sa1_lp` lifts, so the scan and the LPs share one
+sparse row format.  For each disjoint pair (Y, N) with |Y u N| <= r it
+evaluates the linearized weights w(Y u {q}, N) and tests, exactly, every row
 sum_j c_j x_j >= rhs in its lifted form
 
     sum_j c_j w(Y+{j}, N) >= rhs * w(Y, N)
@@ -35,6 +36,7 @@ every certificate.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -260,10 +262,12 @@ SA1_VARIABLE_CAP = 5000
 def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     """Materialize the level-1 lifted LP over set variables of size <= 2.
 
-    Each cover-LP row is multiplied by x_q and by (1 - x_q) for every
-    q in V u E and linearized with idempotent unions (y_{A u {q}}).
-    Exact duplicate rows are kept once; the normalization rows pinning
-    the empty-set variable to 1 come last.  Rows are in integers.  The
+    Each `pvc_rows` row is multiplied by x_q and by (1 - x_q) for every
+    q in V u E and linearized with idempotent unions (y_{A u {q}}).  Each
+    lifted row is sparse like its source row, its nonzero entries sorted
+    by variable; exact duplicate rows are kept once and rows with no
+    nonzero entry are dropped.  The normalization rows pinning the
+    empty-set variable to 1 come last.  Rows are in integers.  The
     objective is the cover LP's vertex weights, on the singleton
     variables.  The program carries the `graphs.twin_swaps` of the graph,
     lifted to the set variables, as its generators, so `lp_solve` solves
@@ -283,34 +287,25 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     rows = []
     seen = set()
 
-    def add(coeffs: list, rhs: int) -> None:
-        key = (tuple(coeffs), rhs)
-        if key in seen or not any(coeffs):
-            return
-        seen.add(key)
-        rows.append(key)
+    def add(lifted: dict) -> None:
+        row = (tuple(sorted((j, c) for j, c in lifted.items() if c)), 0)
+        if row[0] and row not in seen:
+            seen.add(row)
+            rows.append(row)
 
     for _, nz, rhs in pvc_rows(graph, t):
         for q in range(m):
-            lifted = [0] * n_vars
+            on, off = defaultdict(int), defaultdict(int)  # x_q * row, (1 - x_q) * row
+            on[var(q)] -= rhs
+            off[0] -= rhs
+            off[var(q)] += rhs
             for j, c in nz:
-                lifted[var(j, q)] += c
-            lifted[var(q)] -= rhs
-            add(lifted, 0)
-            lifted = [0] * n_vars
-            for j, c in nz:
-                lifted[var(j)] += c
-                lifted[var(j, q)] -= c
-            lifted[0] -= rhs
-            lifted[var(q)] += rhs
-            add(lifted, 0)
-
-    norm = [0] * n_vars
-    norm[0] = 1
-    rows.append((tuple(norm), 1))
-    norm = [0] * n_vars
-    norm[0] = -1
-    rows.append((tuple(norm), -1))
+                on[var(j, q)] += c
+                off[var(j)] += c
+                off[var(j, q)] -= c
+            add(on)
+            add(off)
+    rows += [(((0, 1),), 1), (((0, -1),), -1)]
 
     names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
     objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))  # as `sets`

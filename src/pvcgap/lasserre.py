@@ -100,7 +100,7 @@ def allones_eigenvalue_after_schur(zbar: SymMatrix):
     n, alpha, beta = zbar.n - 1, zbar.get(0, 1), zbar.get(1, 2)
     eig = alpha + (n - 1) * beta - n * alpha * alpha / sn
     sc = schur_complement(zbar)
-    sums = {sum(sc.row(i), ZERO) for i in range(sc.n)}
+    sums = {sum(row, ZERO) for row in sc.rows()}
     if sums != {eig}:
         raise AssertionError("all-ones direction is not an eigenvector")
     return eig
@@ -110,15 +110,16 @@ def allones_eigenvalue_after_schur(zbar: SymMatrix):
 
 
 def level1_slack_matrix(params: DistParams, coeffs, rhs) -> SymMatrix:
-    """Slack moment matrix of one LP row over {empty} u singletons of V u E.
+    """Slack moment matrix of one sparse LP row over {empty} u singletons of V u E.
 
+    `coeffs` is the row's ((q, a_q), ...), as in `LinearProgram.rows`.
     Entry (A, B) = sum_q a_q * moment(A u B u {q}) - rhs * moment(A u B).
     Built from enumerated moments, so it works for any row, not only ones
     with a closed form.
     """
     g = params.graph
     rhs = as_rational(rhs)
-    nz = [(q, as_rational(c)) for q, c in enumerate(coeffs) if c != 0]
+    nz = [(q, as_rational(c)) for q, c in coeffs]
     nvars = g.var_count
     sets = [()] + [(q,) for q in range(nvars)]
 

@@ -70,11 +70,14 @@ class SymMatrix:
                 m._e[m._idx(i, j)] = as_rational(fn(i, j))
         return m
 
-    def row(self, i: int) -> list:
-        return [self.get(i, j) for j in range(self.n)]
-
     def rows(self) -> list:
-        return [self.row(i) for i in range(self.n)]
+        """Row i is column i of the rows above it, then its slice of the packed storage."""
+        n, e = self.n, self._e
+        rows, start = [], 0
+        for i in range(n):
+            rows.append([r[i] for r in rows] + e[start:start + n - i])
+            start += n - i
+        return rows
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,8 +1,11 @@
 """Exact rational LP solving with dual certificates.
 
 `LinearProgram` holds a conified 0-1 polytope in a fixed normal form:
-every constraint row reads  coeffs . x >= rhs, variables are free
-(bounds are rows like any other), and the objective is minimized.  Its
+every constraint row reads  sum_j c_j x_j >= rhs, variables are free
+(bounds are rows like any other), and the objective is minimized.  A row
+is sparse, ((j, c_j) for each c_j != 0, rhs): `graphs.pvc_rows`' rows
+without their names, so the scan, the LPs and the simplex share one row
+format and nothing is densified before the tableau.  Its
 `generators` are permutations of the variables that map the row set onto
 itself and fix the objective; averaging over the group they generate
 turns any optimum into one that is constant on variable orbits.
@@ -50,7 +53,7 @@ class LinearProgram:
     """Minimize objective . x subject to every row."""
 
     names: tuple
-    rows: tuple  # ((coeffs, rhs), ...) each row means coeffs . x >= rhs
+    rows: tuple  # ((((j, c_j), ...), rhs), ...) each row means sum_j c_j x_j >= rhs
     objective: tuple
     generators: tuple = ()  # each maps variable j to generator[j]
 
@@ -59,8 +62,8 @@ class LinearProgram:
         if len(self.objective) != nv:
             raise ValueError("objective length != variable count")
         for k, (coeffs, _rhs) in enumerate(self.rows):
-            if len(coeffs) != nv:
-                raise ValueError(f"row {k} has {len(coeffs)} coefficients, want {nv}")
+            if len({j for j, c in coeffs if c != 0 and 0 <= j < nv}) != len(coeffs):
+                raise ValueError(f"row {k} needs distinct variables in 0..{nv - 1}, each c != 0")
         for k, gen in enumerate(self.generators):
             if sorted(gen) != list(range(nv)):
                 raise ValueError(f"generator {k} is not a permutation of the {nv} variables")
@@ -189,25 +192,25 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     generator is not a symmetry of it.
     """
     c = [as_rational(x) for x in lp.objective]
-    support = [[(j, a) for j, a in enumerate(coeffs) if a] for coeffs, _rhs in lp.rows]
-    var_orbits, row_orbits = _orbits(lp, c, support)
+    var_orbits, row_orbits = _orbits(lp, c)
     orbit_of = [0] * lp.n_vars
     for k, orbit in enumerate(var_orbits):
         for j in orbit:
             orbit_of[j] = k
     rows = []
     for orbit in row_orbits:
-        coeffs = [0] * len(var_orbits)
-        for j, a in support[orbit[0]]:
-            coeffs[orbit_of[j]] += a
-        rows.append((coeffs, lp.rows[orbit[0]][1]))
+        coeffs, rhs = lp.rows[orbit[0]]
+        summed = {}
+        for j, a in coeffs:
+            summed[orbit_of[j]] = summed.get(orbit_of[j], 0) + a
+        rows.append(([(k, a) for k, a in summed.items() if a], rhs))
     z, u = _solve(rows, [sum(c[j] for j in orbit) for orbit in var_orbits])
     x = [z[k] for k in orbit_of]
     dual = [ZERO] * lp.n_rows
     for orbit, uk in zip(row_orbits, u):
         for i in orbit:
             dual[i] = uk / len(orbit)
-    return _optimal_result(lp, c, support, x, dual)
+    return _optimal_result(lp, c, x, dual)
 
 
 def _classes(n: int, pairs) -> list:
@@ -229,7 +232,7 @@ def _classes(n: int, pairs) -> list:
     return list(classes.values())
 
 
-def _orbits(lp: LinearProgram, c: list, support: list) -> tuple:
+def _orbits(lp: LinearProgram, c: list) -> tuple:
     """(variable orbits, row orbits) of the group `lp.generators` generate.
 
     Raises ValueError unless every generator fixes the objective and maps
@@ -237,16 +240,16 @@ def _orbits(lp: LinearProgram, c: list, support: list) -> tuple:
     """
     rows_at = {}
     if lp.generators:
-        for i, (nz, (_coeffs, rhs)) in enumerate(zip(support, lp.rows)):
-            rows_at.setdefault((frozenset(nz), rhs), i)
+        for i, (coeffs, rhs) in enumerate(lp.rows):
+            rows_at.setdefault((frozenset(coeffs), rhs), i)
         if len(rows_at) != lp.n_rows:
             raise ValueError("a program with generators needs distinct rows")
     row_pairs = []
     for k, gen in enumerate(lp.generators):
         if [c[j] for j in gen] != c:
             raise ValueError(f"generator {k} moves the objective")
-        for i, (nz, (_coeffs, rhs)) in enumerate(zip(support, lp.rows)):
-            image = rows_at.get((frozenset((gen[j], a) for j, a in nz), rhs))
+        for i, (coeffs, rhs) in enumerate(lp.rows):
+            image = rows_at.get((frozenset((gen[j], a) for j, a in coeffs), rhs))
             if image is None:
                 raise ValueError(f"generator {k} maps row {i} outside the row set")
             row_pairs.append((i, image))
@@ -255,19 +258,17 @@ def _orbits(lp: LinearProgram, c: list, support: list) -> tuple:
 
 
 def _solve(rows: list, c: list) -> tuple:
-    """(primal, one multiplier per row) of min c . x over `rows`."""
+    """(primal, one multiplier per row) of min c . x over the sparse `rows`."""
     nv = len(c)
 
     # presolve: absorb a*x_j >= 0 (a > 0) rows as variable nonnegativity
     absorber = {}  # var -> (original row index, coefficient)
     solver_rows = []  # (original row index, coeffs, rhs)
     for idx, (coeffs, rhs) in enumerate(rows):
-        if rhs == 0:
-            nz = [(j, a) for j, a in enumerate(coeffs) if a != 0]
-            if len(nz) == 1 and nz[0][1] > 0:
-                j, a = nz[0]
-                absorber.setdefault(j, (idx, a))
-                continue  # duplicates are redundant; dual stays 0
+        if rhs == 0 and len(coeffs) == 1 and coeffs[0][1] > 0:
+            j, a = coeffs[0]
+            absorber.setdefault(j, (idx, a))
+            continue  # duplicates are redundant; dual stays 0
         solver_rows.append((idx, coeffs, rhs))
 
     # column layout: structural (split when free), then surplus, then artificials
@@ -290,7 +291,7 @@ def _solve(rows: list, c: list) -> tuple:
     # of the scaled rows; 1 for integer data), so it pivots exactly as the
     # rational one would.  The objective is scaled to integers by
     # obj_scale, which no pivot rule sees; the multipliers divide it out.
-    scaled = [integral(list(coeffs) + [rhs]) for _idx, coeffs, rhs in solver_rows]
+    scaled = [integral([a for _j, a in coeffs] + [rhs]) for _idx, coeffs, rhs in solver_rows]
     d = prod(scale for scale, _ints in scaled)
     obj_scale, c_int = integral(c)
     obj1 = [0] * (n_cols + 1)  # phase 1: minimize the artificial sum
@@ -300,12 +301,14 @@ def _solve(rows: list, c: list) -> tuple:
     tab_rows = []
     basis = []
     art_col = n_struct + m
-    for i, (scale, ints) in enumerate(scaled):
+    for i, ((_idx, coeffs, _rhs), (scale, ints)) in enumerate(zip(solver_rows, scaled)):
         s = 1 if ints[-1] > 0 else -1
         f = s * (d // scale)
         row = [0] * (n_cols + 1)
-        for k, (j, sign) in enumerate(col_var):
-            row[k] = ints[j] * sign * f
+        for (j, _a), v in zip(coeffs, ints):
+            row[pos_col[j]] = v * f
+            if j not in absorber:
+                row[pos_col[j] + 1] = -v * f
         row[n_struct + i] = -s * d
         row[-1] = ints[-1] * f
         if s > 0:
@@ -372,25 +375,24 @@ def _multipliers(tab, obj, obj_scale, n_rows, solver_rows, n_struct, absorber,
     return u
 
 
-def _optimal_result(lp, c, support, x, dual):
+def _optimal_result(lp, c, x, dual):
     value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
 
     # certify before reporting: feasibility, stationarity, complementary
-    # slackness and strong duality must all hold exactly; `support` holds
-    # each row's nonzero coefficients, so zero terms are skipped
+    # slackness and strong duality must all hold exactly
     dual_value = ZERO
     lhs = [ZERO] * lp.n_vars  # sum_i dual[i] * row i, by variable
-    for nz, (_coeffs, rhs), u in zip(support, lp.rows, dual):
+    for (coeffs, rhs), u in zip(lp.rows, dual):
         if u < 0:
             raise RuntimeError("negative dual multiplier")
-        slack = sum((a * x[j] for j, a in nz), ZERO) - rhs
+        slack = sum((a * x[j] for j, a in coeffs), ZERO) - rhs
         if slack < 0:
             raise RuntimeError("reported primal violates a row")
         if u != 0:
             if slack != 0:
                 raise RuntimeError("complementary slackness failed")
             dual_value += u * rhs
-            for j, a in nz:
+            for j, a in coeffs:
                 lhs[j] += a * u
     if lhs != c:
         raise RuntimeError("dual stationarity failed")

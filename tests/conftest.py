@@ -60,16 +60,23 @@ def solve_square(a_rows, b):
 
 def vertex_enumeration_min(lp):
     """Minimum of the objective over all polyhedron vertices, or None if no
-    feasible vertex exists.  Sound oracle for bounded (boxed) programs."""
+    feasible vertex exists.  Sound oracle for bounded (boxed) programs.
+    The sparse rows are densified here, for `solve_square`."""
     n = lp.n_vars
+    rows = []
+    for coeffs, rhs in lp.rows:
+        dense = [ZERO] * n
+        for j, c in coeffs:
+            dense[j] = c
+        rows.append((dense, rhs))
     best = None
     for subset in combinations(range(lp.n_rows), n):
-        a = [lp.rows[i][0] for i in subset]
-        b = [lp.rows[i][1] for i in subset]
+        a = [rows[i][0] for i in subset]
+        b = [rows[i][1] for i in subset]
         x = solve_square(a, b)
         if x is None:
             continue
-        if all(dot(coeffs, x) >= rhs for coeffs, rhs in lp.rows):
+        if all(dot(coeffs, x) >= rhs for coeffs, rhs in rows):
             value = dot(lp.objective, x)
             if best is None or value < best:
                 best = value

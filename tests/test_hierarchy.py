@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from pvcgap import hierarchy, moments
-from pvcgap.graphs import make_clique, make_star, build_pvc_lp, brute_force_opt
+from pvcgap.graphs import (Graph, brute_force_opt, build_pvc_lp, make_clique, make_star,
+                           pvc_rows, twin_swaps)
 from pvcgap.hierarchy import (
     generate_sa1_lp,
     verify_sa,
@@ -246,7 +247,7 @@ def _sa1_rows_hold(params, t) -> bool:
     y = [moment(params, s) for s in sets]  # y_S times den
     lp = generate_sa1_lp(g, t)
     assert len(lp.names) == len(sets)
-    return all(sum((c * y[j] for j, c in enumerate(coeffs) if c), ZERO) >= rhs * params.den
+    return all(sum((c * y[j] for j, c in coeffs), ZERO) >= rhs * params.den
                for coeffs, rhs in lp.rows)
 
 
@@ -270,6 +271,73 @@ def test_rejects_bad_arguments():
 
 
 # -- explicit level-1 lifted LP ----------------------------------------------
+
+
+def _dense_sa1_lp(graph, t) -> tuple:
+    """(names, rows, objective, generators) of the level-1 lifted LP with
+    every row an n_vars-long coefficient tuple: the lifting loop of the
+    dense row format `generate_sa1_lp` used before its rows were sparse."""
+    m = graph.var_count
+    n_vars = 1 + m + comb(m, 2)
+    sets = [()] + [(q,) for q in range(m)] + list(combinations(range(m), 2))
+    index = {s: k for k, s in enumerate(sets)}
+
+    def var(*codes) -> int:
+        return index[tuple(sorted(set(codes)))]
+
+    rows = []
+    seen = set()
+
+    def add(coeffs: list, rhs: int) -> None:
+        key = (tuple(coeffs), rhs)
+        if key in seen or not any(coeffs):
+            return
+        seen.add(key)
+        rows.append(key)
+
+    for _, nz, rhs in pvc_rows(graph, t):
+        for q in range(m):
+            lifted = [0] * n_vars
+            for j, c in nz:
+                lifted[var(j, q)] += c
+            lifted[var(q)] -= rhs
+            add(lifted, 0)
+            lifted = [0] * n_vars
+            for j, c in nz:
+                lifted[var(j)] += c
+                lifted[var(j, q)] -= c
+            lifted[0] -= rhs
+            lifted[var(q)] += rhs
+            add(lifted, 0)
+    for sign in (1, -1):
+        norm = [0] * n_vars
+        norm[0] = sign
+        rows.append((tuple(norm), sign))
+
+    names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
+    objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))
+    generators = tuple(tuple(index[tuple(sorted(swap[q] for q in s))] for s in sets)
+                       for swap in twin_swaps(graph))
+    return names, tuple(rows), objective, generators
+
+
+_WEIGHTED_PATH = Graph(4, ((1, 2), (2, 3), (3, 4)), weights=(Rat(3), Rat(1), Rat(2), Rat(1, 2)))
+
+
+@pytest.mark.parametrize("g, t", [(make_star(6), 3), (make_star(4), 2), (make_clique(4), 2),
+                                  (_WEIGHTED_PATH, 2)],
+                         ids=["star6-t3", "star4-t2", "K4-t2", "weighted-P4-t2"])
+def test_sparse_lifted_lp_is_the_dense_oracle(g, t):
+    lp = generate_sa1_lp(g, t)
+    dense = []
+    for coeffs, rhs in lp.rows:
+        row = [0] * lp.n_vars
+        for j, c in coeffs:
+            row[j] = c
+        dense.append((tuple(row), rhs))
+    assert (lp.names, tuple(dense), lp.objective, lp.generators) == _dense_sa1_lp(g, t)
+    assert all(list(coeffs) == sorted(coeffs) for coeffs, _rhs in lp.rows)
+    assert build_pvc_lp(g, t).rows == tuple((c, rhs) for _, c, rhs in pvc_rows(g, t))
 
 
 def test_lifted_lp_closes_the_star_gap():

@@ -54,8 +54,8 @@ def test_allones_direction_is_an_eigenvector():
     zbar = build_zbar(8, 1, Rat(1, 9))
     eig = allones_eigenvalue_after_schur(zbar)
     sc = schur_complement(zbar)
-    for i in range(sc.n):
-        assert sum(sc.row(i), ZERO) == eig
+    for row in sc.rows():
+        assert sum(row, ZERO) == eig
 
 
 def test_eigenvalue_rejects_nonpositive_pivot():

@@ -41,7 +41,7 @@ def _reference_lift(lcols: dict, top: int, n: int, support: dict) -> list:
 def _reference_psd_check(m: SymMatrix, branches: Counter) -> PsdVerdict:
     """LDL^T on rationals, entry by entry; `branches` counts the exits taken."""
     n = m.n
-    w = [m.row(i) for i in range(n)]
+    w = [[m.get(i, j) for j in range(n)] for i in range(n)]
     lcols: dict[int, list] = {}
     pivots = []
     for k in range(n):
@@ -95,6 +95,13 @@ def test_identity_is_psd():
     v = psd_check(sym_from_rows([[1, 0], [0, 1]]))
     assert v.is_psd
     assert v.pivots == (Rat(1), Rat(1))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rows_read_every_entry_where_get_does(n):
+    # distinct entries, so a slice off by one in either triangle shows
+    m = SymMatrix.from_function(n, lambda i, j: Rat(100 * i + j + 1, 7))
+    assert m.rows() == [[m.get(i, j) for j in range(n)] for i in range(n)]
 
 
 def test_huge_matrix_is_refused_before_allocating():

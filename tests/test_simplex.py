@@ -5,14 +5,15 @@ import pytest
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import LinearProgram, lp_solve
 
-from conftest import dot, rand_rational, vertex_enumeration_min
+from conftest import rand_rational, vertex_enumeration_min
 
 
 def _lp(rows, objective):
+    """The LP of sparse rows (((j, c), ...), rhs) and a dense objective."""
     n = len(objective)
     return LinearProgram(
         names=tuple(f"x{k}" for k in range(n)),
-        rows=tuple((tuple(Rat(c) for c in coeffs), Rat(r)) for coeffs, r in rows),
+        rows=tuple((tuple((j, Rat(c)) for j, c in coeffs), Rat(r)) for coeffs, r in rows),
         objective=tuple(Rat(c) for c in objective),
     )
 
@@ -20,7 +21,7 @@ def _lp(rows, objective):
 def test_single_variable_interval():
     lp = LinearProgram(
         names=("x",),
-        rows=(((Rat(1),), Rat(3, 7)), ((Rat(-1),), Rat(-1))),
+        rows=((((0, Rat(1)),), Rat(3, 7)), (((0, Rat(-1)),), Rat(-1))),
         objective=(Rat(1),),
     )
     res = lp_solve(lp)
@@ -32,31 +33,34 @@ def test_single_variable_interval():
     "rows",
     [
         # x >= 2 and -x >= -1 cannot both hold
-        [((1,), 2), ((-1,), -1)],
+        [(((0, 1),), 2), (((0, -1),), -1)],
         # x >= 0 is absorbed as a sign constraint
-        [((1,), 0), ((-1,), 1)],
+        [(((0, 1),), 0), (((0, -1),), 1)],
         # 2x >= 0 and y >= 0 are absorbed; x + y <= -1 and x - y >= -5 remain
-        [((2, 0), 0), ((0, 1), 0), ((-1, -1), 1), ((1, -1), -5)],
+        [(((0, 2),), 0), (((1, 1),), 0), (((0, -1), (1, -1)), 1), (((0, 1), (1, -1)), -5)],
     ],
     ids=["bounds", "absorbed-nonneg", "absorbed-pair"],
 )
 def test_infeasible_program_raises(rows):
+    n = 1 + max(j for coeffs, _rhs in rows for j, _c in coeffs)
     with pytest.raises(ValueError, match="infeasible"):
-        lp_solve(_lp(rows, [0] * len(rows[0][0])))
+        lp_solve(_lp(rows, [0] * n))
 
 
 def test_unbounded_program_raises():
     with pytest.raises(ValueError, match="unbounded"):
-        lp_solve(_lp([((1, 0), 0), ((0, 1), 0)], [-1, 0]))
+        lp_solve(_lp([(((0, 1),), 0), (((1, 1),), 0)], [-1, 0]))
 
 
 @pytest.mark.parametrize(
     "rows, objective, value, dual",
     [
         # 3y >= 0 binds with multiplier 1/3: its reduced cost 1 is divided by a = 3
-        ([((2, 0), 0), ((0, 3), 0), ((1, 1), 1)], [1, 2], 1, (0, Rat(1, 3), 1)),
+        ([(((0, 2),), 0), (((1, 3),), 0), (((0, 1), (1, 1)), 1)], [1, 2], 1,
+         (0, Rat(1, 3), 1)),
         # both absorbed rows (2x >= 0, y >= 0) bind with nonzero multipliers
-        ([((2, 0), 0), ((0, 1), 0), ((-1, -1), -1)], [3, 1], 0, (Rat(3, 2), 1, 0)),
+        ([(((0, 2),), 0), (((1, 1),), 0), (((0, -1), (1, -1)), -1)], [3, 1], 0,
+         (Rat(3, 2), 1, 0)),
     ],
     ids=["absorbed-a3", "absorbed-pair"],
 )
@@ -69,30 +73,32 @@ def test_absorbed_row_multipliers_divide_by_their_coefficient(rows, objective, v
 
 def test_free_variables_are_supported():
     # min x + y with x + y >= -3, no sign constraints
-    lp = _lp([((1, 1), -3)], [1, 1])
+    lp = _lp([(((0, 1), (1, 1)), -3)], [1, 1])
     res = lp_solve(lp)
     assert res.value == Rat(-3)
 
 
 def test_degenerate_equalities_via_opposing_rows():
-    lp = _lp([((1, 1), 1), ((-1, -1), -1), ((1, 0), 0), ((0, 1), 0)], [2, 3])
+    lp = _lp([(((0, 1), (1, 1)), 1), (((0, -1), (1, -1)), -1), (((0, 1),), 0), (((1, 1),), 0)],
+             [2, 3])
     res = lp_solve(lp)
     assert res.value == Rat(2)
 
 
 def test_duals_satisfy_exact_optimality_conditions():
     lp = _lp(
-        [((1, 2), 2), ((3, 1), 3), ((1, 0), 0), ((0, 1), 0)],
+        [(((0, 1), (1, 2)), 2), (((0, 3), (1, 1)), 3), (((0, 1),), 0), (((1, 1),), 0)],
         [2, 1],
     )
     res = lp_solve(lp)
     y = res.dual
     assert all(u >= 0 for u in y)
     for j in range(lp.n_vars):
-        assert sum(y[i] * lp.rows[i][0][j] for i in range(lp.n_rows)) == lp.objective[j]
+        column = sum(u * dict(coeffs).get(j, 0) for u, (coeffs, _rhs) in zip(y, lp.rows))
+        assert column == lp.objective[j]
     assert sum(y[i] * lp.rows[i][1] for i in range(lp.n_rows)) == res.value
     for i, (coeffs, rhs) in enumerate(lp.rows):
-        slack = dot(coeffs, res.primal) - rhs
+        slack = sum((c * res.primal[j] for j, c in coeffs), ZERO) - rhs
         assert slack >= 0
         assert y[i] == 0 or slack == 0
 
@@ -104,15 +110,11 @@ def test_matches_vertex_enumeration_on_random_boxed_programs():
         k = rng.randint(1, 4)
         rows = []
         for _ in range(k):
-            coeffs = tuple(rand_rational(rng, -2, 2, 3) for _ in range(n))
-            rows.append((coeffs, rand_rational(rng, -3, 3, 2)))
+            coeffs = ((j, rand_rational(rng, -2, 2, 3)) for j in range(n))
+            rows.append((tuple((j, c) for j, c in coeffs if c), rand_rational(rng, -3, 3, 2)))
         for j in range(n):  # box: -1 <= x_j <= 1 keeps everything bounded
-            lo = [ZERO] * n
-            lo[j] = ONE
-            hi = [ZERO] * n
-            hi[j] = -ONE
-            rows.append((tuple(lo), -ONE))
-            rows.append((tuple(hi), -ONE))
+            rows.append((((j, ONE),), -ONE))
+            rows.append((((j, -ONE),), -ONE))
         objective = tuple(rand_rational(rng, -2, 2, 3) for _ in range(n))
         lp = LinearProgram(
             names=tuple(f"x{j}" for j in range(n)),
@@ -127,7 +129,14 @@ def test_matches_vertex_enumeration_on_random_boxed_programs():
             assert lp_solve(lp).value == expected
 
 
-def test_row_length_validation():
-    with pytest.raises(ValueError):
-        LinearProgram(names=("x",), rows=(((Rat(1), Rat(2)), Rat(0)),),
-                      objective=(Rat(1),))
+@pytest.mark.parametrize(
+    "coeffs",
+    [((2, Rat(1)),), ((-1, Rat(1)),), ((0, Rat(1)), (0, Rat(2))), ((0, Rat(1)), (1, ZERO))],
+    ids=["past-the-last-variable", "negative-variable", "repeated-variable",
+         "zero-coefficient"],
+)
+def test_row_entries_are_validated(coeffs):
+    # a repeated or zero entry would also make `_orbits`' row lookup miss
+    with pytest.raises(ValueError, match="row 1 needs distinct variables"):
+        LinearProgram(names=("x", "y"), rows=((((0, ONE),), ZERO), (coeffs, ZERO)),
+                      objective=(ONE, ONE))
