@@ -5,29 +5,25 @@ check comes back negative (infeasible point, unexpectedly PSD matrix,
 violated SDP constraint), 1 on usage or I/O errors.  Certificates are
 canonical JSON: no timestamps, sorted keys, rationals as 'num/den'
 strings with decimal renderings alongside.
+
+Each subcommand's handler imports the modules it calls when it runs, so
+a command loads only what it uses: `graph-opt` never loads the moment
+and matrix layers, and only a `--threads` > 1 scan loads the process
+pool (see `hierarchy`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from math import comb
 
 from .certificates import Certificate, negative_verdict, rational_entry
-from .graphs import (
-    brute_force_opt, build_pvc_lp, integral_opt, load_graph, make_clique, make_star,
-)
-from .hierarchy import (
-    MAX_THREADS, WorkerFailed, generate_sa1_lp, verify_sa, verify_sap, verify_xyn_family,
-)
-from .lasserre import lasserre1_refutes
-from .moments import DistParams
 from .rational import Rat, parse_rational, rational_str
-from .sdp import build_star_sdp_solution, verify_hs_sdp
-from .simplex import lp_solve
+
+# the most pool workers a scan may ask for: the pool forks them all at its first submit
+MAX_THREADS = 64
 
 
 class _UsageError(Exception):
@@ -60,7 +56,10 @@ def _default_p(n: int, r: int, t: int):
     k = n - 2 * r
     if k < 2:
         raise _UsageError(f"no default p: n - 2r = {k} leaves no free edge pair")
-    return Rat(t, comb(k, 2))
+    pairs = comb(k, 2)
+    if t > pairs:
+        raise _UsageError(f"no default p: t = {t} exceeds C(n - 2r, 2) = {pairs}")
+    return Rat(t, pairs)
 
 
 def _write(text: str, out_path) -> None:
@@ -88,6 +87,10 @@ def _violation_dict(vio, graph) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from .graphs import make_clique
+    from .hierarchy import verify_sa, verify_sap, verify_xyn_family
+    from .moments import DistParams
+
     sample = args.sample is not None
     if sample and args.level != "xyn" or not sample and args.seed is not None:
         raise _UsageError("--sample needs --level xyn, and --seed needs --sample")
@@ -129,6 +132,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_star(args) -> int:
+    from .graphs import brute_force_opt, build_pvc_lp, make_star
+    from .hierarchy import generate_sa1_lp
+    from .sdp import build_star_sdp_solution, verify_hs_sdp
+    from .simplex import lp_solve
+
     n, t = args.n, args.t
     if t < 1 or t > n:
         raise _UsageError("star needs 1 <= t <= n")
@@ -159,6 +167,8 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_lasserre(args) -> int:
+    from .lasserre import lasserre1_refutes
+
     return _emit(lasserre1_refutes(args.n, args.r, args.t), args.out)
 
 
@@ -175,6 +185,10 @@ def _parse_grid(spec: str) -> list:
 
 
 def _cmd_gap_table(args) -> int:
+    from .graphs import integral_opt, make_clique
+    from .hierarchy import verify_sa
+    from .moments import DistParams
+
     rows = []
     for n, r, t in _parse_grid(args.grid):
         row = {"n": n, "r": r, "t": t, "p": "", "p_dec": "",
@@ -204,6 +218,9 @@ def _cmd_gap_table(args) -> int:
     if args.format == "json":
         text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
@@ -214,6 +231,9 @@ def _cmd_gap_table(args) -> int:
 
 
 def _cmd_graph_opt(args) -> int:
+    from .graphs import brute_force_opt, build_pvc_lp, load_graph
+    from .simplex import lp_solve
+
     graph = load_graph(args.graph)
     t = args.t
     opt = brute_force_opt(graph, t)  # refuses graphs past its cap before the LP is built
@@ -234,7 +254,8 @@ def _cmd_graph_opt(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="pvcgap", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is about the source
+    parser = _Parser(prog="pvcgap", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_r=True):
@@ -286,7 +307,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, WorkerFailed) as exc:
+    except (OSError, ValueError) as exc:  # hierarchy.WorkerFailed is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

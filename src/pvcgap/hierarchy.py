@@ -31,14 +31,17 @@ minimal in that order, and `constraints_checked` counts the rows up to
 and including the witness, independent of worker count.  The fingerprint
 of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is stamped into
 every certificate.
+
+Only a scan with threads > 1 loads the process pool: `ProcessPoolExecutor`
+is imported on first use, and `_first_failure` reads it from this module
+at call time, so a class put in its place (a test's forking pool, a
+tracer's timed one) is the one the scan starts.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -50,8 +53,18 @@ from .rational import ZERO, Rat
 from .simplex import LinearProgram
 
 
-class WorkerFailed(RuntimeError):
+class WorkerFailed(OSError):
     """A process-pool worker died before returning its chunk."""
+
+
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported and kept here on first use."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -163,10 +176,6 @@ def _chunk_ranges(total: int, pieces: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-# the most pool workers a scan may ask for: the pool forks them all at its first submit
-MAX_THREADS = 64
-
-
 def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, threads: int):
     """Scan `indices` in order and stop at the first violation.
 
@@ -178,6 +187,9 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
     """
     if threads <= 1 or not indices:
         return _scan_chunk((params, rows, max_size, xyn, indices))
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
     # chunks carry params with an empty memo rather than pickling the caller's
     fresh = DistParams(params.graph, params.p)
     jobs = [
@@ -186,7 +198,7 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
     ]
     checked = 0
     try:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        with pool_class(max_workers=min(threads, len(jobs))) as pool:
             try:
                 for violation, c in pool.map(_scan_chunk, jobs):
                     checked += c

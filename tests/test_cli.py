@@ -128,8 +128,8 @@ def test_gap_table_runs_the_integral_oracle_once_per_row(monkeypatch, capsys):
     assert main(["gap-table", "--grid", "8,1,1;10,1,1"]) == 0
     assert calls == [8, 10]
     # an infeasible row has no gap bound, so its opt column asks the oracle itself
-    verify_sa = cli.verify_sa
-    monkeypatch.setattr(cli, "verify_sa", lambda params, t, r, threads=1: verify_sa(
+    verify_sa = hierarchy.verify_sa
+    monkeypatch.setattr(hierarchy, "verify_sa", lambda params, t, r, threads=1: verify_sa(
         DistParams(params.graph, 0), t, r, threads))
     calls.clear()
     capsys.readouterr()
@@ -146,6 +146,21 @@ def test_gap_table_bad_row_reports_error_without_abort():
     assert len(lines) == 3
     assert lines[2].split(",")[0] == "4"
     assert "no default p" in lines[2] or "error" in lines[2].lower() or lines[2].split(",")[-1] != ""
+
+
+def test_default_p_past_one_is_a_usage_error(capsys):
+    # t = 7 > C(6 - 2, 2) = 6 would make the default p = 7/6, which the user never set
+    message = "no default p: t = 7 exceeds C(n - 2r, 2) = 6"
+    assert main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "7"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"usage error: {message}\n"
+    # an explicit --p is the user's own and is checked as before
+    assert main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "7", "--p", "1"]) == 0
+    capsys.readouterr()
+    assert main(["gap-table", "--grid", "6,1,7;6,1,6", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["error"] for row in rows] == [message, ""]
+    assert rows[1]["p"] == "1/1"
 
 
 def test_graph_opt_and_io_errors(tmp_path):
@@ -309,12 +324,14 @@ def test_interrupt_cancels_unstarted_chunks(monkeypatch, capsys, fork_workers, t
 
 
 def test_star_negative_sdp_verdict_exits_two(monkeypatch, capsys):
+    build = sdp.build_star_sdp_solution
+
     def bad_point(n, t):
-        sol = sdp.build_star_sdp_solution(n, t)
+        sol = build(n, t)
         sol.gram.set(1, 1, 2)  # |v_1|^2 = 2: not a unit vector
         return sol
 
-    monkeypatch.setattr(cli, "build_star_sdp_solution", bad_point)
+    monkeypatch.setattr(sdp, "build_star_sdp_solution", bad_point)
     code = main(["star", "--n", "4", "--t", "2"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2

@@ -1,4 +1,7 @@
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +72,53 @@ def test_the_check_sees_a_dead_helper():
     code = "def used():\n    return 1\n\n\ndef dead(k):\n    return dead(k - 1)\n\n\nX = used()\n"
     assert _dead_definitions({"m": ast.parse(code)}, set()) == ["m.dead"]
     assert _dead_definitions({"m": ast.parse(code)}, {"dead"}) == []
+
+
+# child interpreters import the pvcgap this process imported, installed or not
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(pvcgap.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+# what a short command need not load: the moment and matrix layers and the pool
+HEAVY = {"pvcgap.hierarchy", "pvcgap.moments", "pvcgap.linalg", "pvcgap.lasserre",
+         "pvcgap.sdp", "concurrent.futures"}
+
+
+def _loaded(code: str) -> set:
+    """The modules a fresh interpreter holds after running `code`."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def _loaded_by_command(*argv) -> set:
+    return _loaded(f"from pvcgap.cli import main\nassert main({list(argv)!r}) == 0")
+
+
+def test_short_commands_load_neither_the_scan_layers_nor_the_pool(tmp_path):
+    help_run = _loaded("from pvcgap.cli import main\ntry:\n    main(['--help'])\n"
+                       "except SystemExit as exc:\n    assert exc.code == 0")
+    path = tmp_path / "p4.graph"
+    path.write_text("4 3\n1 2\n2 3\n3 4\n")
+    graph_opt = _loaded_by_command("graph-opt", "--graph", str(path), "--t", "2")
+    assert "pvcgap.cli" in help_run and "pvcgap.simplex" in graph_opt
+    assert help_run & HEAVY == set()
+    assert graph_opt & HEAVY == set()
+
+
+def test_only_a_threaded_scan_loads_the_pool():
+    argv = ("verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1")
+    serial = _loaded_by_command(*argv)
+    assert "pvcgap.hierarchy" in serial and "concurrent.futures" not in serial
+    assert "concurrent.futures" in _loaded_by_command(*argv, "--threads", "2")
+
+
+def test_the_pool_class_resolves_before_any_scan():
+    code = ("import sys\nfrom pvcgap import hierarchy\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "pool = hierarchy.ProcessPoolExecutor\n"
+            "import concurrent.futures\n"
+            "assert pool is concurrent.futures.ProcessPoolExecutor\n"
+            "assert vars(hierarchy)['ProcessPoolExecutor'] is pool")
+    assert "concurrent.futures.process" in _loaded(code)

@@ -8,7 +8,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from pvcgap import cli, simplex
+from pvcgap import simplex
 from pvcgap.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -21,10 +21,17 @@ def test_tracer_targets_resolve_and_count_calls(capsys):
     lp_solve = simplex.lp_solve
     tracer = Tracer()
     with tracer.installed():
-        assert cli.lp_solve is not lp_solve
+        assert simplex.lp_solve is not lp_solve
         assert main(["star", "--n", "3", "--t", "1"]) == 0
         assert main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1"]) == 0
     capsys.readouterr()
     assert tracer.calls["simplex.solve"] == 2
     assert tracer.calls["hierarchy.pair"] == 43
-    assert simplex.lp_solve is lp_solve and cli.lp_solve is lp_solve
+    assert simplex.lp_solve is lp_solve
+    # the handlers import what they call when they run, so a wrapper left
+    # behind in any module would be what the next untraced run calls
+    left = [f"{name}.{attr}" for name, module in list(sys.modules.items())
+            if name == "pvcgap" or name.startswith("pvcgap.")
+            for attr, value in vars(module).items()
+            if getattr(value, "__qualname__", "").startswith("Tracer.")]
+    assert left == []
