@@ -100,8 +100,8 @@ def allones_eigenvalue_after_schur(zbar: SymMatrix):
     n, alpha, beta = zbar.n - 1, zbar.get(0, 1), zbar.get(1, 2)
     eig = alpha + (n - 1) * beta - n * alpha * alpha / sn
     sc = schur_complement(zbar)
-    sums = {sum(row, ZERO) for row in sc.rows()}
-    if sums != {eig}:
+    sums = {sum(row) for row in sc.ints}  # times sc.den
+    if sums != {eig * sc.den}:
         raise AssertionError("all-ones direction is not an eigenvector")
     return eig
 

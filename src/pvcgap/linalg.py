@@ -1,5 +1,9 @@
 """Dense symmetric rational matrices and exact PSD certification.
 
+A `SymMatrix` is one positive integer `den` and full square integer rows
+`ints`, entry (i, j) being ints[i][j] / den: the one form every producer
+writes and the elimination reads.  `get` and `rows` build `Rat`s for readers.
+
 PSD testing runs an LDL^T factorization without pivoting.  A symmetric
 rational matrix is positive semidefinite exactly when the elimination
 succeeds with every diagonal pivot nonnegative, where a zero pivot is
@@ -10,17 +14,17 @@ evaluation.
 
 The elimination runs on Python integers: each working row is a list of
 integer numerators over one positive row denominator, starting from
-`rational.integral` of the input row.  Eliminating with
-pivot row k (pivot P / d_k > 0) maps row i to (P A_i - a_ik A_k) over
-d_i P, and one gcd of the denominator and the row then brings the row
-back to lowest terms.  That keeps the integers about as small as the
-rationals themselves without normalising every entry.  Whole-matrix
-fraction-free (Bareiss) elimination was measured and rejected: its
-entries are minors of the input, which grow in bits with every step.  On
-the level-1 slack minor of the 120-clique (`lasserre --n 120 --r 1 --t
-1`) Bareiss took 2.17 s of CPU, `Fraction` elimination 2.22 s and the
-row-gcd form 0.27 s (Python 3.11, one core of a 2-CPU x86-64 VM).
-Pivots, the L factor needed for a witness and the witness itself are
+the input row over its least denominator (one gcd of `den` and the
+row).  Eliminating with pivot row k (pivot P / d_k > 0) maps row i to
+(P A_i - a_ik A_k) over d_i P, and one gcd of the denominator and the
+row then brings the row back to lowest terms.  That keeps the integers
+about as small as the rationals themselves without normalising every
+entry.  Whole-matrix fraction-free (Bareiss) elimination was measured and
+rejected: its entries are minors of the input, which grow in bits with
+every step.  On the level-1 slack minor of the 120-clique (`lasserre --n
+120 --r 1 --t 1`) Bareiss took 2.17 s of CPU, `Fraction` elimination
+2.22 s and the row-gcd form 0.27 s (Python 3.11, one core of a 2-CPU
+x86-64 VM).  Pivots, the L factor needed for a witness and the witness itself are
 rebuilt as rationals, so the verdict is the one the rational elimination
 gives.  `schur_complement` is the first step of the same elimination:
 `_eliminate_below` at index 0.
@@ -29,67 +33,64 @@ gives.  `schur_complement` is the first step of the same elimination:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .rational import ONE, ZERO, Rat, as_rational, integral
 
-MAX_ENTRIES = 10**6  # packed entries a SymMatrix may hold
+MAX_ENTRIES = 10**6  # distinct entries, n (n + 1) / 2, a SymMatrix may hold
+
+
+def check_size(n: int) -> None:
+    """Refuse an n x n matrix past the cap, before anything is allocated."""
+    if n < 1:
+        raise ValueError("matrix dimension must be positive")
+    size = n * (n + 1) // 2
+    if size > MAX_ENTRIES:
+        raise ValueError(f"a {n}x{n} matrix has {size} entries (cap {MAX_ENTRIES})")
 
 
 class SymMatrix:
-    """Symmetric matrix of exact rationals, packed upper-triangle storage."""
+    """Symmetric matrix of exact rationals: entry (i, j) is ints[i][j] / den.
 
-    __slots__ = ("n", "_e")
+    `ints` holds the full square of integer rows and `den` is positive;
+    the matrix is never changed once built.
+    """
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("matrix dimension must be positive")
-        size = n * (n + 1) // 2
-        if size > MAX_ENTRIES:
-            raise ValueError(f"a {n}x{n} matrix has {size} entries (cap {MAX_ENTRIES})")
-        self.n = n
-        self._e = [ZERO] * size
+    __slots__ = ("n", "den", "ints")
 
-    def _idx(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.n - i * (i + 1) // 2 + j
+    def __init__(self, den: int, ints: list):
+        check_size(len(ints))
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if list(map(list, zip(*ints))) != ints:
+            raise ValueError("not a symmetric square array")
+        self.n, self.den, self.ints = len(ints), den, ints
 
     def get(self, i: int, j: int):
-        return self._e[self._idx(i, j)]
-
-    def set(self, i: int, j: int, value) -> None:
-        self._e[self._idx(i, j)] = as_rational(value)
+        return Rat(self.ints[i][j], self.den)
 
     @classmethod
     def from_function(cls, n: int, fn) -> "SymMatrix":
-        """Fill entries (i, j), i <= j, from fn; symmetry is by construction."""
-        m = cls(n)
+        """Entries (i, j), i <= j, from fn, over their least common
+        denominator and mirrored; refused past the cap before fn runs."""
+        check_size(n)
+        den, upper = integral([as_rational(fn(i, j)) for i in range(n) for j in range(i, n)])
+        ints, start = [], 0
         for i in range(n):
-            for j in range(i, n):
-                m._e[m._idx(i, j)] = as_rational(fn(i, j))
-        return m
+            ints.append([r[i] for r in ints] + upper[start:start + n - i])
+            start += n - i
+        return cls(den, ints)
 
     def rows(self) -> list:
-        """Row i is column i of the rows above it, then its slice of the packed storage."""
-        n, e = self.n, self._e
-        rows, start = [], 0
-        for i in range(n):
-            rows.append([r[i] for r in rows] + e[start:start + n - i])
-            start += n - i
-        return rows
+        return [[Rat(x, self.den) for x in row] for row in self.ints]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymMatrix)
-            and self.n == other.n
-            and self._e == other._e
-        )
+    def __eq__(self, other) -> bool:  # equal values, whatever the denominators
+        return isinstance(other, SymMatrix) and self.n == other.n and all(
+            x * other.den == y * self.den
+            for a, b in zip(self.ints, other.ints) for x, y in zip(a, b))
 
     def __repr__(self) -> str:
-        if self.n <= 6:
-            return f"SymMatrix({self.rows()!r})"
-        return f"SymMatrix(n={self.n})"
+        return f"SymMatrix({self.den}, {self.ints})" if self.n <= 6 else f"SymMatrix(n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,13 @@ class PsdVerdict:
 
 
 def quadratic_form(m: SymMatrix, v) -> object:
-    """v^T M v, exact."""
+    """v^T M v, exact: v scaled to integers once, summed in integers."""
     if len(v) != m.n:
         raise ValueError("vector length does not match matrix dimension")
-    total = ZERO
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        acc = ZERO
-        for j, vj in enumerate(v):
-            if vj != 0:
-                acc += m.get(i, j) * vj
-        total += vi * acc
-    return total
+    scale, ints = integral(v)
+    nz = [(j, x) for j, x in enumerate(ints) if x]
+    total = sum(x * sum(m.ints[i][j] * y for j, y in nz) for i, x in nz)
+    return Rat(total, m.den * scale * scale)
 
 
 def _lift_through_factor(lcols: dict, top: int, n: int, support: dict) -> list:
@@ -145,6 +140,12 @@ def _negative(m: SymMatrix, v: list) -> PsdVerdict:
     if not val < 0:  # an explicit check: it must survive python -O
         raise AssertionError(f"witness gives v^T M v = {val}, not negative")
     return PsdVerdict(False, witness=tuple(v), value=val)
+
+
+def _least_rows(m: SymMatrix) -> tuple:
+    """(dens, w): fresh working rows, row i of m being w[i] / dens[i] in lowest terms."""
+    gs = [gcd(m.den, *row) for row in m.ints]
+    return [m.den // g for g in gs], [[x // g for x in row] for row, g in zip(m.ints, gs)]
 
 
 def _eliminate_below(w: list, dens: list, k: int) -> list:
@@ -183,7 +184,7 @@ def psd_check(m: SymMatrix) -> PsdVerdict:
     nonnegative pivot list or a strict rational counterexample vector.
     """
     n = m.n
-    dens, w = map(list, zip(*map(integral, m.rows())))  # row i is w[i] / dens[i]
+    dens, w = _least_rows(m)
     lcols: dict[int, list] = {}
     pivots = []
     for k in range(n):
@@ -220,6 +221,7 @@ def schur_complement(m: SymMatrix) -> SymMatrix:
         raise ValueError(f"pivot must be positive, got {d}")
     if m.n == 1:
         raise ValueError("cannot take the Schur complement of a 1x1 matrix")
-    dens, w = map(list, zip(*map(integral, m.rows())))  # row i is w[i] / dens[i]
+    dens, w = _least_rows(m)
     _eliminate_below(w, dens, 0)
-    return SymMatrix.from_function(m.n - 1, lambda i, j: Rat(w[i + 1][j + 1], dens[i + 1]))
+    den = lcm(*dens[1:])
+    return SymMatrix(den, [[x * (den // d) for x in r[1:]] for r, d in zip(w[1:], dens[1:])])

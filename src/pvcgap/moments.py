@@ -14,9 +14,9 @@ Inside this module every probability is an integer over one denominator,
 probability (integer) / b^s, and no support exceeds min(n, SUPPORT_CAP)
 vertices, so den = b^min(n, SUPPORT_CAP) serves every moment and weight
 of the graph.  Sums, differences and comparisons then run on Python
-integers with no normalisation; a `Rat` is built only where a value
-leaves the layer (`cond_weight` and matrix entries here, violation
-values in `hierarchy`).
+integers with no normalisation.  The conditioned moment matrices leave
+the layer in the same form, integer rows over `den`; a `Rat` is built
+only for `cond_weight` here and for violation values in `hierarchy`.
 
 `cond_weight` evaluates the linearized product weight
 w(Y, N) = sum over T subset of N of (-1)^|T| * moment(Y u T)
@@ -37,7 +37,7 @@ from functools import cache
 from itertools import chain, groupby, permutations, product
 
 from .graphs import Graph, least_twins
-from .linalg import SymMatrix
+from .linalg import SymMatrix, check_size
 from .rational import Rat, as_rational
 
 SUPPORT_CAP = 26  # most vertices a moment's support closure may span
@@ -251,13 +251,13 @@ def _pair_weights(params: DistParams, y: tuple, n: tuple) -> tuple:
 
 
 def _matrix_rows(params: DistParams, ys: tuple, ns: tuple) -> list:
-    """Rows of the conditioned moment matrix at (Y, N), from `_weight_overlap_ok`."""
+    """Rows of the conditioned moment matrix at (Y, N), over den, from `_weight_overlap_ok`."""
     nvars = params.graph.var_count
     sets = [ys] + [ys if c in ys else tuple(sorted(ys + (c,))) for c in range(nvars)]
 
     @cache
-    def weight(union: tuple):
-        return Rat(_weight_overlap_ok(params, union, ns), params.den)
+    def weight(union: tuple) -> int:
+        return _weight_overlap_ok(params, union, ns)
 
     return [[weight(tuple(sorted({*a, *b}))) for b in sets] for a in sets]
 
@@ -268,13 +268,13 @@ def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
     Index 0 stands for the empty set; index 1+c for the singleton {c}.
     Entry (A, B) equals w(Y u A u B, N), so the matrix is symmetric by
     construction and positive semidefinite whenever the weights come from
-    a genuine distribution over 0-1 assignments.  `_matrix_rows` computes
-    it once per twin orbit, at its key; the orbit's other pairs share its `Rat`s
-    as M[i][j] = M_key[pi(i)][pi(j)], pi(0) = 0 and pi(1+c) = 1+perm[c].
+    a genuine distribution over 0-1 assignments.  Its entries are integers
+    over `params.den`.  `_matrix_rows` computes them once per twin orbit,
+    at its key; the orbit's other pairs relabel them as
+    M[i][j] = M_key[pi(i)][pi(j)], pi(0) = 0 and pi(1+c) = 1+perm[c].
     """
     ys, ns = _disjoint_pair(params.graph, y, n)
-    m = SymMatrix(1 + params.graph.var_count)  # over its size cap, refused before any entry
+    check_size(1 + params.graph.var_count)  # over its size cap, refused before any entry
     rows, perm = _orbit_value(params, _matrix_rows, ys, ns)
-    pi = range(m.n) if perm is None else [0, *(1 + c for c in perm)]
-    m._e = [x for i, a in enumerate(pi) for x in map(rows[a].__getitem__, pi[i:])]
-    return m
+    pi = range(len(rows)) if perm is None else [0, *(1 + c for c in perm)]
+    return SymMatrix(params.den, [list(map(rows[a].__getitem__, pi)) for a in pi])

@@ -58,16 +58,13 @@ def build_star_sdp_solution(n: int, t: int) -> GramSolution:
     g = make_star(n)
     center = n + 1
     tn = Rat(2 * t, n)
-    gram = SymMatrix(g.n + 1)
-    for a in range(g.n + 1):
-        gram.set(a, a, ONE)
-    for i in range(1, n + 1):
-        gram.set(0, i, -ONE)
-        gram.set(i, center, ONE - tn)
-        for j in range(i + 1, n + 1):
-            gram.set(i, j, ONE)
-    gram.set(0, center, -ONE + tn)
-    return GramSolution(graph=g, t=t, gram=gram)
+
+    def ip(a: int, b: int):  # a <= b, and the center is the last index
+        if a == b:
+            return ONE
+        return (-ONE if a == 0 else ONE) * (1 - tn if b == center else 1)
+
+    return GramSolution(graph=g, t=t, gram=SymMatrix.from_function(g.n + 1, ip))
 
 
 def verify_hs_sdp(sol: GramSolution) -> Certificate:

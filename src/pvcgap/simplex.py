@@ -376,16 +376,17 @@ def _multipliers(tab, obj, obj_scale, n_rows, solver_rows, n_struct, absorber,
 
 
 def _optimal_result(lp, c, x, dual):
-    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
-
     # certify before reporting: feasibility, stationarity, complementary
-    # slackness and strong duality must all hold exactly
-    dual_value = ZERO
-    lhs = [ZERO] * lp.n_vars  # sum_i dual[i] * row i, by variable
-    for (coeffs, rhs), u in zip(lp.rows, dual):
+    # slackness and strong duality must all hold exactly, checked in integers
+    # on integer rows with x[j] = xs[j] / x_scale, dual[i] = us[i] / u_scale
+    (x_scale, xs), (u_scale, us), (c_scale, cs) = map(integral, (x, dual, c))
+    value = sum(cj * xj for cj, xj in zip(cs, xs))  # times c_scale * x_scale
+    dual_value = 0  # times u_scale
+    lhs = [0] * lp.n_vars  # sum_i dual[i] * row i, by variable, times u_scale
+    for (coeffs, rhs), u in zip(lp.rows, us):
         if u < 0:
             raise RuntimeError("negative dual multiplier")
-        slack = sum((a * x[j] for j, a in coeffs), ZERO) - rhs
+        slack = sum(a * xs[j] for j, a in coeffs) - rhs * x_scale  # times x_scale
         if slack < 0:
             raise RuntimeError("reported primal violates a row")
         if u != 0:
@@ -394,8 +395,8 @@ def _optimal_result(lp, c, x, dual):
             dual_value += u * rhs
             for j, a in coeffs:
                 lhs[j] += a * u
-    if lhs != c:
+    if [v * c_scale for v in lhs] != [cj * u_scale for cj in cs]:
         raise RuntimeError("dual stationarity failed")
-    if dual_value != value:
+    if dual_value * c_scale * x_scale != value * u_scale:
         raise RuntimeError("strong duality failed")
-    return LpResult(value, tuple(x), tuple(dual))
+    return LpResult(Rat(value, c_scale * x_scale), tuple(x), tuple(dual))

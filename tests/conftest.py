@@ -36,6 +36,14 @@ def sym_from_rows(rows) -> SymMatrix:
     return SymMatrix.from_function(n, lambda i, j: vals[i][j])
 
 
+def with_entries(m: SymMatrix, changes: dict) -> SymMatrix:
+    """A copy of m with entries (i, j) and (j, i) set to each value in `changes`."""
+    rows = m.rows()
+    for (i, j), value in changes.items():
+        rows[i][j] = rows[j][i] = as_rational(value)
+    return sym_from_rows(rows)
+
+
 def dot(a, b):
     return sum((x * y for x, y in zip(a, b)), ZERO)
 

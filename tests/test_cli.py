@@ -13,6 +13,8 @@ from pvcgap.certificates import ENUM_ORDER_FINGERPRINT
 from pvcgap.cli import main
 from pvcgap.moments import DistParams
 
+from conftest import with_entries
+
 PY = [sys.executable, "-m", "pvcgap.cli"]
 # child interpreters import the pvcgap this process imported, installed or not
 _SRC = os.path.dirname(os.path.dirname(cli.__file__))
@@ -328,8 +330,8 @@ def test_star_negative_sdp_verdict_exits_two(monkeypatch, capsys):
 
     def bad_point(n, t):
         sol = build(n, t)
-        sol.gram.set(1, 1, 2)  # |v_1|^2 = 2: not a unit vector
-        return sol
+        gram = with_entries(sol.gram, {(1, 1): 2})  # |v_1|^2 = 2: not a unit vector
+        return sdp.GramSolution(sol.graph, sol.t, gram)
 
     monkeypatch.setattr(sdp, "build_star_sdp_solution", bad_point)
     code = main(["star", "--n", "4", "--t", "2"])

@@ -105,8 +105,11 @@ def test_rows_read_every_entry_where_get_does(n):
 
 
 def test_huge_matrix_is_refused_before_allocating():
+    def entry(i, j):
+        raise AssertionError("an entry was computed before the size check")
+
     with pytest.raises(ValueError, match="1000405 entries"):
-        SymMatrix(1414)  # 1414 * 1415 / 2 just exceeds the cap of 10**6
+        SymMatrix.from_function(1414, entry)  # 1414 * 1415 / 2 just exceeds the cap of 10**6
 
 
 def test_indefinite_2x2_gets_exact_witness():
@@ -240,14 +243,15 @@ def test_asymmetric_input_is_rejected():
         sym_from_rows([[1, 2], [3, 1]])
 
 
-def test_verdicts_equal_the_rational_ldlt_on_every_branch():
-    rng = random.Random(909)
+def _random_matrices(rng: random.Random, count: int) -> list:
+    """Sparse symmetric matrices: indefinite ones, full-rank Gram matrices
+    and singular (rank-deficient) Gram matrices, a third of each."""
 
     def sparse_entry():
         return Rat(0) if rng.random() < 0.4 else rand_rational(rng, -4, 4, 5)
 
     matrices = []
-    for _ in range(300):
+    for _ in range(count):
         n = rng.randint(1, 7)
         raw = [[sparse_entry() for _ in range(n)] for _ in range(n)]
         kind = rng.randrange(3)
@@ -257,8 +261,47 @@ def test_verdicts_equal_the_rational_ldlt_on_every_branch():
             rank = n if kind == 1 else rng.randint(0, n - 1)
             fn = lambda i, j: sum((raw[i][k] * raw[j][k] for k in range(rank)), Rat(0))
         matrices.append(SymMatrix.from_function(n, fn))
-    branches = _assert_same_verdicts(matrices)
+    return matrices
+
+
+def test_verdicts_equal_the_rational_ldlt_on_every_branch():
+    branches = _assert_same_verdicts(_random_matrices(random.Random(909), 300))
     assert set(branches) == {"negative pivot", "zero pivot, zero row", "zero pivot, nonzero row"}
+
+
+def test_verdicts_do_not_depend_on_the_representation():
+    # the same values over k times the denominator: the rows start the
+    # elimination in the same lowest terms, so every output is the same
+    rng = random.Random(6061)
+    matrices = _random_matrices(rng, 300)
+    assert set(_assert_same_verdicts(matrices)) == {
+        "negative pivot", "zero pivot, zero row", "zero pivot, nonzero row"}
+    for m in matrices:
+        k = rng.randint(2, 40)
+        twin = SymMatrix(k * m.den, [[k * x for x in row] for row in m.ints])
+        assert twin == m and m == twin
+        assert psd_check(twin) == psd_check(m)
+        if m.n > 1 and m.get(0, 0) > 0:
+            s, s_twin = schur_complement(m), schur_complement(twin)
+            assert (s_twin.den, s_twin.ints) == (s.den, s.ints)
+    assert SymMatrix(2, [[1]]) != SymMatrix(1, [[1]])
+
+
+def test_quadratic_form_is_the_rational_double_sum():
+    # integer rows over a composite den: the entries reduce to mixed denominators
+    rng = random.Random(1618)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        den = rng.choice([1, 6, 60, 360])
+        ints = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                ints[i][j] = ints[j][i] = rng.choice([0, rng.randint(-900, 900)])
+        v = [rng.choice([0, ZERO, rng.randint(-3, 3), rand_rational(rng, -4, 4, 9)])
+             for _ in range(n)]
+        expected = sum((v[i] * Rat(ints[i][j], den) * v[j] for i in range(n) for j in range(n)),
+                       ZERO)
+        assert quadratic_form(SymMatrix(den, ints), v) == expected
 
 
 def test_verdicts_equal_the_rational_ldlt_on_the_xyn_k8_family():

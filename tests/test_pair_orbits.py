@@ -160,6 +160,18 @@ def test_relabelled_matrices_equal_the_direct_ones(name):
         assert build_cond_matrix(params, y, n) == _direct_matrix(cache, params, y, n), (y, n)
 
 
+def test_relabelled_matrices_are_integer_rows_over_den():
+    params = DistParams(GRAPHS["K7"], Rat(1, 7))
+    group = _twin_group(params.graph)
+    pairs = [(y, n) for y, n in yn_pairs(params.graph.var_count, 1)
+             if _canonical_pair(group, y, n)[0] != (y, n)]
+    assert len(pairs) == 57 - 5  # every pair of K7 at |Y u N| <= 1 but the 5 keys
+    for y, n in pairs:
+        m = build_cond_matrix(params, y, n)
+        assert m.den == params.den
+        assert {type(x) for row in m.ints for x in row} == {int}
+
+
 def _xyn_cases():
     canonical = [(n, r, Rat(1, comb(n - 2 * r, 2)))
                  for n in range(4, 10) for r in range(4) if n - 2 * r >= 2]

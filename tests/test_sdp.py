@@ -6,19 +6,15 @@ from pvcgap.linalg import SymMatrix, psd_check
 from pvcgap.rational import ONE, Rat
 from pvcgap.sdp import GramSolution, build_star_sdp_solution, verify_hs_sdp
 
+from conftest import with_entries
+
 
 def gram_from_cover(g, t, cover) -> GramSolution:
     """Integral one-dimensional solution: v_i = v_0 inside the cover,
     -v_0 outside."""
-    sign = [ONE if i in cover else -ONE for i in range(1, g.n + 1)]
-    gram = SymMatrix(g.n + 1)
-    gram.set(0, 0, ONE)
-    for i in range(1, g.n + 1):
-        gram.set(i, i, ONE)
-        gram.set(0, i, sign[i - 1])
-        for j in range(i + 1, g.n + 1):
-            gram.set(i, j, sign[i - 1] * sign[j - 1])
-    return GramSolution(graph=g, t=t, gram=gram)
+    sign = [ONE] + [ONE if i in cover else -ONE for i in range(1, g.n + 1)]
+    return GramSolution(graph=g, t=t,
+                        gram=SymMatrix.from_function(g.n + 1, lambda i, j: sign[i] * sign[j]))
 
 
 def test_star_inner_products():
@@ -84,17 +80,15 @@ def test_violations_are_reported_with_exact_slack():
     assert negative_verdict(cert)
     assert cert.witness["lhs"]["exact"] == "8/1"  # 4t/n * n = 8 < 24
     # corrupt a diagonal entry: caught by the unit-norm check
-    g2 = sol.gram
-    g2.set(1, 1, Rat(2))
+    g2 = with_entries(sol.gram, {(1, 1): Rat(2)})
     cert2 = verify_hs_sdp(GramSolution(sol.graph, 2, g2))
     assert cert2.verdict == "violated:unit-norm"
 
 
 def test_non_psd_gram_is_caught():
     sol = build_star_sdp_solution(4, 1)
-    gram = sol.gram
-    gram.set(1, 2, Rat(-1))
-    gram.set(1, 3, Rat(1))  # v1 opposite v2 but equal v3 while v2 = v3: impossible
+    # v1 opposite v2 but equal v3 while v2 = v3: impossible
+    gram = with_entries(sol.gram, {(1, 2): Rat(-1), (1, 3): Rat(1)})
     cert = verify_hs_sdp(GramSolution(sol.graph, 1, gram))
     assert cert.verdict == "violated:gram-psd"
     assert negative_verdict(cert)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pvcgap import simplex
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import LinearProgram, lp_solve
 
@@ -101,6 +102,23 @@ def test_duals_satisfy_exact_optimality_conditions():
         slack = sum((c * res.primal[j] for j, c in coeffs), ZERO) - rhs
         assert slack >= 0
         assert y[i] == 0 or slack == 0
+
+
+@pytest.mark.parametrize("primal, dual, message", [
+    ((Rat(4, 5), Rat(1, 2)), (Rat(1, 5), Rat(3, 5), 0, 0), "primal violates a row"),
+    ((Rat(4, 5), Rat(3, 5)), (Rat(1, 5), Rat(3, 5), -1, 0), "negative dual multiplier"),
+    ((Rat(4, 5), Rat(3, 5)), (Rat(1, 5), Rat(3, 5), 1, 0), "complementary slackness"),
+    ((Rat(4, 5), Rat(3, 5)), (Rat(2, 5), Rat(6, 5), 0, 0), "dual stationarity"),
+])
+def test_the_exact_rechecks_refuse_a_corrupted_optimum(primal, dual, message):
+    # the optimum is x = (4/5, 3/5) with dual (1/5, 3/5, 0, 0); strong duality
+    # follows from the other four checks, so no corruption reaches it alone
+    lp = _lp([(((0, 1), (1, 2)), 2), (((0, 3), (1, 1)), 3), (((0, 1),), 0), (((1, 1),), 0)],
+             [2, 1])
+    res = lp_solve(lp)
+    assert simplex._optimal_result(lp, list(lp.objective), list(res.primal), list(res.dual)) == res
+    with pytest.raises(RuntimeError, match=message):
+        simplex._optimal_result(lp, list(lp.objective), list(primal), list(dual))
 
 
 def test_matches_vertex_enumeration_on_random_boxed_programs():
