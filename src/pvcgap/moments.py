@@ -25,15 +25,15 @@ moments, and by a direct run of the kernel on the event "all of Y on, all
 of N off".  The two must agree exactly; the equality is checked at
 runtime so the identity behind the verifier is re-proved on every use.
 
-Relabelling twin vertices maps (Y, N) pairs onto each other and keeps
-their weights, so `_pair_weights` and `build_cond_matrix` compute them once
-per orbit (on K_n 5, 22 and 104 at |Y u N| <= 1, 2, 3, for any n).
+Relabelling twin vertices maps (Y, N) pairs onto each other and keeps their
+weights, so `_weights_at` evaluates them once per orbit (on K_n 5, 22 and 104
+at |Y u N| <= 1, 2, 3, for any n); a conditioned moment matrix stacks its rows:
+row {a} at (Y, N) is that of (Y u {a}, N), zeros for a in N or an empty event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain, groupby, permutations, product
 
 from .graphs import Graph, least_twins
@@ -155,10 +155,8 @@ def cond_weight(params: DistParams, y, n) -> object:
 
 
 def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> int:
-    """w(Y, N) times `params.den`, extended to overlapping arguments
-    (telescopes to zero)."""
-    if set(ys) & set(ns):
-        return 0
+    """w(Y, N) times `params.den`; overlapping arguments give 0 both ways (the
+    sum telescopes, and the kernel zeroes a code forced both on and off)."""
     total = 0
     k = len(ns)
     for mask in range(1 << k):
@@ -251,15 +249,15 @@ def _pair_weights(params: DistParams, y: tuple, n: tuple) -> tuple:
 
 
 def _matrix_rows(params: DistParams, ys: tuple, ns: tuple) -> list:
-    """Rows of the conditioned moment matrix at (Y, N), over den, from `_weight_overlap_ok`."""
-    nvars = params.graph.var_count
-    sets = [ys] + [ys if c in ys else tuple(sorted(ys + (c,))) for c in range(nvars)]
+    """Rows of the conditioned moment matrix at (Y, N), over den: the `_pair_weights` rows
+    [w, *w_q] of (Y, N) and each (Y u {a}, N) (Laurent 2003), zeros for a in N or empty events."""
+    m = params.graph.var_count
 
-    @cache
-    def weight(union: tuple) -> int:
-        return _weight_overlap_ok(params, union, ns)
+    def row(y) -> list:
+        wyn, w = _pair_weights(params, tuple(sorted(y)), ns)
+        return [0] * (1 + m) if w is None else [wyn, *w]
 
-    return [[weight(tuple(sorted({*a, *b}))) for b in sets] for a in sets]
+    return [row(ys)] + [[0] * (1 + m) if a in ns else row({*ys, a}) for a in range(m)]
 
 
 def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
@@ -268,9 +266,9 @@ def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
     Index 0 stands for the empty set; index 1+c for the singleton {c}.
     Entry (A, B) equals w(Y u A u B, N), so the matrix is symmetric by
     construction and positive semidefinite whenever the weights come from
-    a genuine distribution over 0-1 assignments.  Its entries are integers
-    over `params.den`.  `_matrix_rows` computes them once per twin orbit,
-    at its key; the orbit's other pairs relabel them as
+    a genuine distribution over 0-1 assignments.  Its entries are the
+    `_matrix_rows` weight rows over `params.den` (zero rows for a in N and
+    empty events) at its twin orbit's key; the orbit's other pairs take
     M[i][j] = M_key[pi(i)][pi(j)], pi(0) = 0 and pi(1+c) = 1+perm[c].
     """
     ys, ns = _disjoint_pair(params.graph, y, n)

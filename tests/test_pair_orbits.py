@@ -152,7 +152,7 @@ def _direct_matrix(cache, params, y, n):
     return SymMatrix.from_function(1 + nvars, entry)
 
 
-@pytest.mark.parametrize("name", ["K7", "star5", "P6"])
+@pytest.mark.parametrize("name", GRAPHS)
 def test_relabelled_matrices_equal_the_direct_ones(name):
     g = GRAPHS[name]
     params, cache = DistParams(g, Rat(1, 7)), {}
@@ -222,10 +222,16 @@ def test_a_non_psd_orbit_names_its_first_pair(monkeypatch, fork_workers, threads
 def test_a_corrupted_representative_matrix_entry_fails_the_cross_check(monkeypatch):
     g = make_clique(6)
     p = Rat(1, comb(4, 2))
-    # w({e2_3, e4_5}, {v1}) is no family pair's w(Y+{q}, N) at r = 2: the
-    # scan reaches it only as an entry of the key ((), (v1,))'s matrix
-    event = ((g.edge_code(2, 3), g.edge_code(4, 5)), (g.vertex_code(1),))
-    assert _canonical_pair(_twin_group(g), (), event[1])[0] == ((), event[1])
+    group = _twin_group(g)
+    e23, e45, v1 = g.edge_code(2, 3), g.edge_code(4, 5), g.vertex_code(1)
+    assert _canonical_pair(group, (), (v1,))[0] == ((), (v1,))
+    # entry (e2_3, e4_5) of the key ((), (v1,))'s matrix is w({e2_3, e4_5}, {v1}),
+    # read from the weight row of ((e2_3,), (v1,))'s orbit key at the image of e4_5
+    (ky, kn), perm = _canonical_pair(group, (e23,), (v1,))
+    event = (tuple(sorted({*ky, perm[e45]})), kn)
+    # no family pair's own w(Y+{q}, N) at r = 2 is that event
+    assert all((tuple(sorted({*y, q})), n) != event
+               for y, n in yn_pairs(g.var_count, 1) for q in range(g.var_count))
     assert verify_xyn_family(DistParams(g, p), 1, 2).feasible
     enumerate_on_off = moments._enumerate_on_off
 
@@ -236,6 +242,23 @@ def test_a_corrupted_representative_matrix_entry_fails_the_cross_check(monkeypat
     monkeypatch.setattr(moments, "_enumerate_on_off", off_by_one)
     with pytest.raises(MomentMismatch, match=re.escape(f"Y={event[0]} N={event[1]}")):
         verify_xyn_family(DistParams(g, p), 1, 2)
+
+
+@pytest.mark.parametrize("size,r,orbits", [(8, 2, 22), (10, 2, 22), (7, 3, 104)])
+def test_matrices_evaluate_each_weight_once_per_orbit(monkeypatch, size, r, orbits):
+    """The family's matrices read every weight from the weight rows of the
+    pair orbits at |Y u N| <= r (the counts of `test_orbit_counts_on_cliques`):
+    at most 1 + var_count cross-checked evaluations per orbit."""
+    g = make_clique(size)
+    calls, weight = [0], moments._weight_overlap_ok
+
+    def counted(params, ys, ns):
+        calls[0] += 1
+        return weight(params, ys, ns)
+
+    monkeypatch.setattr(moments, "_weight_overlap_ok", counted)
+    assert verify_xyn_family(DistParams(g, Rat(1, 7)), 1, r).feasible
+    assert 0 < calls[0] <= orbits * (1 + g.var_count)
 
 
 def test_a_twin_free_graph_memoizes_no_orbit(monkeypatch):
