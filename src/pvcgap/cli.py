@@ -270,7 +270,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_bounded(0), required=True)
     p.add_argument("--p", default=None, help="override p (default t / C(n-2r, 2))")
     p.add_argument("--threads", type=_bounded(1, MAX_THREADS), default=1)
-    p.add_argument("--sample", type=_bounded(0), default=None)
+    p.add_argument("--sample", type=_bounded(1), default=None)
     p.add_argument("--seed", type=int, default=None, help="xyn sample seed (default 0)")
     p.set_defaults(fn=_cmd_verify)
 

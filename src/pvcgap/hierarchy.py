@@ -13,7 +13,11 @@ sum_j c_j x_j >= rhs in its lifted form
 
 `moments` computes each pair's weights and conditioned moment matrix once
 per twin-vertex orbit of (Y, N) pairs and relabels them for the orbit's
-other pairs; every pair still has all its rows, or its own matrix, checked.
+other pairs; every pair still has all its rows checked.  A matrix is built
+for every pair and LDL^T-factorised once per orbit, at the orbit's key:
+relabelling is a symmetric permutation, which keeps the PSD verdict.  A
+pair of a non-PSD orbit is factorised itself, so a failing pair's witness
+comes from its own matrix.
 
 `verify_sap` adds one exact PSD check of the conditioned moment matrix at
 (Y, N) = (empty, empty); `verify_xyn_family` checks the whole family of
@@ -46,9 +50,10 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
+from . import moments
 from .graphs import Graph, check_demand, integral_opt, pvc_rows, twin_swaps
-from .linalg import psd_check
-from .moments import DistParams, _pair_weights, build_cond_matrix, moment
+from .linalg import SymMatrix, psd_check
+from .moments import DistParams, _orbit_value, _pair_weights, build_cond_matrix, moment
 from .rational import ZERO, Rat
 from .simplex import LinearProgram
 
@@ -135,9 +140,25 @@ def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     return None, len(rows)
 
 
+def _key_is_psd(params: DistParams, ys: tuple, ns: tuple) -> bool:
+    """Whether the matrix at a twin-orbit key is PSD, from the rows `build_cond_matrix`
+    keeps at the key (its builder read through `moments` at call time)."""
+    rows = _orbit_value(params, moments._matrix_rows, ys, ns)[0]
+    return psd_check(SymMatrix(params.den, rows)).is_psd
+
+
 def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
-    """Violation `name` unless the conditioned moment matrix at (Y, N) is PSD."""
-    verdict = psd_check(build_cond_matrix(params, y, n))
+    """Violation `name` unless the conditioned moment matrix at (Y, N) is PSD.
+
+    The matrix is built for every pair.  On a graph with twins it is a
+    symmetric permutation of its orbit key's, so the key's verdict, once per
+    orbit, decides a PSD pair; a pair of a non-PSD orbit (and every pair of a
+    twin-free graph) is factorised itself, so the witness is its own.
+    """
+    matrix = build_cond_matrix(params, y, n)
+    if params._orbits[None] is not None and _orbit_value(params, _key_is_psd, y, n)[0]:
+        return None
+    verdict = psd_check(matrix)
     return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)
 
 

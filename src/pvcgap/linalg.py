@@ -15,19 +15,28 @@ evaluation.
 The elimination runs on Python integers: each working row is a list of
 integer numerators over one positive row denominator, starting from
 the input row over its least denominator (one gcd of `den` and the
-row).  Eliminating with pivot row k (pivot P / d_k > 0) maps row i to
-(P A_i - a_ik A_k) over d_i P, and one gcd of the denominator and the
-row then brings the row back to lowest terms.  That keeps the integers
-about as small as the rationals themselves without normalising every
-entry.  Whole-matrix fraction-free (Bareiss) elimination was measured and
+row).  The trailing block left by each step is symmetric, so only its
+upper triangle is kept current, and nothing reads an entry below the
+diagonal of a working row.  With pivot p / d_k > 0 in row k, row i's
+multiplier is a / p, read from row k as a = A_k[i] (over d_k); row i
+is updated on its columns j >= i alone, to (p d_k A_i - a d_i A_k)
+over d_i d_k p, and one gcd of the denominator and the row then brings
+the row back to lowest terms.  That keeps the integers about as small
+as the rationals themselves without normalising every entry, and does
+half the updates of a step on both triangles.
+
+Whole-matrix fraction-free (Bareiss) elimination was measured and
 rejected: its entries are minors of the input, which grow in bits with
-every step.  On the level-1 slack minor of the 120-clique (`lasserre --n
-120 --r 1 --t 1`) Bareiss took 2.17 s of CPU, `Fraction` elimination
-2.22 s and the row-gcd form 0.27 s (Python 3.11, one core of a 2-CPU
-x86-64 VM).  Pivots, the L factor needed for a witness and the witness itself are
-rebuilt as rationals, so the verdict is the one the rational elimination
-gives.  `schur_complement` is the first step of the same elimination:
-`_eliminate_below` at index 0.
+every step.  On the level-1 slack minor of the 120-clique (`lasserre
+--n 120 --r 1 --t 1`: 121 x 121, first negative pivot at index 63)
+Bareiss took 2.62 s of CPU, `Fraction` elimination 2.90 s, the row-gcd
+form on both triangles 0.40 s and on the upper triangle 0.22 s (best of
+3, Python 3.11, one core of a 2-CPU x86-64 VM).  Pivots, the L factor
+needed for a witness and the witness itself are rebuilt as rationals, so
+the verdict is the one the rational elimination gives.
+`schur_complement` is the first step of the same elimination,
+`_eliminate_below` at index 0, with the upper triangle mirrored into the
+lower.
 """
 
 from __future__ import annotations
@@ -149,30 +158,30 @@ def _least_rows(m: SymMatrix) -> tuple:
 
 
 def _eliminate_below(w: list, dens: list, k: int) -> list:
-    """Eliminate pivot k (w[k][k] > 0) from the columns past k of the rows
-    below it, in place; the L column as (row, numerator, denominator)."""
+    """Eliminate pivot k (w[k][k] > 0) from the rows below it, in place, on
+    their upper triangle only; the L column as (row, numerator, denominator)."""
     wk, dk = w[k], dens[k]
     p = wk[k]
-    tail = wk[k + 1:]
     col = []
     for i in range(k + 1, len(w)):
-        wi = w[i]
-        a = wi[k]
+        # row_i -= (a / p) row_k on columns >= i, a read from row k: the
+        # numerators p d_k A_i - a d_i A_k over d_i d_k p, after dividing
+        # p d_k and a d_i by their gcd
+        a = wk[i]
         if a == 0:
             continue
-        # row_i -= f row_k with f = (a / d_i) / (p / d_k): the new
-        # numerators are p A_i - a A_k over d_i p, after dividing p and a
-        # by their gcd
-        g = gcd(p, a)
-        pg, ag = p // g, a // g
-        col.append((i, a * dk, dens[i] * p))
-        new = [pg * x - ag * y for x, y in zip(wi[k + 1:], tail)]
-        den = dens[i] * pg
+        col.append((i, a, p))
+        wi, di = w[i], dens[i]
+        u, v = p * dk, a * di
+        g = gcd(u, v)
+        u, v = u // g, v // g
+        new = [u * x - v * y for x, y in zip(wi[i:], wk[i:])]
+        den = di * dk * p // g
         g = gcd(den, *new)
         if g > 1:
             new = [x // g for x in new]
             den //= g
-        wi[k + 1:] = new
+        wi[i:] = new
         dens[i] = den
     return col
 
@@ -224,4 +233,7 @@ def schur_complement(m: SymMatrix) -> SymMatrix:
     dens, w = _least_rows(m)
     _eliminate_below(w, dens, 0)
     den = lcm(*dens[1:])
-    return SymMatrix(den, [[x * (den // d) for x in r[1:]] for r, d in zip(w[1:], dens[1:])])
+    ints = []  # row i of M' is w[1 + i], current from column 1 + i on: mirror the rest
+    for i, (r, d) in enumerate(zip(w[1:], dens[1:])):
+        ints.append([row[i] for row in ints] + [x * (den // d) for x in r[1 + i:]])
+    return SymMatrix(den, ints)

@@ -206,6 +206,8 @@ def test_usage_errors_exit_one():
         ["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "0"],
         ["gap-table", "--grid", "6,1,1", "--threads", "0"],
         ["verify", "--level", "xyn", "--n", "6", "--r", "2", "--t", "1", "--sample", "-1"],
+        # an empty sample checks no matrix, so it could certify nothing
+        ["verify", "--level", "xyn", "--n", "8", "--r", "2", "--t", "1", "--sample", "0"],
         # past the worker cap: refused by the parser, before any pool exists
         ["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "65"],
         ["gap-table", "--grid", "6,1,1", "--threads", "5000"],

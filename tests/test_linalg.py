@@ -238,6 +238,38 @@ def test_schur_complement_is_the_rational_formula():
         assert schur_complement(m) == _reference_schur(m)
 
 
+def test_schur_complement_of_rows_with_different_least_denominators():
+    m = sym_from_rows([[Rat(2, 3), Rat(1, 5), Rat(-1, 7)],
+                       [Rat(1, 5), Rat(1, 11), Rat(2, 13)],
+                       [Rat(-1, 7), Rat(2, 13), Rat(3, 17)]])
+    assert len(set(linalg._least_rows(m)[0])) == 3
+    assert schur_complement(m) == _reference_schur(m)
+
+
+def test_the_elimination_reads_only_the_upper_triangle(monkeypatch):
+    # the trailing block stays symmetric, so only its upper triangle is kept
+    # current: junk below the diagonal of the working rows may reach no
+    # verdict and no Schur step
+    matrices = _random_matrices(random.Random(909), 300)
+    matrices += _random_matrices(random.Random(6061), 300)
+    want = [psd_check(m) for m in matrices]
+    schur = [_reference_schur(m) for m in matrices if m.n > 1 and m.get(0, 0) > 0]
+    zbar = build_zbar(60, 1, Rat(1, comb(58, 2)))
+    rng, least_rows = random.Random(31), linalg._least_rows
+
+    def scrambled(m):
+        dens, w = least_rows(m)
+        for i, row in enumerate(w):
+            row[:i] = [rng.randint(-10**6, 10**6) for _ in range(i)]
+        return dens, w
+
+    monkeypatch.setattr(linalg, "_least_rows", scrambled)
+    assert [psd_check(m) for m in matrices] == want
+    assert [schur_complement(m) for m in matrices if m.n > 1 and m.get(0, 0) > 0] == schur
+    _assert_same_verdicts([zbar])
+    assert schur_complement(zbar) == _reference_schur(zbar)
+
+
 def test_asymmetric_input_is_rejected():
     with pytest.raises(ValueError):
         sym_from_rows([[1, 2], [3, 1]])

@@ -21,7 +21,7 @@ from pvcgap.moments import (
     _weight_overlap_ok,
     build_cond_matrix,
 )
-from pvcgap.rational import Rat
+from pvcgap.rational import ZERO, Rat
 
 PATH6 = Graph(6, tuple((i, i + 1) for i in range(1, 6)))
 GRAPHS = {
@@ -152,6 +152,13 @@ def _direct_matrix(cache, params, y, n):
     return SymMatrix.from_function(1 + nvars, entry)
 
 
+def _oracle_check_matrix(cache, params, y, n, name):
+    """`_check_matrix` on the direct matrix, factorised for every pair: the
+    per-pair check the scan ran before it took one verdict per twin orbit."""
+    verdict = hierarchy.psd_check(_direct_matrix(cache, params, y, n))
+    return None if verdict.is_psd else hierarchy.Violation(name, y, n, verdict.value, ZERO)
+
+
 @pytest.mark.parametrize("name", GRAPHS)
 def test_relabelled_matrices_equal_the_direct_ones(name):
     g = GRAPHS[name]
@@ -189,7 +196,7 @@ def test_matrix_verdicts_equal_the_oracle(monkeypatch, n, r, p):
                 r <= 2 and verify_sap(DistParams(g, p), 1, r))
 
     got = verdicts()
-    monkeypatch.setattr(hierarchy, "build_cond_matrix", partial(_direct_matrix, {}))
+    monkeypatch.setattr(hierarchy, "_check_matrix", partial(_oracle_check_matrix, {}))
     assert got == verdicts()
 
 
@@ -268,6 +275,40 @@ def test_a_twin_free_graph_memoizes_no_orbit(monkeypatch):
     got = verify_sa(sa, 1, 2), verify_xyn_family(xyn, 1, 2)
     assert set(sa._orbits) == set(xyn._orbits) == {None}
     monkeypatch.setattr(hierarchy, "_scan_pair", partial(_oracle_scan_pair, {}))
-    monkeypatch.setattr(hierarchy, "build_cond_matrix", partial(_direct_matrix, {}))
+    monkeypatch.setattr(hierarchy, "_check_matrix", partial(_oracle_check_matrix, {}))
     assert got == (verify_sa(DistParams(g, Rat(1, 7)), 1, 2),
                    verify_xyn_family(DistParams(g, Rat(1, 7)), 1, 2))
+
+
+def _counted(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_each_twin_orbit_is_factorised_once(monkeypatch):
+    """K8 at r = 2: 73 matrices are built, one per pair, and the 5 twin orbits
+    they fall into are factorised once each."""
+    counts = {"psd_check": 0, "build_cond_matrix": 0}
+    for name in counts:
+        _counted(monkeypatch, hierarchy, name, counts)
+    assert verify_xyn_family(DistParams(make_clique(8), Rat(1, comb(4, 2))), 1, 2).feasible
+    assert counts == {"psd_check": 5, "build_cond_matrix": 73}
+
+
+def test_a_twin_free_graph_builds_and_factorises_each_matrix_once(monkeypatch):
+    """On P8 every pair is its own orbit: one build and one factorisation per
+    pair, and no weight evaluated past the per-pair matrices' 7,275."""
+    g = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
+    counts = {"psd_check": 0, "build_cond_matrix": 0, "_weight_overlap_ok": 0}
+    for name in ("psd_check", "build_cond_matrix"):
+        _counted(monkeypatch, hierarchy, name, counts)
+    _counted(monkeypatch, moments, "_weight_overlap_ok", counts)
+    assert verify_xyn_family(DistParams(g, Rat(1, 7)), 1, 2).feasible
+    pairs = yn_pair_count(g.var_count, 1)
+    assert counts["psd_check"] == counts["build_cond_matrix"] == pairs == 31
+    assert counts["_weight_overlap_ok"] <= 7275
