@@ -131,30 +131,15 @@ def least_twins(g: Graph) -> list:
     return [(a, b) for a, b in least if a is not None]
 
 
-def twin_swaps(g: Graph) -> tuple:
-    """Swaps of equal-weight twin vertices, as permutations of the V u E codes:
-    for each pair (a, b) of `least_twins`, a with b and each edge {a, c} with
-    {b, c}.  On the star these are the swaps of leaf 1 with each other leaf.
-    """
-    swaps = []
-    for a, b in least_twins(g):
-        image = {a: b, b: a}
-        perm = list(range(g.n))
-        perm[a - 1], perm[b - 1] = b - 1, a - 1
-        perm += [g.edge_code(image.get(i, i), image.get(j, j)) for i, j in g.edges]
-        swaps.append(tuple(perm))
-    return tuple(swaps)
-
-
 # -- graph text format ------------------------------------------------------
 #
 #   n m
 #   i j          (exactly m edge lines)
 #   w i value    (optional vertex-weight lines; value is a nonnegative integer or 'a/b')
 #
-# '#' starts a comment; blank lines are skipped.  Unlisted vertices keep
-# weight 1.  The 'w' tag keeps an edge line past a header that undercounts
-# the edges from being read as a weight.
+# '#' starts a comment; blank lines are skipped.  Each vertex has at most
+# one 'w' line; unlisted vertices keep weight 1.  The 'w' tag keeps an edge
+# line past a header that undercounts the edges from being read as a weight.
 
 
 def parse_graph(text: str) -> Graph:
@@ -184,6 +169,7 @@ def parse_graph(text: str) -> Graph:
             raise ValueError(f"self-loop {i}")
         edges.append((min(i, j), max(i, j)))
     weights = [ONE] * n
+    weighted = set()
     for line in lines[1 + m :]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "w":
@@ -194,6 +180,9 @@ def parse_graph(text: str) -> Graph:
         i = int(parts[1])
         if not 1 <= i <= n:
             raise ValueError(f"vertex-weight line for unknown vertex {i}")
+        if i in weighted:
+            raise ValueError(f"a second vertex-weight line for vertex {i}")
+        weighted.add(i)
         weights[i - 1] = as_rational(parts[2])
     return Graph(n, tuple(edges), tuple(weights))
 

@@ -51,7 +51,7 @@ from itertools import combinations, islice
 from math import comb
 
 from . import moments
-from .graphs import Graph, check_demand, integral_opt, pvc_rows, twin_swaps
+from .graphs import Graph, check_demand, integral_opt, pvc_rows
 from .linalg import SymMatrix, psd_check
 from .moments import DistParams, _orbit_value, _pair_weights, build_cond_matrix, moment
 from .rational import ZERO, Rat
@@ -302,10 +302,8 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     nonzero entry are dropped.  The normalization rows pinning the
     empty-set variable to 1 come last.  Rows are in integers.  The
     objective is the cover LP's vertex weights, on the singleton
-    variables.  The program carries the `graphs.twin_swaps` of the graph,
-    lifted to the set variables, as its generators, so `lp_solve` solves
-    it on their orbits (on the star: 10 variable orbits and 46 row orbits
-    for every n >= 4).
+    variables.  `lp_solve` finds the program's symmetry classes itself:
+    on the star, 10 variable classes and 46 row classes for every n >= 4.
     """
     m = graph.var_count
     n_vars = 1 + m + comb(m, 2)
@@ -342,7 +340,4 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
 
     names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
     objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))  # as `sets`
-    generators = tuple(tuple(index[tuple(sorted(swap[q] for q in s))] for s in sets)
-                       for swap in twin_swaps(graph))
-    return LinearProgram(names=names, rows=tuple(rows), objective=objective,
-                         generators=generators)
+    return LinearProgram(names=names, rows=tuple(rows), objective=objective)

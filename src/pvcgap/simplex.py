@@ -5,32 +5,35 @@ every constraint row reads  sum_j c_j x_j >= rhs, variables are free
 (bounds are rows like any other), and the objective is minimized.  A row
 is sparse, ((j, c_j) for each c_j != 0, rhs): `graphs.pvc_rows`' rows
 without their names, so the scan, the LPs and the simplex share one row
-format and nothing is densified before the tableau.  Its
-`generators` are permutations of the variables that map the row set onto
-itself and fix the objective; averaging over the group they generate
-turns any optimum into one that is constant on variable orbits.
+format and nothing is densified before the tableau.
 
-`lp_solve` therefore solves the orbit program: one variable per variable
-orbit, and one row per row orbit, the orbit's first row with its
-coefficients summed over each variable orbit.  With no generators that
-is the program itself, row for row.  A two-phase primal simplex over the
-rationals solves it on one tableau.  Phase 1 carries both objective
-rows, so phase 2 continues from the phase-1 basis; after phase 1 the
-artificial columns and the phase-1 row are cut away.  Each row is scaled
-to integers by `rational.integral` and the tableau is kept in integers
-over one common denominator, so a pivot does no gcd work.  It pivots by
-Dantzig's rule and falls back to Bland's rule only after a degenerate
-stall, so it is deterministic and terminates on every input.
+`lp_solve` solves the program on the classes of its coarsest equitable
+partition, found by colour refinement (Grohe, Kersting, Mladenov and
+Selman, ESA 2014; Bodi, Herr and Joswig, Math. Program. 137, 2013): the
+rows of a class share their rhs and the multiset of their coefficients
+on each variable class, the variables of a class their objective value
+and the multiset of their coefficients in each row class.  Symmetry
+orbits are such a partition, so twins reduce without being named.  The
+class program has one variable per variable class and one row per row
+class, the class's first row with its coefficients summed over each
+variable class; on singleton classes it is the program itself.  A
+two-phase primal simplex over the rationals solves it on one tableau.
+Phase 1 carries both objective rows, so phase 2 continues from the
+phase-1 basis; after phase 1 the artificial columns and the phase-1 row
+are cut away.  Each row is scaled to integers by `rational.integral` and
+the tableau is kept in integers over one common denominator, so a pivot
+does no gcd work.  It pivots by Dantzig's rule and falls back to Bland's
+rule only after a degenerate stall, so it is deterministic and
+terminates on every input.
 
-The orbit optimum is expanded back (x_j is the value of j's orbit, and
-each row-orbit multiplier is spread evenly over the rows of its orbit)
+The class optimum is expanded back (x_j is the value of j's class, and
+each row-class multiplier is spread evenly over the rows of its class)
 and re-verified exactly on the full program before it is returned:
 primal feasibility, dual sign, complementary slackness, stationarity and
-strong duality.  Under a valid symmetry the spread dual is stationary,
-so a wrong aggregation raises instead of returning a wrong value.
-Generators that are not permutations, that map a row outside the row
-set or that move the objective raise ValueError, as does an infeasible
-or unbounded program: every program pvcgap builds has an optimum.
+strong duality.  On an equitable partition the spread dual is
+stationary, so a wrong aggregation raises instead of returning a wrong
+value.  An infeasible or unbounded program raises ValueError: every
+program pvcgap builds has an optimum.
 
 As a presolve step, rows of the shape a*x_j >= 0 (a > 0) are absorbed as
 variable nonnegativity; their multipliers are read from the reduced cost
@@ -55,7 +58,6 @@ class LinearProgram:
     names: tuple
     rows: tuple  # ((((j, c_j), ...), rhs), ...) each row means sum_j c_j x_j >= rhs
     objective: tuple
-    generators: tuple = ()  # each maps variable j to generator[j]
 
     def __post_init__(self):
         nv = len(self.names)
@@ -64,9 +66,6 @@ class LinearProgram:
         for k, (coeffs, _rhs) in enumerate(self.rows):
             if len({j for j, c in coeffs if c != 0 and 0 <= j < nv}) != len(coeffs):
                 raise ValueError(f"row {k} needs distinct variables in 0..{nv - 1}, each c != 0")
-        for k, gen in enumerate(self.generators):
-            if sorted(gen) != list(range(nv)):
-                raise ValueError(f"generator {k} is not a permutation of the {nv} variables")
 
     @property
     def n_vars(self) -> int:
@@ -185,76 +184,72 @@ class _Tableau:
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Solve exactly on the orbits of `lp.generators`, then re-verify on `lp`.
+    """Solve exactly on the classes of `_equitable_classes`, then re-verify on `lp`.
 
     Deterministic (fixed pivot rules, fixed column layout).  Raises
-    ValueError when the program is infeasible or unbounded, or when a
-    generator is not a symmetry of it.
+    ValueError when the program is infeasible or unbounded.
     """
     c = [as_rational(x) for x in lp.objective]
-    var_orbits, row_orbits = _orbits(lp, c)
-    orbit_of = [0] * lp.n_vars
-    for k, orbit in enumerate(var_orbits):
-        for j in orbit:
-            orbit_of[j] = k
+    var_classes, row_classes = _equitable_classes(lp, c)
+    class_of = [0] * lp.n_vars
+    for k, cls in enumerate(var_classes):
+        for j in cls:
+            class_of[j] = k
     rows = []
-    for orbit in row_orbits:
-        coeffs, rhs = lp.rows[orbit[0]]
+    for cls in row_classes:
+        coeffs, rhs = lp.rows[cls[0]]
         summed = {}
         for j, a in coeffs:
-            summed[orbit_of[j]] = summed.get(orbit_of[j], 0) + a
+            summed[class_of[j]] = summed.get(class_of[j], 0) + a
         rows.append(([(k, a) for k, a in summed.items() if a], rhs))
-    z, u = _solve(rows, [sum(c[j] for j in orbit) for orbit in var_orbits])
-    x = [z[k] for k in orbit_of]
+    z, u = _solve(rows, [sum(c[j] for j in cls) for cls in var_classes])
+    x = [z[k] for k in class_of]
     dual = [ZERO] * lp.n_rows
-    for orbit, uk in zip(row_orbits, u):
-        for i in orbit:
-            dual[i] = uk / len(orbit)
+    for cls, uk in zip(row_classes, u):
+        for i in cls:
+            dual[i] = uk / len(cls)
     return _optimal_result(lp, c, x, dual)
 
 
-def _classes(n: int, pairs) -> list:
-    """The classes of range(n) that `pairs` join, each ascending, by least member."""
-    parent = list(range(n))
+def _equitable_classes(lp: LinearProgram, c: list) -> tuple:
+    """(variable classes, row classes) of the coarsest equitable partition.
 
-    def root(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for a, b in pairs:
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    classes = {}
-    for k in range(n):
-        classes.setdefault(root(k), []).append(k)
-    return list(classes.values())
-
-
-def _orbits(lp: LinearProgram, c: list) -> tuple:
-    """(variable orbits, row orbits) of the group `lp.generators` generate.
-
-    Raises ValueError unless every generator fixes the objective and maps
-    the rows, which must then be distinct, onto themselves.
+    Colour refinement: variables start coloured by their objective value
+    and rows by their rhs.  Each round colours every row by its rhs and
+    the multiset of (variable colour, coefficient) of its entries, then
+    every variable by its colour and the multiset of (row colour,
+    coefficient) of its column, until a round splits no variable class.
+    Each class is ascending; classes are listed by least member.
     """
-    rows_at = {}
-    if lp.generators:
-        for i, (coeffs, rhs) in enumerate(lp.rows):
-            rows_at.setdefault((frozenset(coeffs), rhs), i)
-        if len(rows_at) != lp.n_rows:
-            raise ValueError("a program with generators needs distinct rows")
-    row_pairs = []
-    for k, gen in enumerate(lp.generators):
-        if [c[j] for j in gen] != c:
-            raise ValueError(f"generator {k} moves the objective")
-        for i, (coeffs, rhs) in enumerate(lp.rows):
-            image = rows_at.get((frozenset((gen[j], a) for j, a in coeffs), rhs))
-            if image is None:
-                raise ValueError(f"generator {k} maps row {i} outside the row set")
-            row_pairs.append((i, image))
-    var_pairs = ((j, image) for gen in lp.generators for j, image in enumerate(gen))
-    return _classes(lp.n_vars, var_pairs), _classes(lp.n_rows, row_pairs)
+    cols = [[] for _ in range(lp.n_vars)]
+    for i, (coeffs, _rhs) in enumerate(lp.rows):
+        for j, a in coeffs:
+            cols[j].append((i, a))
+    var_colour, n_var = _recolour(c)
+    while True:
+        row_colour, n_row = _recolour(
+            (rhs, tuple(sorted((var_colour[j], a) for j, a in coeffs))) for coeffs, rhs in lp.rows)
+        split, n_split = _recolour(
+            (var_colour[j], tuple(sorted((row_colour[i], a) for i, a in col)))
+            for j, col in enumerate(cols))
+        if n_split == n_var:
+            return _cells(var_colour, n_var), _cells(row_colour, n_row)
+        var_colour, n_var = split, n_split
+
+
+def _recolour(signatures) -> tuple:
+    """(one colour per signature, numbered by first occurrence; colour count)."""
+    ids = {}
+    colours = [ids.setdefault(sig, len(ids)) for sig in signatures]
+    return colours, len(ids)
+
+
+def _cells(colours: list, n: int) -> list:
+    """The n classes of `colours` (numbered by first occurrence), each ascending."""
+    cells = [[] for _ in range(n)]
+    for k, colour in enumerate(colours):
+        cells[colour].append(k)
+    return cells
 
 
 def _solve(rows: list, c: list) -> tuple:

@@ -6,9 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from pvcgap import hierarchy
+from pvcgap import hierarchy, simplex
+from pvcgap.graphs import Graph
 from pvcgap.linalg import SymMatrix
 from pvcgap.rational import ONE, ZERO, Rat, as_rational
+
+# a path with four distinct weights: no symmetry at all
+WEIGHTED_PATH = Graph(4, ((1, 2), (2, 3), (3, 4)), weights=(Rat(3), Rat(1), Rat(2), Rat(1, 2)))
 
 
 @pytest.fixture
@@ -89,3 +93,30 @@ def vertex_enumeration_min(lp):
             if best is None or value < best:
                 best = value
     return best
+
+
+def equitable_classes(lp):
+    """`lp_solve`'s (variable classes, row classes) of lp, checked to partition
+    the variables and the rows and to be equitable: the rows of a row class
+    share one rhs and one coefficient sum over each variable class, and the
+    variables of a variable class share one objective value and one
+    coefficient sum over each row class."""
+    var_classes, row_classes = simplex._equitable_classes(
+        lp, [as_rational(c) for c in lp.objective])
+    var_class = {j: k for k, cls in enumerate(var_classes) for j in cls}
+    row_class = {i: r for r, cls in enumerate(row_classes) for i in cls}
+    assert sorted(var_class) == list(range(lp.n_vars))
+    assert sorted(row_class) == list(range(lp.n_rows))
+    projection = [[0] * len(var_classes) for _ in range(lp.n_rows)]
+    column_sums = [[0] * len(row_classes) for _ in range(lp.n_vars)]
+    for i, (coeffs, _rhs) in enumerate(lp.rows):
+        for j, a in coeffs:
+            projection[i][var_class[j]] += a
+            column_sums[j][row_class[i]] += a
+    for cls in row_classes:
+        assert len({lp.rows[i][1] for i in cls}) == 1
+        assert len({tuple(projection[i]) for i in cls}) == 1
+    for cls in var_classes:
+        assert len({as_rational(lp.objective[j]) for j in cls}) == 1
+        assert len({tuple(column_sums[j]) for j in cls}) == 1
+    return var_classes, row_classes

@@ -260,6 +260,8 @@ def test_graph_file_comments_and_errors():
         parse_graph("2 1\n1 1\n")
     with pytest.raises(ValueError):
         parse_graph("2 1\n1 2\nw 9 4\n")
+    with pytest.raises(ValueError, match="second vertex-weight line for vertex 1"):
+        parse_graph("2 1\n1 2\nw 1 1/2\nw 1 3\n")
     # a header that undercounts its edges no longer turns an edge into a weight
     for text in ("3 1\n1 2\n2 3\n", "2 1\n1 2\n2 5/2\n"):
         with pytest.raises(ValueError, match="m=1 edge lines"):

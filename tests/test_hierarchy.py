@@ -7,7 +7,7 @@ import pytest
 
 from pvcgap import hierarchy, moments
 from pvcgap.graphs import (Graph, brute_force_opt, build_pvc_lp, make_clique, make_star,
-                           pvc_rows, twin_swaps)
+                           pvc_rows)
 from pvcgap.hierarchy import (
     generate_sa1_lp,
     verify_sa,
@@ -20,6 +20,8 @@ from pvcgap.linalg import PsdVerdict
 from pvcgap.moments import DistParams, cond_weight, moment
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import lp_solve
+
+from conftest import WEIGHTED_PATH
 
 
 def _clique_params(n, r, t):
@@ -274,7 +276,7 @@ def test_rejects_bad_arguments():
 
 
 def _dense_sa1_lp(graph, t) -> tuple:
-    """(names, rows, objective, generators) of the level-1 lifted LP with
+    """(names, rows, objective) of the level-1 lifted LP with
     every row an n_vars-long coefficient tuple: the lifting loop of the
     dense row format `generate_sa1_lp` used before its rows were sparse."""
     m = graph.var_count
@@ -316,16 +318,11 @@ def _dense_sa1_lp(graph, t) -> tuple:
 
     names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
     objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))
-    generators = tuple(tuple(index[tuple(sorted(swap[q] for q in s))] for s in sets)
-                       for swap in twin_swaps(graph))
-    return names, tuple(rows), objective, generators
-
-
-_WEIGHTED_PATH = Graph(4, ((1, 2), (2, 3), (3, 4)), weights=(Rat(3), Rat(1), Rat(2), Rat(1, 2)))
+    return names, tuple(rows), objective
 
 
 @pytest.mark.parametrize("g, t", [(make_star(6), 3), (make_star(4), 2), (make_clique(4), 2),
-                                  (_WEIGHTED_PATH, 2)],
+                                  (WEIGHTED_PATH, 2)],
                          ids=["star6-t3", "star4-t2", "K4-t2", "weighted-P4-t2"])
 def test_sparse_lifted_lp_is_the_dense_oracle(g, t):
     lp = generate_sa1_lp(g, t)
@@ -335,7 +332,7 @@ def test_sparse_lifted_lp_is_the_dense_oracle(g, t):
         for j, c in coeffs:
             row[j] = c
         dense.append((tuple(row), rhs))
-    assert (lp.names, tuple(dense), lp.objective, lp.generators) == _dense_sa1_lp(g, t)
+    assert (lp.names, tuple(dense), lp.objective) == _dense_sa1_lp(g, t)
     assert all(list(coeffs) == sorted(coeffs) for coeffs, _rhs in lp.rows)
     assert build_pvc_lp(g, t).rows == tuple((c, rhs) for _, c, rhs in pvc_rows(g, t))
 

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from pvcgap import hierarchy, moments
-from pvcgap.graphs import Graph, make_clique, make_star, twin_swaps
+from pvcgap.graphs import Graph, least_twins, make_clique, make_star
 from pvcgap.hierarchy import verify_sa, verify_sap, verify_xyn_family, yn_pair_count, yn_pairs
 from pvcgap.linalg import SymMatrix, quadratic_form
 from pvcgap.moments import (
@@ -66,7 +66,7 @@ def test_relabelled_weights_equal_the_direct_ones(name):
 
 
 def test_on_a_twin_free_graph_every_pair_is_its_own_key():
-    assert twin_swaps(PATH6) == ()
+    assert least_twins(PATH6) == []
     group, codes = _twin_group(PATH6), list(range(PATH6.var_count))
     for y, n in yn_pairs(PATH6.var_count, 2):
         assert _canonical_pair(group, y, n) == ((y, n), codes)
@@ -270,7 +270,7 @@ def test_matrices_evaluate_each_weight_once_per_orbit(monkeypatch, size, r, orbi
 
 def test_a_twin_free_graph_memoizes_no_orbit(monkeypatch):
     g = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
-    assert twin_swaps(g) == ()
+    assert least_twins(g) == []
     sa, xyn = DistParams(g, Rat(1, 7)), DistParams(g, Rat(1, 7))
     got = verify_sa(sa, 1, 2), verify_xyn_family(xyn, 1, 2)
     assert set(sa._orbits) == set(xyn._orbits) == {None}

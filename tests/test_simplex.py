@@ -6,7 +6,7 @@ from pvcgap import simplex
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import LinearProgram, lp_solve
 
-from conftest import rand_rational, vertex_enumeration_min
+from conftest import equitable_classes, rand_rational, vertex_enumeration_min
 
 
 def _lp(rows, objective):
@@ -121,7 +121,8 @@ def test_the_exact_rechecks_refuse_a_corrupted_optimum(primal, dual, message):
         simplex._optimal_result(lp, list(lp.objective), list(primal), list(dual))
 
 
-def test_matches_vertex_enumeration_on_random_boxed_programs():
+def _random_boxed_programs():
+    """130 seeded random programs, each boxed by -1 <= x_j <= 1."""
     rng = random.Random(424242)
     for trial in range(130):
         n = rng.randint(5, 6) if trial >= 120 else rng.randint(1, 4)
@@ -134,17 +135,26 @@ def test_matches_vertex_enumeration_on_random_boxed_programs():
             rows.append((((j, ONE),), -ONE))
             rows.append((((j, -ONE),), -ONE))
         objective = tuple(rand_rational(rng, -2, 2, 3) for _ in range(n))
-        lp = LinearProgram(
+        yield LinearProgram(
             names=tuple(f"x{j}" for j in range(n)),
             rows=tuple(rows),
             objective=objective,
         )
+
+
+def test_matches_vertex_enumeration_on_random_boxed_programs():
+    for lp in _random_boxed_programs():
         expected = vertex_enumeration_min(lp)
         if expected is None:
             with pytest.raises(ValueError, match="infeasible"):
                 lp_solve(lp)
         else:
             assert lp_solve(lp).value == expected
+
+
+def test_classes_are_equitable_on_random_boxed_programs():
+    for lp in _random_boxed_programs():
+        equitable_classes(lp)
 
 
 @pytest.mark.parametrize(
@@ -154,7 +164,7 @@ def test_matches_vertex_enumeration_on_random_boxed_programs():
          "zero-coefficient"],
 )
 def test_row_entries_are_validated(coeffs):
-    # a repeated or zero entry would also make `_orbits`' row lookup miss
+    # a repeated or zero entry would also make `_equitable_classes` tell equal rows apart
     with pytest.raises(ValueError, match="row 1 needs distinct variables"):
         LinearProgram(names=("x", "y"), rows=((((0, ONE),), ZERO), (coeffs, ZERO)),
                       objective=(ONE, ONE))
