@@ -13,7 +13,10 @@ sum_j c_j x_j >= rhs in its lifted form
 
 `moments` computes each pair's weights and conditioned moment matrix once
 per twin-vertex orbit of (Y, N) pairs and relabels them for the orbit's
-other pairs; every pair still has all its rows checked.  A matrix is built
+other pairs.  A relabelling maps the rows onto themselves, so the rows are
+checked once per orbit, at its key, and every pair of a passing orbit passes
+with all its rows counted; a pair of a failing orbit checks its own rows on
+its own weights, so its witness and count are its own.  A matrix is built
 for every pair and LDL^T-factorised once per orbit, at the orbit's key:
 relabelling is a symmetric permutation, which keeps the PSD verdict.  A
 pair of a non-PSD orbit is factorised itself, so a failing pair's witness
@@ -53,7 +56,8 @@ from math import comb
 from . import moments
 from .graphs import Graph, check_demand, integral_opt, pvc_rows
 from .linalg import SymMatrix, psd_check
-from .moments import DistParams, _orbit_value, _pair_weights, build_cond_matrix, moment
+from .moments import DistParams, _key_value, _orbit_key, _pair_weights, _weights_at
+from .moments import build_cond_matrix, moment
 from .rational import ZERO, Rat
 from .simplex import LinearProgram
 
@@ -120,14 +124,13 @@ def yn_pairs(m: int, max_size: int, indices=None):
 # -- the per-pair constraint scan --------------------------------------------
 
 
-def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
-    """(violation or None, rows checked) for one lifted multiplier pair.
+def _row_check(params: DistParams, rows: tuple, y: tuple, n: tuple, wyn: int, w) -> tuple:
+    """(violation or None, rows checked) of the pair's rows on its weights.
 
     Row sum_j c_j x_j >= rhs is checked as sum_j c_j w(Y+{j}, N) >=
     rhs * w(Y, N).  The weights are integers over `params.den`; a
     violation's two sides are rebuilt as rationals.
     """
-    wyn, w = _pair_weights(params, y, n)
     if wyn == 0:
         # every weight below is squeezed into [0, 0]; nothing can fail
         return None, len(rows)
@@ -140,10 +143,36 @@ def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     return None, len(rows)
 
 
+def _key_violation(params: DistParams, rows: tuple, key: tuple):
+    """The first failing row of a twin-orbit key, or None, from the key's memoised
+    weights; kept in `params._orbits` with the rows it was found for, so a scan
+    of other rows finds it anew."""
+    memo = params._orbits
+    kept = memo.get((_key_violation, key))
+    if kept is None or kept[0] is not rows:
+        weights = _key_value(params, _weights_at, key)
+        kept = memo[_key_violation, key] = rows, _row_check(params, rows, *key, *weights)[0]
+    return kept[1]
+
+
+def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
+    """(violation or None, rows checked) for one lifted multiplier pair.
+
+    On a graph with twins a pair passes when its orbit's key does: a twin
+    relabelling maps the rows onto themselves.  A pair of a failing orbit (and
+    every pair of a twin-free graph) checks its own rows on its own weights,
+    so the witness and the count are its own.
+    """
+    orbit = _orbit_key(params, y, n)
+    if orbit is not None and _key_violation(params, rows, orbit[0]) is None:
+        return None, len(rows)
+    return _row_check(params, rows, y, n, *_pair_weights(params, y, n))
+
+
 def _key_is_psd(params: DistParams, ys: tuple, ns: tuple) -> bool:
     """Whether the matrix at a twin-orbit key is PSD, from the rows `build_cond_matrix`
     keeps at the key (its builder read through `moments` at call time)."""
-    rows = _orbit_value(params, moments._matrix_rows, ys, ns)[0]
+    rows = _key_value(params, moments._matrix_rows, (ys, ns))
     return psd_check(SymMatrix(params.den, rows)).is_psd
 
 
@@ -156,7 +185,8 @@ def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
     twin-free graph) is factorised itself, so the witness is its own.
     """
     matrix = build_cond_matrix(params, y, n)
-    if params._orbits[None] is not None and _orbit_value(params, _key_is_psd, y, n)[0]:
+    orbit = _orbit_key(params, y, n)  # the key the build just found
+    if orbit is not None and _key_value(params, _key_is_psd, orbit[0]):
         return None
     verdict = psd_check(matrix)
     return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)

@@ -29,6 +29,10 @@ Relabelling twin vertices maps (Y, N) pairs onto each other and keeps their
 weights, so `_weights_at` evaluates them once per orbit (on K_n 5, 22 and 104
 at |Y u N| <= 1, 2, 3, for any n); a conditioned moment matrix stacks its rows:
 row {a} at (Y, N) is that of (Y u {a}, N), zeros for a in N or an empty event.
+An orbit's key is its least pair under those relabellings (`_canonical_pair`).
+The search for it runs once per pre-sorted image (the pair mapped in its own
+order onto the least vertices of its classes), kept in the twin group: on K8,
+22 searches for the 2,593 pairs at r = 2 and 115 for the 59,713 at r = 3.
 """
 
 from __future__ import annotations
@@ -178,7 +182,8 @@ def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> int:
 def _twin_group(g: Graph) -> tuple:
     """(twin class of each vertex, members of each class (none but for its
     least vertex), code table with vertex codes on its diagonal, ends of each
-    code).  A vertex's least twin, from `least_twins`, is the least of its class.
+    code, the `_least_image` memo).  A vertex's least twin, from `least_twins`,
+    is the least of its class.
     """
     cls = list(range(g.n))
     for a, b in least_twins(g):
@@ -187,17 +192,41 @@ def _twin_group(g: Graph) -> tuple:
     code = [[None] * g.n for _ in range(g.n)]
     for c, (i, j) in enumerate(ends):
         code[i][j] = code[j][i] = c
-    return cls, [[w for w in range(g.n) if cls[w] == v] for v in range(g.n)], code, ends
+    return cls, [[w for w in range(g.n) if cls[w] == v] for v in range(g.n)], code, ends, {}
+
+
+def _image(group: tuple, sides: list, vmap: dict) -> tuple:
+    """Each side's codes, given by their ends, relabelled by `vmap` and sorted."""
+    code = group[2]
+    return tuple(tuple(sorted(code[vmap[i]][vmap[j]] for i, j in side)) for side in sides)
+
+
+def _least_image(group: tuple, image: tuple, cells: list) -> tuple:
+    """(least image, map of its vertices onto the least one's) over every order of
+    the image's vertices inside each cell, the orders mapped onto the cells in turn."""
+    sides, dst = [[group[3][c] for c in codes] for codes in image], [*chain.from_iterable(cells)]
+    best = None
+    for order in product(*map(permutations, cells)):
+        vmap = dict(zip(chain.from_iterable(order), dst))
+        least = _image(group, sides, vmap)
+        if best is None or least < best:
+            best, best_map = least, vmap
+    return best, best_map
 
 
 def _canonical_pair(group: tuple, y: tuple, n: tuple) -> tuple:
-    """(key, perm): the least image (Y', N') of the pair when its touched
+    """(key, vmap): the least image (Y', N') of the pair when its touched
     vertices, sorted by (twin class, signature), go to the least members of
     their class in every order inside each cell of equal (class, signature),
-    and that relabelling of the V u E codes.  A signature counts: in Y, in N,
+    and that map of the touched vertices.  A signature counts: in Y, in N,
     incident Y-edges, incident N-edges.
+
+    The pair is first mapped in its own order inside the cells.  That
+    pre-sorted image fixes the cells, so the search over the cells' orders
+    (`_least_image`) runs once per pre-sorted image, kept in the twin group,
+    and a later pair with that image reads it.
     """
-    cls, members, code, ends = group
+    cls, members, _, ends, searched = group
     sides, label = [[ends[c] for c in codes] for codes in (y, n)], {}
     for s, side in enumerate(sides):
         for i, j in side:
@@ -205,33 +234,61 @@ def _canonical_pair(group: tuple, y: tuple, n: tuple) -> tuple:
                 label.setdefault(v, [cls[v], 0, 0, 0, 0])[1 + s + 2 * (i != j)] += 1
     touched = sorted(label, key=label.get)
     dst = [members[c][k] for c, vs in groupby(touched, cls.__getitem__) for k, _ in enumerate(vs)]
-    best = None
-    for cells in product(*(permutations(vs) for _, vs in groupby(touched, label.get))):
-        vmap = dict(zip(chain.from_iterable(cells), dst))
-        image = tuple(tuple(sorted(code[vmap[i]][vmap[j]] for i, j in side)) for side in sides)
-        if best is None or image < best:
-            best, best_map = image, vmap
-    # the untouched vertices of each class, in order, take its other members
-    free = (v for vs in members for v in vs if v not in dst)
-    perm = dict(zip((v for vs in members for v in vs if v not in label), free)) | best_map
-    return best, [code[perm[i]][perm[j]] for i, j in ends]
+    vmap = dict(zip(touched, dst))
+    image = _image(group, sides, vmap)
+    if image not in searched:
+        cells = [[vmap[v] for v in vs] for _, vs in groupby(touched, label.get)]
+        searched[image] = _least_image(group, image, cells)
+    key, relabel = searched[image]
+    return key, {v: relabel[w] for v, w in vmap.items()}
 
 
-def _orbit_value(params: DistParams, build, ys: tuple, ns: tuple) -> tuple:
-    """(build(params, *key), perm): `build` at the key of the pair's twin orbit,
-    once per orbit into `params._orbits` (under (build, key); the twin group,
-    or None on a twin-free graph, under None), and the `_canonical_pair`
-    relabelling of the pair's codes onto the key's, or None if the pair is its
-    key.  On a twin-free graph `build` runs at the pair and nothing is kept."""
+def _code_perm(group: tuple, vmap: dict) -> list:
+    """The relabelling of the V u E codes by a `_canonical_pair` vertex map: the
+    untouched vertices of each class, in order, take its other members."""
+    _, members, code, ends, _ = group
+    dst = set(vmap.values())
+    free = (w for vs in members for w in vs if w not in dst)
+    perm = dict(zip((v for vs in members for v in vs if v not in vmap), free)) | vmap
+    return [code[perm[i]][perm[j]] for i, j in ends]
+
+
+def _orbit_key(params: DistParams, ys: tuple, ns: tuple):
+    """`_canonical_pair` of the pair under the twin group, kept in `params._orbits`
+    (the group under None, the last pair looked up under `_orbit_key`, so a
+    caller asking again for that pair reads it); None on a twin-free graph."""
     memo = params._orbits
     if None not in memo:
         memo[None] = _twin_group(params.graph) if least_twins(params.graph) else None
     if memo[None] is None:
-        return build(params, ys, ns), None
-    key, perm = _canonical_pair(memo[None], ys, ns)
+        return None
+    last = memo.get(_orbit_key)
+    if last is None or last[0] != (ys, ns):
+        last = memo[_orbit_key] = (ys, ns), _canonical_pair(memo[None], ys, ns)
+    return last[1]
+
+
+def _key_value(params: DistParams, build, key: tuple):
+    """build(params, *key), once per twin-orbit key into `params._orbits` under (build, key)."""
+    memo = params._orbits
     if (build, key) not in memo:
+        last = memo.get(_orbit_key)
         memo[build, key] = build(params, *key)
-    return memo[build, key], None if key == (ys, ns) else perm
+        memo[_orbit_key] = last  # the build's own lookups leave the caller's pair the last
+    return memo[build, key]
+
+
+def _orbit_value(params: DistParams, build, ys: tuple, ns: tuple) -> tuple:
+    """(build(params, *key), perm): `build` at the key of the pair's twin orbit,
+    by `_key_value`, and the `_code_perm` relabelling of the pair's codes onto
+    the key's, or None if the pair is its key.  On a twin-free graph `build`
+    runs at the pair and nothing is kept."""
+    orbit = _orbit_key(params, ys, ns)
+    if orbit is None:
+        return build(params, ys, ns), None
+    key, vmap = orbit
+    perm = None if key == (ys, ns) else _code_perm(params._orbits[None], vmap)
+    return _key_value(params, build, key), perm
 
 
 def _weights_at(params: DistParams, ys: tuple, ns: tuple) -> tuple:

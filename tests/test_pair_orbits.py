@@ -3,6 +3,7 @@ orbits against the per-pair weights and matrices they replaced."""
 
 import re
 from functools import partial
+from itertools import chain, groupby, permutations, product
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from pvcgap.moments import (
     DistParams,
     MomentMismatch,
     _canonical_pair,
+    _code_perm,
     _disjoint_pair,
     _pair_weights,
     _twin_group,
@@ -69,7 +71,8 @@ def test_on_a_twin_free_graph_every_pair_is_its_own_key():
     assert least_twins(PATH6) == []
     group, codes = _twin_group(PATH6), list(range(PATH6.var_count))
     for y, n in yn_pairs(PATH6.var_count, 2):
-        assert _canonical_pair(group, y, n) == ((y, n), codes)
+        key, vmap = _canonical_pair(group, y, n)
+        assert (key, _code_perm(group, vmap)) == ((y, n), codes)
 
 
 @pytest.mark.parametrize("size,r,orbits", [(size, 1, 5) for size in range(6, 10)]
@@ -79,11 +82,113 @@ def test_orbit_counts_on_cliques(size, r, orbits):
     g = make_clique(size)
     group, keys = _twin_group(g), set()
     for y, n in yn_pairs(g.var_count, r):
-        key, perm = _canonical_pair(group, y, n)
+        key, vmap = _canonical_pair(group, y, n)
+        perm = _code_perm(group, vmap)
         assert sorted(perm) == list(range(g.var_count))
         assert key == (tuple(sorted(perm[c] for c in y)), tuple(sorted(perm[c] for c in n)))
         keys.add(key)
     assert len(keys) == orbits
+
+
+def _searched_canonical_pair(group, y, n):
+    """The key of `_canonical_pair` by its search over every order inside the
+    cells for each pair, with nothing kept between pairs: the canonical form
+    before it was memoised per pre-sorted image."""
+    cls, members, code, ends = group[:4]
+    sides, label = [[ends[c] for c in codes] for codes in (y, n)], {}
+    for s, side in enumerate(sides):
+        for i, j in side:
+            for v in {i, j}:
+                label.setdefault(v, [cls[v], 0, 0, 0, 0])[1 + s + 2 * (i != j)] += 1
+    touched = sorted(label, key=label.get)
+    dst = [members[c][k] for c, vs in groupby(touched, cls.__getitem__) for k, _ in enumerate(vs)]
+    best = None
+    for cells in product(*(permutations(vs) for _, vs in groupby(touched, label.get))):
+        vmap = dict(zip(chain.from_iterable(cells), dst))
+        image = tuple(tuple(sorted(code[vmap[i]][vmap[j]] for i, j in side)) for side in sides)
+        best = image if best is None else min(best, image)
+    return best
+
+
+@pytest.mark.parametrize("name,r", [(name, r) for name in GRAPHS for r in range(3)] + [("K7", 3)])
+def test_the_memoised_canonical_form_is_the_searched_one(name, r):
+    g = GRAPHS[name]
+    group = _twin_group(g)
+    for y, n in yn_pairs(g.var_count, r):
+        key, vmap = _canonical_pair(group, y, n)
+        assert key == _searched_canonical_pair(group, y, n), (y, n)
+        perm = _code_perm(group, vmap)
+        assert sorted(perm) == list(range(g.var_count))
+        assert key == (tuple(sorted(perm[c] for c in y)), tuple(sorted(perm[c] for c in n)))
+
+
+def test_the_search_runs_once_per_pre_sorted_image(monkeypatch):
+    g = make_clique(8)
+    calls, least_image = [0], moments._least_image
+
+    def counted(*args):
+        calls[0] += 1
+        return least_image(*args)
+
+    monkeypatch.setattr(moments, "_least_image", counted)
+    group = _twin_group(g)
+    keys = {_canonical_pair(group, y, n)[0] for y, n in yn_pairs(g.var_count, 2)}
+    assert calls[0] == len(group[4]) == len(keys) == 22
+
+
+def _row_checks(monkeypatch):
+    """Count `_scan_pair` calls and record the pair of each `_row_check`."""
+    counts, checked = {"_scan_pair": 0}, []
+    _counted(monkeypatch, hierarchy, "_scan_pair", counts)
+    row_check = hierarchy._row_check
+
+    def recorded(params, rows, y, n, wyn, w):
+        checked.append((y, n))
+        return row_check(params, rows, y, n, wyn, w)
+
+    monkeypatch.setattr(hierarchy, "_row_check", recorded)
+    return counts, checked
+
+
+def test_rows_are_checked_once_per_orbit(monkeypatch):
+    """K8 at r = 2: all 2,593 pairs are scanned and counted, but rows are
+    checked at the 22 orbit keys only; at p = 1/100 the first pair fails,
+    and it checks its own rows after its key's (the pair is its key)."""
+    g = make_clique(8)
+    counts, checked = _row_checks(monkeypatch)
+    verdict = verify_sa(DistParams(g, Rat(1, comb(4, 2))), 1, 2)
+    assert verdict.feasible and verdict.constraints_checked == 2593 * 101 == 261893
+    assert counts["_scan_pair"] == yn_pair_count(g.var_count, 2) == 2593
+    group = _twin_group(g)
+    assert len(checked) == len(set(checked)) == 22
+    assert all(_canonical_pair(group, *pair)[0] == pair for pair in checked)
+    counts["_scan_pair"], checked[:] = 0, []
+    verdict = verify_sa(DistParams(g, Rat(1, 100)), 1, 2)
+    v = verdict.violated
+    assert (v.constraint, v.y, v.n, verdict.constraints_checked) == ("demand", (), (), 29)
+    assert counts["_scan_pair"] == 1 and checked == [((), ()), ((), ())]
+
+
+@pytest.mark.parametrize("n,r,t,p", [(5, 2, 1, Rat(1, 10)), (6, 2, 5, Rat(1, 3))])
+def test_a_failing_orbit_checks_the_witness_pair_itself(monkeypatch, n, r, t, p):
+    checked = _row_checks(monkeypatch)[1]
+    v = verify_sa(DistParams(make_clique(n), p), t, r).violated
+    key = _canonical_pair(_twin_group(make_clique(n)), v.y, v.n)[0]
+    assert checked[-2:] == [key, (v.y, v.n)] and key != (v.y, v.n)
+
+
+def test_the_row_verdicts_are_kept_with_their_rows():
+    """One params scanned at t = 1 (feasible) and then at t = 6, where the
+    demand row fails, finds at t = 6 what a fresh params finds; so does a
+    `verify_sap` after a `verify_sa` on one params."""
+    g, p, q = make_clique(8), Rat(1, 10), Rat(1, comb(4, 2))
+    params = DistParams(g, p)
+    assert verify_sa(params, 1, 1).feasible
+    again = verify_sa(params, 6, 1)
+    assert not again.feasible and again == verify_sa(DistParams(g, p), 6, 1)
+    both = DistParams(g, q)
+    assert ((verify_sa(both, 1, 2), verify_sap(both, 1, 2))
+            == (verify_sa(DistParams(g, q), 1, 2), verify_sap(DistParams(g, q), 1, 2)))
 
 
 def _cases():
@@ -234,7 +339,8 @@ def test_a_corrupted_representative_matrix_entry_fails_the_cross_check(monkeypat
     assert _canonical_pair(group, (), (v1,))[0] == ((), (v1,))
     # entry (e2_3, e4_5) of the key ((), (v1,))'s matrix is w({e2_3, e4_5}, {v1}),
     # read from the weight row of ((e2_3,), (v1,))'s orbit key at the image of e4_5
-    (ky, kn), perm = _canonical_pair(group, (e23,), (v1,))
+    (ky, kn), vmap = _canonical_pair(group, (e23,), (v1,))
+    perm = _code_perm(group, vmap)
     event = (tuple(sorted({*ky, perm[e45]})), kn)
     # no family pair's own w(Y+{q}, N) at r = 2 is that event
     assert all((tuple(sorted({*y, q})), n) != event
@@ -292,12 +398,33 @@ def _counted(monkeypatch, module, name, counts):
 
 def test_each_twin_orbit_is_factorised_once(monkeypatch):
     """K8 at r = 2: 73 matrices are built, one per pair, and the 5 twin orbits
-    they fall into are factorised once each."""
+    they fall into are factorised once each.  Each pair's orbit verdict reads
+    the key its build found, so every canonical form is computed inside a
+    build: at most one for each of the 73 pairs and of the 183 weight rows of
+    the 5 keys' matrices (a row that repeats the pair looked up just before it
+    reuses that lookup).  A second lookup per pair made 334 = 2 * 73 + 183 + 5."""
     counts = {"psd_check": 0, "build_cond_matrix": 0}
-    for name in counts:
-        _counted(monkeypatch, hierarchy, name, counts)
+    _counted(monkeypatch, hierarchy, "psd_check", counts)
+    canonical, build = moments._canonical_pair, hierarchy.build_cond_matrix
+    forms, building = {True: 0, False: 0}, [False]
+
+    def counted_canonical(*args):
+        forms[building[0]] += 1
+        return canonical(*args)
+
+    def counted_build(*args):
+        counts["build_cond_matrix"] += 1
+        building[0] = True
+        try:
+            return build(*args)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(moments, "_canonical_pair", counted_canonical)
+    monkeypatch.setattr(hierarchy, "build_cond_matrix", counted_build)
     assert verify_xyn_family(DistParams(make_clique(8), Rat(1, comb(4, 2))), 1, 2).feasible
     assert counts == {"psd_check": 5, "build_cond_matrix": 73}
+    assert forms[False] == 0 and 73 <= forms[True] <= 73 + 183
 
 
 def test_a_twin_free_graph_builds_and_factorises_each_matrix_once(monkeypatch):
