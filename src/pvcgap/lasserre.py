@@ -27,7 +27,6 @@ from math import comb
 
 from .certificates import Certificate, rational_entry
 from .linalg import SymMatrix, psd_check, schur_complement
-from .moments import DistParams, moment
 from .rational import ONE, ZERO, Rat, as_rational, rational_str
 
 _ENUMERATION_MAX_N = 20
@@ -109,14 +108,17 @@ def allones_eigenvalue_after_schur(zbar: SymMatrix):
 # -- generic level-1 slack moment matrices -----------------------------------
 
 
-def level1_slack_matrix(params: DistParams, coeffs, rhs) -> SymMatrix:
+def level1_slack_matrix(params, coeffs, rhs) -> SymMatrix:
     """Slack moment matrix of one sparse LP row over {empty} u singletons of V u E.
 
     `coeffs` is the row's ((q, a_q), ...), as in `LinearProgram.rows`.
     Entry (A, B) = sum_q a_q * moment(A u B u {q}) - rhs * moment(A u B).
     Built from enumerated moments, so it works for any row, not only ones
-    with a closed form.
+    with a closed form.  `params` is a `moments.DistParams`; `moments` is
+    imported here, so the `lasserre` command never loads it.
     """
+    from .moments import moment
+
     g = params.graph
     rhs = as_rational(rhs)
     nz = [(q, as_rational(c)) for q, c in coeffs]

@@ -25,15 +25,27 @@ the row back to lowest terms.  That keeps the integers about as small
 as the rationals themselves without normalising every entry, and does
 half the updates of a step on both triangles.
 
+Indices i < j are twins when the transposition (i j) fixes the matrix:
+rows i and j agree off {i, j} and their diagonals are equal.  Twinhood
+is an equivalence, and every step whose pivot is neither index keeps
+it, since the update is symmetric in i and j.  `_twins` finds the
+classes once, on the input, and a row whose previous class member j
+is still below the pivot takes its update by copying j's: j's diagonal,
+then j's entries past i, brought to lowest terms by the same one gcd.
+Each working row is its unique lowest-terms value, so every row, row
+denominator and L entry is the one the row's own update gives.
+
 Whole-matrix fraction-free (Bareiss) elimination was measured and
 rejected: its entries are minors of the input, which grow in bits with
 every step.  On the level-1 slack minor of the 120-clique (`lasserre
 --n 120 --r 1 --t 1`: 121 x 121, first negative pivot at index 63)
 Bareiss took 2.62 s of CPU, `Fraction` elimination 2.90 s, the row-gcd
-form on both triangles 0.40 s and on the upper triangle 0.22 s (best of
-3, Python 3.11, one core of a 2-CPU x86-64 VM).  Pivots, the L factor
-needed for a witness and the witness itself are rebuilt as rationals, so
-the verdict is the one the rational elimination gives.
+form on both triangles 0.40 s, on the upper triangle 0.22 s, and with
+one update per twin class and the witness lifted on integers 0.015 s
+(0.14 s at n = 300, against 2.5 s; best of 3 to 7, Python 3.11, one
+core of a 2-CPU x86-64 VM).  The witness is solved from the L factor
+over one common denominator and then rebuilt as rationals, like the
+pivots, so the verdict is the one the rational elimination gives.
 `schur_complement` is the first step of the same elimination,
 `_eliminate_below` at index 0, with the upper triangle mirrored into the
 lower.
@@ -43,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import itemgetter
 
 from .rational import ONE, ZERO, Rat, as_rational, integral
 
@@ -130,17 +143,24 @@ def quadratic_form(m: SymMatrix, v) -> object:
 def _lift_through_factor(lcols: dict, top: int, n: int, support: dict) -> list:
     # Solve L^T v = z for the partial unit-lower factor; z supported on
     # `support` (indices <= top).  Coordinates above `top` stay zero.
-    # L entries are stored as (row, numerator, denominator).
-    v = [ZERO] * n
+    # L entries are stored as (row, numerator, denominator), one
+    # denominator per column.  v is integer numerators over one
+    # denominator, raised only by the factor a column's sum needs.
+    den, nums = integral(list(support.values()))
+    v = [0] * n
+    for i, x in zip(support, nums):
+        v[i] = x
     for i in range(top, -1, -1):
-        acc = support.get(i, ZERO)
         col = lcols.get(i)
-        if col is not None:
-            for l, num, den in col:
-                if l <= top and v[l] != 0:
-                    acc -= Rat(num, den) * v[l]
-        v[i] = acc
-    return v
+        s = sum(a * v[l] for l, a, _p in col) if col else 0
+        if s:
+            p = col[0][2]
+            g = gcd(s, p)  # v[i] -= s / p, exact once v is over den * p / g
+            if p > g:
+                v = [x * (p // g) for x in v]
+                den *= p // g
+            v[i] -= s // g
+    return [Rat(x, den) for x in v]
 
 
 def _negative(m: SymMatrix, v: list) -> PsdVerdict:
@@ -157,31 +177,70 @@ def _least_rows(m: SymMatrix) -> tuple:
     return [m.den // g for g in gs], [[x // g for x in row] for row, g in zip(m.ints, gs)]
 
 
-def _eliminate_below(w: list, dens: list, k: int) -> list:
+def _twins(m: SymMatrix) -> list:
+    """prev[i]: the largest j < i with (i j) fixing m, else -1.
+
+    Twins have equal diagonals, and their rows agree at every column whose
+    diagonal differs from theirs; rows alike in both are compared exactly,
+    off {f, i}, with the first member f of each class."""
+    rows, n = m.ints, m.n
+    by_diag: dict = {}
+    for i in range(n):
+        by_diag.setdefault(rows[i][i], []).append(i)
+    prev = [-1] * n
+    for d, same in by_diag.items():
+        others = [c for c in range(n) if rows[c][c] != d]
+        key = itemgetter(*others) if others else len  # len: one key for all
+        alike: dict = {}
+        for i in same:
+            alike.setdefault(key(rows[i]), []).append(i)
+        for members in alike.values():
+            last = {members[0]: members[0]}  # first member of a class -> its latest member
+            for i in members[1:]:
+                ri = rows[i]
+                f = next((f for f in last if ri[:f] == rows[f][:f] and ri[f + 1:i] == rows[f][f + 1:i]
+                          and ri[i + 1:] == rows[f][i + 1:]), i)
+                prev[i] = last.get(f, -1)
+                last[f] = i
+    return prev
+
+
+def _eliminate_below(w: list, dens: list, k: int, prev: list) -> list:
     """Eliminate pivot k (w[k][k] > 0) from the rows below it, in place, on
-    their upper triangle only; the L column as (row, numerator, denominator)."""
+    their upper triangle only; the L column as (row, numerator, denominator).
+
+    A row whose previous twin j is past k copies j's just-updated row."""
     wk, dk = w[k], dens[k]
     p = wk[k]
     col = []
     for i in range(k + 1, len(w)):
-        # row_i -= (a / p) row_k on columns >= i, a read from row k: the
-        # numerators p d_k A_i - a d_i A_k over d_i d_k p, after dividing
-        # p d_k and a d_i by their gcd
         a = wk[i]
         if a == 0:
             continue
         col.append((i, a, p))
-        wi, di = w[i], dens[i]
-        u, v = p * dk, a * di
-        g = gcd(u, v)
-        u, v = u // g, v // g
-        new = [u * x - v * y for x, y in zip(wi[i:], wk[i:])]
-        den = di * dk * p // g
+        j = prev[i]
+        if j > k:
+            # (i j) fixes the trailing block: row i from column i on is
+            # j's diagonal, then j's entries past i, over d_j; the gcd
+            # below takes it to the lowest terms the update would give
+            wj = w[j]
+            new = [wj[j]] + wj[i + 1:]
+            den = dens[j]
+        else:
+            # row_i -= (a / p) row_k on columns >= i, a read from row k: the
+            # numerators p d_k A_i - a d_i A_k over d_i d_k p, after dividing
+            # p d_k and a d_i by their gcd
+            di = dens[i]
+            u, v = p * dk, a * di
+            g = gcd(u, v)
+            u, v = u // g, v // g
+            new = [u * x - v * y for x, y in zip(w[i][i:], wk[i:])]
+            den = di * dk * p // g
         g = gcd(den, *new)
         if g > 1:
             new = [x // g for x in new]
             den //= g
-        wi[i:] = new
+        w[i][i:] = new
         dens[i] = den
     return col
 
@@ -194,6 +253,7 @@ def psd_check(m: SymMatrix) -> PsdVerdict:
     """
     n = m.n
     dens, w = _least_rows(m)
+    prev = _twins(m)
     lcols: dict[int, list] = {}
     pivots = []
     for k in range(n):
@@ -213,7 +273,7 @@ def psd_check(m: SymMatrix) -> PsdVerdict:
             pivots.append(ZERO)
             continue
         pivots.append(Rat(p, dk))
-        col = _eliminate_below(w, dens, k)
+        col = _eliminate_below(w, dens, k, prev)
         if col:
             lcols[k] = col
     return PsdVerdict(True, pivots=tuple(pivots))
@@ -231,7 +291,7 @@ def schur_complement(m: SymMatrix) -> SymMatrix:
     if m.n == 1:
         raise ValueError("cannot take the Schur complement of a 1x1 matrix")
     dens, w = _least_rows(m)
-    _eliminate_below(w, dens, 0)
+    _eliminate_below(w, dens, 0, _twins(m))
     den = lcm(*dens[1:])
     ints = []  # row i of M' is w[1 + i], current from column 1 + i on: mirror the rest
     for i, (r, d) in enumerate(zip(w[1:], dens[1:])):

@@ -122,3 +122,10 @@ def test_the_pool_class_resolves_before_any_scan():
             "assert pool is concurrent.futures.ProcessPoolExecutor\n"
             "assert vars(hierarchy)['ProcessPoolExecutor'] is pool")
     assert "concurrent.futures.process" in _loaded(code)
+
+
+def test_the_lasserre_command_loads_only_the_matrix_layer():
+    loaded = _loaded_by_command("lasserre", "--n", "12", "--r", "1", "--t", "1")
+    assert "pvcgap.linalg" in loaded and "pvcgap.lasserre" in loaded
+    assert loaded & {"pvcgap.moments", "pvcgap.graphs", "pvcgap.simplex",
+                     "pvcgap.hierarchy"} == set()

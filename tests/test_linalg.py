@@ -3,7 +3,8 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from math import comb
+from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pvcgap.lasserre import build_zbar
 from pvcgap.linalg import PsdVerdict, SymMatrix, psd_check, quadratic_form, schur_complement
 from pvcgap.moments import DistParams, build_cond_matrix
 from pvcgap.rational import ONE, ZERO, Rat
+from pvcgap.sdp import build_star_sdp_solution
 
 from conftest import rand_rational, sym_from_rows
 
@@ -347,6 +349,175 @@ def test_verdicts_equal_the_rational_ldlt_on_the_xyn_k8_family():
 def test_verdicts_equal_the_rational_ldlt_on_slack_minors(n, r, t):
     zbar = build_zbar(n, t, Rat(t, comb(n - 2 * r, 2)))
     _assert_same_verdicts([zbar])
+
+
+# -- twin rows: the kernel without them, kept as its oracle --------------------
+
+
+def _plain_eliminate_below(w: list, dens: list, k: int) -> list:
+    """`linalg._eliminate_below` before twin rows: every row takes its own update."""
+    wk, dk = w[k], dens[k]
+    p = wk[k]
+    col = []
+    for i in range(k + 1, len(w)):
+        a = wk[i]
+        if a == 0:
+            continue
+        col.append((i, a, p))
+        wi, di = w[i], dens[i]
+        u, v = p * dk, a * di
+        g = gcd(u, v)
+        u, v = u // g, v // g
+        new = [u * x - v * y for x, y in zip(wi[i:], wk[i:])]
+        den = di * dk * p // g
+        g = gcd(den, *new)
+        if g > 1:
+            new = [x // g for x in new]
+            den //= g
+        wi[i:] = new
+        dens[i] = den
+    return col
+
+
+def _brute_force_twins(m: SymMatrix) -> set:
+    """Pairs i < j whose transposition fixes m, entry by entry."""
+    n, a = m.n, m.ints
+    pairs = set()
+    for i, j in combinations(range(n), 2):
+        swap = list(range(n))
+        swap[i], swap[j] = j, i
+        if all(a[swap[r]][swap[c]] == a[r][c] for r in range(n) for c in range(n)):
+            pairs.add((i, j))
+    return pairs
+
+
+def _class_pairs(prev: list) -> set:
+    """The pairs i < j in one class, from each index's previous class member."""
+    first = []
+    for i, j in enumerate(prev):
+        first.append(first[j] if j >= 0 else i)
+    return {(i, j) for i, j in combinations(range(len(prev)), 2) if first[i] == first[j]}
+
+
+def _quotient_matrices(rng: random.Random, count: int) -> list:
+    """Symmetric matrices constant on the blocks of a partition into classes of
+    1-5 indices, shuffled so twins are not adjacent: indefinite ones, Gram
+    matrices of one vector per class plus a diagonal shift, and the same
+    without the shift (so whole classes repeat one row)."""
+
+    def entry():
+        return Rat(0) if rng.random() < 0.4 else rand_rational(rng, -4, 4, 5)
+
+    matrices = []
+    for _ in range(count):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+        rng.shuffle(cls)
+        q, kind = len(sizes), rng.randrange(3)
+        if kind == 0:  # indefinite in general
+            raw = [[entry() for _ in range(q)] for _ in range(q)]
+            diag = [entry() for _ in range(q)]
+            fn = lambda i, j: diag[cls[i]] if i == j else raw[cls[i]][cls[j]] + raw[cls[j]][cls[i]]
+        else:
+            vecs = [[entry() for _ in range(q)] for _ in range(q)]
+            shift = [rng.choice([Rat(0), Rat(1), Rat(1, 3)]) if kind == 1 else Rat(0)
+                     for _ in range(q)]
+            fn = lambda i, j: (sum((x * y for x, y in zip(vecs[cls[i]], vecs[cls[j]])), Rat(0))
+                               + (shift[cls[i]] if i == j else 0))
+        matrices.append(SymMatrix.from_function(len(cls), fn))
+    return matrices
+
+
+def _circulants(rng: random.Random, count: int) -> list:
+    """Symmetric circulants of size 5-8, indices shuffled: every row has the same
+    diagonal and the same sorted entries, yet no two rows are twins."""
+    matrices = []
+    for _ in range(count):
+        n = rng.randint(5, 8)
+        first = [rand_rational(rng, 1, 9, 1) for _ in range(n // 2 + 1)]
+        first[0] = Rat(rng.choice([0, 2, 40]))  # zero, indefinite or PSD diagonal
+        perm = list(range(n))
+        rng.shuffle(perm)
+        matrices.append(SymMatrix.from_function(
+            n, lambda i, j: first[min((perm[i] - perm[j]) % n, (perm[j] - perm[i]) % n)]))
+    return matrices
+
+
+def _assert_steps_equal(m: SymMatrix, events: Counter) -> None:
+    """Run the twin kernel and `_plain_eliminate_below` side by side, as
+    `psd_check` does, comparing every working row's upper slice, every row
+    denominator and the L column after each step; `events` counts the exits
+    and the twin cases met."""
+    n, prev = m.n, linalg._twins(m)
+    twinned = {i for i, j in enumerate(prev) if j >= 0} | {j for j in prev if j >= 0}
+    dens, w = linalg._least_rows(m)
+    plain_dens, plain_w = linalg._least_rows(m)
+    for k in range(n):
+        p = w[k][k]
+        if p < 0:
+            events["negative pivot in a class" if k in twinned else "negative pivot"] += 1
+            return
+        if p == 0:
+            bad = next((j for j in range(k + 1, n) if w[k][j] != 0), None)
+            if bad is not None:
+                events["zero pivot, bad index a twin" if bad in twinned
+                       else "zero pivot, nonzero row"] += 1
+                return
+            continue
+        events["copied rows"] += sum(1 for i in range(k + 1, n) if prev[i] > k and w[k][i])
+        events["zero multiplier across a class"] += any(
+            prev[i] > k and w[k][i] == 0 == w[k][prev[i]] for i in range(k + 1, n))
+        assert linalg._eliminate_below(w, dens, k, prev) == _plain_eliminate_below(
+            plain_w, plain_dens, k)
+        assert dens == plain_dens
+        assert all(w[i][i:] == plain_w[i][i:] for i in range(k + 1, n))
+    events["psd"] += 1
+
+
+def _twin_test_matrices() -> list:
+    params = DistParams(make_clique(8), Rat(1, comb(4, 2)))
+    matrices = [build_cond_matrix(params, y, n) for y, n in yn_pairs(params.graph.var_count, 1)]
+    matrices += [build_zbar(n, t, Rat(t, comb(n - 2 * r, 2)))
+                 for n, r, t in [(12, 2, 1), (13, 2, 1), (44, 1, 1), (120, 1, 1)]]
+    return matrices + [build_star_sdp_solution(6, 3).gram]
+
+
+def test_twin_rows_take_the_plain_update_step_by_step():
+    rng = random.Random(2424)
+    random_set = _quotient_matrices(rng, 400) + _circulants(rng, 60)
+    events = Counter()
+    for m in random_set:
+        _assert_steps_equal(m, events)
+    assert {"negative pivot in a class", "zero pivot, bad index a twin",
+            "zero multiplier across a class", "psd"} <= {e for e, c in events.items() if c}
+    structured = _twin_test_matrices()
+    for m in structured:
+        _assert_steps_equal(m, events)
+    assert events["copied rows"] > 0
+    _assert_same_verdicts(random_set + structured)
+    for m in random_set + structured:
+        if m.n > 1 and m.get(0, 0) > 0:
+            assert schur_complement(m) == _reference_schur(m)
+
+
+def test_twin_classes_are_the_transposition_invariant_pairs():
+    rng = random.Random(5151)
+    matrices = _quotient_matrices(rng, 200) + _circulants(rng, 40) + _random_matrices(rng, 100)
+    for m in matrices:
+        prev = linalg._twins(m)
+        assert _class_pairs(prev) == _brute_force_twins(m)
+        assert all(j < i for i, j in enumerate(prev))
+    assert sum(map(bool, (_brute_force_twins(m) for m in matrices))) > 150
+    # 1, 2 and 3 are twins; 0 differs from them at one entry, (0, 4)
+    twins = [[2, 1, 1, 1, 0], [1, 2, 1, 1, 0], [1, 1, 2, 1, 0], [1, 1, 1, 2, 0], [0, 0, 0, 0, 3]]
+    assert linalg._twins(sym_from_rows(twins)) == [-1, 0, 1, 2, -1]
+    near = [row[:] for row in twins]
+    near[0][4] = near[4][0] = 1
+    assert linalg._twins(sym_from_rows(near)) == [-1, -1, 1, 2, -1]
+    # a 5-cycle: equal diagonals and sorted rows, no twins
+    cycle = [[2 if i == j else 1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)]
+             for i in range(5)]
+    assert linalg._twins(sym_from_rows(cycle)) == [-1] * 5
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [2, 1]], [[0, 1], [1, 0]]])
