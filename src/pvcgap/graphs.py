@@ -13,7 +13,6 @@ from itertools import accumulate, combinations
 from math import comb
 
 from .rational import ONE, ZERO, Rat, as_rational
-from .simplex import LinearProgram
 
 
 @dataclass(frozen=True)
@@ -222,6 +221,8 @@ def pvc_rows(g: Graph, t: int) -> tuple:
 
 def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
     """The rows of `pvc_rows`, unnamed, as an LP; minimize the vertex weights."""
+    from .simplex import LinearProgram
+
     return LinearProgram(tuple(g.var_names()), tuple((c, rhs) for _, c, rhs in pvc_rows(g, t)),
                          g.weights + (ZERO,) * g.m)
 

@@ -13,14 +13,15 @@ sum_j c_j x_j >= rhs in its lifted form
 
 `moments` computes each pair's weights and conditioned moment matrix once
 per twin-vertex orbit of (Y, N) pairs and relabels them for the orbit's
-other pairs.  A relabelling maps the rows onto themselves, so the rows are
-checked once per orbit, at its key, and every pair of a passing orbit passes
-with all its rows counted; a pair of a failing orbit checks its own rows on
-its own weights, so its witness and count are its own.  A matrix is built
-for every pair and LDL^T-factorised once per orbit, at the orbit's key:
-relabelling is a symmetric permutation, which keeps the PSD verdict.  A
-pair of a non-PSD orbit is factorised itself, so a failing pair's witness
-comes from its own matrix.
+other pairs (on a twin-free graph each pair is its own orbit).  A
+relabelling maps the rows onto themselves, so the rows are checked once per
+orbit, at its key, and every pair of a passing orbit passes with all its
+rows counted; a pair of a failing orbit checks its own rows on its own
+weights, so its witness and count are its own.  A matrix is built for every
+pair and LDL^T-factorised once per orbit, at the orbit's key: relabelling
+is a symmetric permutation, which keeps the PSD verdict.  A pair of a
+non-PSD orbit is factorised itself, so a failing pair's witness comes from
+its own matrix.
 
 `verify_sap` adds one exact PSD check of the conditioned moment matrix at
 (Y, N) = (empty, empty); `verify_xyn_family` checks the whole family of
@@ -42,7 +43,8 @@ every certificate.
 Only a scan with threads > 1 loads the process pool: `ProcessPoolExecutor`
 is imported on first use, and `_first_failure` reads it from this module
 at call time, so a class put in its place (a test's forking pool, a
-tracer's timed one) is the one the scan starts.
+tracer's timed one) is the one the scan starts.  `linalg` and `simplex`
+load likewise, in the matrix checks and the lifted LP, so `sa` needs neither.
 """
 
 from __future__ import annotations
@@ -55,11 +57,9 @@ from math import comb
 
 from . import moments
 from .graphs import Graph, check_demand, integral_opt, pvc_rows
-from .linalg import SymMatrix, psd_check
 from .moments import DistParams, _key_value, _orbit_key, _pair_weights, _weights_at
 from .moments import build_cond_matrix, moment
 from .rational import ZERO, Rat
-from .simplex import LinearProgram
 
 
 class WorkerFailed(OSError):
@@ -158,13 +158,11 @@ def _key_violation(params: DistParams, rows: tuple, key: tuple):
 def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     """(violation or None, rows checked) for one lifted multiplier pair.
 
-    On a graph with twins a pair passes when its orbit's key does: a twin
-    relabelling maps the rows onto themselves.  A pair of a failing orbit (and
-    every pair of a twin-free graph) checks its own rows on its own weights,
-    so the witness and the count are its own.
+    A pair passes when its orbit's key does: a twin relabelling maps the rows
+    onto themselves.  A pair of a failing orbit checks its own rows on its own
+    weights, so the witness and the count are its own.
     """
-    orbit = _orbit_key(params, y, n)
-    if orbit is not None and _key_violation(params, rows, orbit[0]) is None:
+    if _key_violation(params, rows, _orbit_key(params, y, n)[0]) is None:
         return None, len(rows)
     return _row_check(params, rows, y, n, *_pair_weights(params, y, n))
 
@@ -172,6 +170,8 @@ def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
 def _key_is_psd(params: DistParams, ys: tuple, ns: tuple) -> bool:
     """Whether the matrix at a twin-orbit key is PSD, from the rows `build_cond_matrix`
     keeps at the key (its builder read through `moments` at call time)."""
+    from .linalg import SymMatrix, psd_check
+
     rows = _key_value(params, moments._matrix_rows, (ys, ns))
     return psd_check(SymMatrix(params.den, rows)).is_psd
 
@@ -179,14 +179,15 @@ def _key_is_psd(params: DistParams, ys: tuple, ns: tuple) -> bool:
 def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
     """Violation `name` unless the conditioned moment matrix at (Y, N) is PSD.
 
-    The matrix is built for every pair.  On a graph with twins it is a
-    symmetric permutation of its orbit key's, so the key's verdict, once per
-    orbit, decides a PSD pair; a pair of a non-PSD orbit (and every pair of a
-    twin-free graph) is factorised itself, so the witness is its own.
+    The matrix is built for every pair.  It is a symmetric permutation of its
+    orbit key's, so the key's verdict, once per orbit, decides a PSD pair; a
+    pair of a non-PSD orbit is factorised itself, so the witness is its own.
     """
+    from .linalg import psd_check
+
     matrix = build_cond_matrix(params, y, n)
-    orbit = _orbit_key(params, y, n)  # the key the build just found
-    if orbit is not None and _key_value(params, _key_is_psd, orbit[0]):
+    key = _orbit_key(params, y, n)[0]  # the key the build just found
+    if _key_value(params, _key_is_psd, key):
         return None
     verdict = psd_check(matrix)
     return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)
@@ -335,6 +336,8 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     variables.  `lp_solve` finds the program's symmetry classes itself:
     on the star, 10 variable classes and 46 row classes for every n >= 4.
     """
+    from .simplex import LinearProgram
+
     m = graph.var_count
     n_vars = 1 + m + comb(m, 2)
     if n_vars > SA1_VARIABLE_CAP:

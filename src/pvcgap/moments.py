@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, permutations, product
 
 from .graphs import Graph, least_twins
-from .linalg import SymMatrix, check_size
 from .rational import Rat, as_rational
 
 SUPPORT_CAP = 26  # most vertices a moment's support closure may span
@@ -253,15 +252,13 @@ def _code_perm(group: tuple, vmap: dict) -> list:
     return [code[perm[i]][perm[j]] for i, j in ends]
 
 
-def _orbit_key(params: DistParams, ys: tuple, ns: tuple):
-    """`_canonical_pair` of the pair under the twin group, kept in `params._orbits`
-    (the group under None, the last pair looked up under `_orbit_key`, so a
-    caller asking again for that pair reads it); None on a twin-free graph."""
+def _orbit_key(params: DistParams, ys: tuple, ns: tuple) -> tuple:
+    """`_canonical_pair` of the pair under the twin group (the pair itself on a
+    twin-free graph), kept in `params._orbits` (the group under None, the last
+    pair looked up under `_orbit_key`, so a caller asking again for it reads it)."""
     memo = params._orbits
     if None not in memo:
-        memo[None] = _twin_group(params.graph) if least_twins(params.graph) else None
-    if memo[None] is None:
-        return None
+        memo[None] = _twin_group(params.graph)
     last = memo.get(_orbit_key)
     if last is None or last[0] != (ys, ns):
         last = memo[_orbit_key] = (ys, ns), _canonical_pair(memo[None], ys, ns)
@@ -281,14 +278,9 @@ def _key_value(params: DistParams, build, key: tuple):
 def _orbit_value(params: DistParams, build, ys: tuple, ns: tuple) -> tuple:
     """(build(params, *key), perm): `build` at the key of the pair's twin orbit,
     by `_key_value`, and the `_code_perm` relabelling of the pair's codes onto
-    the key's, or None if the pair is its key.  On a twin-free graph `build`
-    runs at the pair and nothing is kept."""
-    orbit = _orbit_key(params, ys, ns)
-    if orbit is None:
-        return build(params, ys, ns), None
-    key, vmap = orbit
-    perm = None if key == (ys, ns) else _code_perm(params._orbits[None], vmap)
-    return _key_value(params, build, key), perm
+    the key's (the identity if the pair is its key)."""
+    key, vmap = _orbit_key(params, ys, ns)
+    return _key_value(params, build, key), _code_perm(params._orbits[None], vmap)
 
 
 def _weights_at(params: DistParams, ys: tuple, ns: tuple) -> tuple:
@@ -302,7 +294,7 @@ def _pair_weights(params: DistParams, y: tuple, n: tuple) -> tuple:
     """`_weights_at` the pair, once per twin orbit: the orbit's other pairs
     relabel its key's weights, w(Y+{q}, N) = w_key[perm[q]]."""
     (wyn, w), perm = _orbit_value(params, _weights_at, y, n)
-    return (wyn, w) if w is None or perm is None else (wyn, [w[q] for q in perm])
+    return (wyn, w) if w is None else (wyn, [w[q] for q in perm])
 
 
 def _matrix_rows(params: DistParams, ys: tuple, ns: tuple) -> list:
@@ -328,8 +320,10 @@ def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
     empty events) at its twin orbit's key; the orbit's other pairs take
     M[i][j] = M_key[pi(i)][pi(j)], pi(0) = 0 and pi(1+c) = 1+perm[c].
     """
+    from .linalg import SymMatrix, check_size
+
     ys, ns = _disjoint_pair(params.graph, y, n)
     check_size(1 + params.graph.var_count)  # over its size cap, refused before any entry
     rows, perm = _orbit_value(params, _matrix_rows, ys, ns)
-    pi = range(len(rows)) if perm is None else [0, *(1 + c for c in perm)]
+    pi = [0, *(1 + c for c in perm)]
     return SymMatrix(params.den, [list(map(rows[a].__getitem__, pi)) for a in pi])

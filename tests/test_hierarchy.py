@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from pvcgap import hierarchy, moments
+from pvcgap import hierarchy, linalg, moments
 from pvcgap.graphs import (Graph, brute_force_opt, build_pvc_lp, make_clique, make_star,
                            pvc_rows)
 from pvcgap.hierarchy import (
@@ -135,7 +135,7 @@ def test_plus_variant_adds_one_psd_check():
 def test_plus_variant_reports_a_failed_moment_matrix(monkeypatch):
     g, params = _clique_params(8, 1, 1)
     sa = verify_sa(params, 1, 1)
-    monkeypatch.setattr(hierarchy, "psd_check", lambda _m: PsdVerdict(False, value=Rat(-1)))
+    monkeypatch.setattr(linalg, "psd_check", lambda _m: PsdVerdict(False, value=Rat(-1)))
     sap = verify_sap(DistParams(g, params.p), 1, 1)
     assert not sap.feasible
     assert sap.violated == hierarchy.Violation("sa+:moment-psd", (), (), Rat(-1), ZERO)

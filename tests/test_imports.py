@@ -114,6 +114,14 @@ def test_only_a_threaded_scan_loads_the_pool():
     assert "concurrent.futures" in _loaded_by_command(*argv, "--threads", "2")
 
 
+def test_a_scan_loads_only_the_layers_it_checks_with():
+    argv = ("verify", "--n", "6", "--r", "2", "--t", "1")
+    sa = _loaded_by_command(*argv, "--level", "sa")
+    xyn = _loaded_by_command(*argv, "--level", "xyn")
+    assert "pvcgap.moments" in sa and sa & {"pvcgap.linalg", "pvcgap.simplex"} == set()
+    assert "pvcgap.linalg" in xyn and "pvcgap.simplex" not in xyn
+
+
 def test_the_pool_class_resolves_before_any_scan():
     code = ("import sys\nfrom pvcgap import hierarchy\n"
             "assert 'concurrent.futures' not in sys.modules\n"

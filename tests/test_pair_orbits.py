@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from pvcgap import hierarchy, moments
+from pvcgap import hierarchy, linalg, moments
 from pvcgap.graphs import Graph, least_twins, make_clique, make_star
 from pvcgap.hierarchy import verify_sa, verify_sap, verify_xyn_family, yn_pair_count, yn_pairs
 from pvcgap.linalg import SymMatrix, quadratic_form
@@ -25,7 +25,10 @@ from pvcgap.moments import (
 )
 from pvcgap.rational import ZERO, Rat
 
+from conftest import WEIGHTED_PATH
+
 PATH6 = Graph(6, tuple((i, i + 1) for i in range(1, 6)))
+PATH8 = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
 GRAPHS = {
     "K7": make_clique(7),
     "star5": make_star(5),
@@ -260,7 +263,7 @@ def _direct_matrix(cache, params, y, n):
 def _oracle_check_matrix(cache, params, y, n, name):
     """`_check_matrix` on the direct matrix, factorised for every pair: the
     per-pair check the scan ran before it took one verdict per twin orbit."""
-    verdict = hierarchy.psd_check(_direct_matrix(cache, params, y, n))
+    verdict = linalg.psd_check(_direct_matrix(cache, params, y, n))
     return None if verdict.is_psd else hierarchy.Violation(name, y, n, verdict.value, ZERO)
 
 
@@ -305,6 +308,26 @@ def test_matrix_verdicts_equal_the_oracle(monkeypatch, n, r, p):
     assert got == verdicts()
 
 
+# the paths have no twins, and the weighted star has two twin classes of leaves
+OFF_CLIQUES = {"P6": PATH6, "P8": PATH8, "weighted-P4": WEIGHTED_PATH,
+               "star5-two-weights": GRAPHS["star5-two-weights"]}
+
+
+@pytest.mark.parametrize("name,r,p", [(name, r, p) for name in OFF_CLIQUES for r in range(3)
+                                      for p in (Rat(1, 7), Rat(1, 100))])
+def test_verdicts_off_the_cliques_equal_the_oracle_scans(monkeypatch, name, r, p):
+    g = OFF_CLIQUES[name]
+
+    def verdicts():
+        return [verify(DistParams(g, p), 1, r)
+                for verify in (verify_sa, verify_sap, verify_xyn_family)]
+
+    got = verdicts()
+    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_oracle_scan_pair, {}))
+    monkeypatch.setattr(hierarchy, "_check_matrix", partial(_oracle_check_matrix, {}))
+    assert got == verdicts()
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_a_non_psd_orbit_names_its_first_pair(monkeypatch, fork_workers, threads):
     g = make_clique(6)
@@ -328,7 +351,7 @@ def test_a_non_psd_orbit_names_its_first_pair(monkeypatch, fork_workers, threads
     v = verdict.violated
     assert (v.constraint, v.y, v.n) == ("xyn:psd", y, n)
     matrix = build_cond_matrix(DistParams(g, p), y, n)
-    assert quadratic_form(matrix, hierarchy.psd_check(matrix).witness) == v.lhs < 0
+    assert quadratic_form(matrix, linalg.psd_check(matrix).witness) == v.lhs < 0
 
 
 def test_a_corrupted_representative_matrix_entry_fails_the_cross_check(monkeypatch):
@@ -374,12 +397,30 @@ def test_matrices_evaluate_each_weight_once_per_orbit(monkeypatch, size, r, orbi
     assert 0 < calls[0] <= orbits * (1 + g.var_count)
 
 
-def test_a_twin_free_graph_memoizes_no_orbit(monkeypatch):
-    g = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
+def _memoised_keys(params, build) -> set:
+    """The orbit keys `params._orbits` keeps a value of `build` for."""
+    return {entry[1] for entry in params._orbits if isinstance(entry, tuple) and entry[0] is build}
+
+
+def test_a_twin_free_graph_memoizes_each_pair_as_its_own_key(monkeypatch):
+    """P8 has no twins, so its twin group is trivial: the scans keep one weight
+    row and one row verdict for each pair they scan, one matrix and one PSD
+    verdict for each pair of the family, each under the pair itself."""
+    g = PATH8
     assert least_twins(g) == []
     sa, xyn = DistParams(g, Rat(1, 7)), DistParams(g, Rat(1, 7))
     got = verify_sa(sa, 1, 2), verify_xyn_family(xyn, 1, 2)
-    assert set(sa._orbits) == set(xyn._orbits) == {None}
+    pairs, v = list(yn_pairs(g.var_count, 2)), got[0].violated
+    scanned = set(pairs[:pairs.index((v.y, v.n)) + 1])
+    assert len(scanned) == 372
+    assert _memoised_keys(sa, moments._weights_at) == scanned
+    assert _memoised_keys(sa, hierarchy._key_violation) == scanned
+    family = set(yn_pairs(g.var_count, 1))
+    assert _memoised_keys(xyn, moments._matrix_rows) == family
+    assert _memoised_keys(xyn, hierarchy._key_is_psd) == family
+    group = xyn._orbits[None]
+    for key in _memoised_keys(xyn, moments._weights_at):
+        assert _canonical_pair(group, *key)[0] == key
     monkeypatch.setattr(hierarchy, "_scan_pair", partial(_oracle_scan_pair, {}))
     monkeypatch.setattr(hierarchy, "_check_matrix", partial(_oracle_check_matrix, {}))
     assert got == (verify_sa(DistParams(g, Rat(1, 7)), 1, 2),
@@ -404,7 +445,7 @@ def test_each_twin_orbit_is_factorised_once(monkeypatch):
     the 5 keys' matrices (a row that repeats the pair looked up just before it
     reuses that lookup).  A second lookup per pair made 334 = 2 * 73 + 183 + 5."""
     counts = {"psd_check": 0, "build_cond_matrix": 0}
-    _counted(monkeypatch, hierarchy, "psd_check", counts)
+    _counted(monkeypatch, linalg, "psd_check", counts)
     canonical, build = moments._canonical_pair, hierarchy.build_cond_matrix
     forms, building = {True: 0, False: 0}, [False]
 
@@ -429,13 +470,14 @@ def test_each_twin_orbit_is_factorised_once(monkeypatch):
 
 def test_a_twin_free_graph_builds_and_factorises_each_matrix_once(monkeypatch):
     """On P8 every pair is its own orbit: one build and one factorisation per
-    pair, and no weight evaluated past the per-pair matrices' 7,275."""
-    g = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
+    pair, and each weight row evaluated once for all the matrices that share
+    it: 5,115 evaluations, where building each matrix on its own made 7,275."""
+    g = PATH8
     counts = {"psd_check": 0, "build_cond_matrix": 0, "_weight_overlap_ok": 0}
-    for name in ("psd_check", "build_cond_matrix"):
-        _counted(monkeypatch, hierarchy, name, counts)
+    _counted(monkeypatch, linalg, "psd_check", counts)
+    _counted(monkeypatch, hierarchy, "build_cond_matrix", counts)
     _counted(monkeypatch, moments, "_weight_overlap_ok", counts)
     assert verify_xyn_family(DistParams(g, Rat(1, 7)), 1, 2).feasible
     pairs = yn_pair_count(g.var_count, 1)
     assert counts["psd_check"] == counts["build_cond_matrix"] == pairs == 31
-    assert counts["_weight_overlap_ok"] <= 7275
+    assert counts["_weight_overlap_ok"] == 5115
