@@ -219,6 +219,30 @@ def pvc_rows(g: Graph, t: int) -> tuple:
     return tuple(rows)
 
 
+def lift(row: tuple, ys, ns) -> dict:
+    """{S: coefficient} of the row times prod_{Y} x_y prod_{N} (1 - x_n), linearized.
+
+    `row` is a `LinearProgram.rows` row (((j, c_j), ...), rhs); each S is a
+    sorted code tuple standing for y_S, the product of the x's in S (Sherali
+    & Adams 1990).  The lifted row reads sum coefficient * y_S >= 0: it is
+    sum over T subset of N of (-1)^|T| (sum_j c_j y(Y u T u {j}) - rhs y(Y u T)),
+    with zero coefficients dropped.  Overlapping Y and N give {}.
+    """
+    if not set(ys).isdisjoint(ns):
+        return {}
+    coeffs, rhs = row
+    lifted = {}
+    for k in range(len(ns) + 1):
+        sign = -1 if k % 2 else 1
+        for t in combinations(ns, k):
+            base = tuple(sorted({*ys, *t}))
+            lifted[base] = lifted.get(base, 0) - sign * rhs
+            for j, c in coeffs:
+                s = base if j in base else tuple(sorted((*base, j)))
+                lifted[s] = lifted.get(s, 0) + sign * c
+    return {s: c for s, c in lifted.items() if c}
+
+
 def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
     """The rows of `pvc_rows`, unnamed, as an LP; minimize the vertex weights."""
     from .simplex import LinearProgram

@@ -4,12 +4,15 @@
 against every product-lifted constraint of the cover polytope up to a
 given level r.  The rows are `graphs.pvc_rows`, in their order and under
 their names; without the names they are the rows of `graphs.build_pvc_lp`
-and the rows `generate_sa1_lp` lifts, so the scan and the LPs share one
-sparse row format.  For each disjoint pair (Y, N) with |Y u N| <= r it
-evaluates the linearized weights w(Y u {q}, N) and tests, exactly, every row
-sum_j c_j x_j >= rhs in its lifted form
+and the rows `generate_sa1_lp` lifts with `graphs.lift`, so the scan and the
+LPs share one sparse row format.  For each disjoint pair (Y, N) with
+|Y u N| <= r it evaluates the linearized weights w(Y u {q}, N) and tests,
+exactly, every row sum_j c_j x_j >= rhs in its lifted form
 
     sum_j c_j w(Y+{j}, N) >= rhs * w(Y, N)
+
+which is `graphs.lift` of the row at (Y, N) summed over the moments, read
+off the pair's weights.
 
 `moments` computes each pair's weights and conditioned moment matrix once
 per twin-vertex orbit of (Y, N) pairs and relabels them for the orbit's
@@ -50,13 +53,12 @@ load likewise, in the matrix checks and the lifted LP, so `sa` needs neither.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
 from . import moments
-from .graphs import Graph, check_demand, integral_opt, pvc_rows
+from .graphs import Graph, check_demand, integral_opt, lift, pvc_rows
 from .moments import DistParams, _key_value, _orbit_key, _pair_weights, _weights_at
 from .moments import build_cond_matrix, moment
 from .rational import ZERO, Rat
@@ -124,8 +126,9 @@ def yn_pairs(m: int, max_size: int, indices=None):
 # -- the per-pair constraint scan --------------------------------------------
 
 
-def _row_check(params: DistParams, rows: tuple, y: tuple, n: tuple, wyn: int, w) -> tuple:
-    """(violation or None, rows checked) of the pair's rows on its weights.
+def _row_check(params: DistParams, rows: tuple, y: tuple, n: tuple, wyn: int, w):
+    """(violation, rows checked up to it) at the pair's first failing row on its
+    weights, or None if every row holds.
 
     Row sum_j c_j x_j >= rhs is checked as sum_j c_j w(Y+{j}, N) >=
     rhs * w(Y, N).  The weights are integers over `params.den`; a
@@ -133,34 +136,35 @@ def _row_check(params: DistParams, rows: tuple, y: tuple, n: tuple, wyn: int, w)
     """
     if wyn == 0:
         # every weight below is squeezed into [0, 0]; nothing can fail
-        return None, len(rows)
+        return None
     for k, (name, coeffs, rhs) in enumerate(rows, 1):
         lhs = 0
         for j, c in coeffs:
             lhs += c * w[j]
         if lhs < rhs * wyn:
             return Violation(name, y, n, Rat(lhs, params.den), Rat(rhs * wyn, params.den)), k
-    return None, len(rows)
+    return None
 
 
 def _key_violation(params: DistParams, rows: tuple, key: tuple):
-    """The first failing row of a twin-orbit key, or None, from the key's memoised
-    weights; kept in `params._orbits` with the rows it was found for, so a scan
-    of other rows finds it anew."""
+    """`_row_check` of a twin-orbit key on its memoised weights: (violation, rows
+    checked) at its first failing row, or None; kept in `params._orbits` with
+    the rows it was found for, so a scan of other rows finds it anew."""
     memo = params._orbits
     kept = memo.get((_key_violation, key))
     if kept is None or kept[0] is not rows:
         weights = _key_value(params, _weights_at, key)
-        kept = memo[_key_violation, key] = rows, _row_check(params, rows, *key, *weights)[0]
+        kept = memo[_key_violation, key] = rows, _row_check(params, rows, *key, *weights)
     return kept[1]
 
 
 def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     """(violation or None, rows checked) for one lifted multiplier pair.
 
-    A pair passes when its orbit's key does: a twin relabelling maps the rows
-    onto themselves.  A pair of a failing orbit checks its own rows on its own
-    weights, so the witness and the count are its own.
+    A pair passes, with all its rows counted, when its orbit's key does: a
+    twin relabelling maps the rows onto themselves.  A pair of a failing orbit
+    checks its own rows on its own weights (`_row_check`), so the witness and
+    the count are its own.
     """
     if _key_violation(params, rows, _orbit_key(params, y, n)[0]) is None:
         return None, len(rows)
@@ -327,10 +331,10 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     """Materialize the level-1 lifted LP over set variables of size <= 2.
 
     Each `pvc_rows` row is multiplied by x_q and by (1 - x_q) for every
-    q in V u E and linearized with idempotent unions (y_{A u {q}}).  Each
-    lifted row is sparse like its source row, its nonzero entries sorted
-    by variable; exact duplicate rows are kept once and rows with no
-    nonzero entry are dropped.  The normalization rows pinning the
+    q in V u E and linearized by `graphs.lift`, at (Y, N) = ({q}, {}) and
+    ({}, {q}).  Each lifted row is sparse like its source row, its nonzero
+    entries sorted by variable; exact duplicate rows are kept once and rows
+    with no nonzero entry are dropped.  The normalization rows pinning the
     empty-set variable to 1 come last.  Rows are in integers.  The
     objective is the cover LP's vertex weights, on the singleton
     variables.  `lp_solve` finds the program's symmetry classes itself:
@@ -344,31 +348,14 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
         raise ValueError(f"lifted LP needs {n_vars} variables, cap is {SA1_VARIABLE_CAP}")
     sets = [()] + [(q,) for q in range(m)] + list(combinations(range(m), 2))
     index = {s: k for k, s in enumerate(sets)}
-
-    def var(*codes) -> int:
-        return index[tuple(sorted(set(codes)))]
-
-    rows = []
-    seen = set()
-
-    def add(lifted: dict) -> None:
-        row = (tuple(sorted((j, c) for j, c in lifted.items() if c)), 0)
-        if row[0] and row not in seen:
-            seen.add(row)
-            rows.append(row)
-
-    for _, nz, rhs in pvc_rows(graph, t):
+    rows, seen = [], set()
+    for source in ((nz, rhs) for _, nz, rhs in pvc_rows(graph, t)):
         for q in range(m):
-            on, off = defaultdict(int), defaultdict(int)  # x_q * row, (1 - x_q) * row
-            on[var(q)] -= rhs
-            off[0] -= rhs
-            off[var(q)] += rhs
-            for j, c in nz:
-                on[var(j, q)] += c
-                off[var(j)] += c
-                off[var(j, q)] -= c
-            add(on)
-            add(off)
+            for lifted in (lift(source, (q,), ()), lift(source, (), (q,))):
+                row = (tuple(sorted((index[s], c) for s, c in lifted.items())), 0)
+                if row[0] and row not in seen:
+                    seen.add(row)
+                    rows.append(row)
     rows += [(((0, 1),), 1), (((0, -1),), -1)]
 
     names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)

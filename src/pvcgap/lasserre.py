@@ -8,9 +8,10 @@ subsets of size <= 1 has a closed form: with
     C(n, a)  = binom(a,2) + a (n - a)     (edges covered by a vertices)
 
 the entry at (I, J) equals p^|I u J| (S_{n-|I u J|} + C(n, |I u J|)).
-`build_zbar` materializes that matrix; `zbar_by_enumeration` rebuilds it
-by brute-force summation over all 2^n vertex subsets, giving an
-independent oracle that must agree entrywise.
+`build_zbar` materializes that matrix.  `level1_slack_matrix` builds the
+slack matrix of any row from enumerated moments, each entry the row lifted
+by `graphs.lift`; the demand row's leading (n+1)-square minor is
+`build_zbar`'s matrix, and the tests check that entrywise.
 
 The matrix has constant diagonal and constant off-diagonal blocks, so
 after one Schur step at the empty-set entry the all-ones vector is an
@@ -27,9 +28,7 @@ from math import comb
 
 from .certificates import Certificate, rational_entry
 from .linalg import SymMatrix, psd_check, schur_complement
-from .rational import ONE, ZERO, Rat, as_rational, rational_str
-
-_ENUMERATION_MAX_N = 20
+from .rational import Rat, as_rational, rational_str
 
 
 def covered_edges(n: int, a: int) -> int:
@@ -62,29 +61,6 @@ def build_zbar(n: int, t, p) -> SymMatrix:
     return SymMatrix.from_function(n + 1, lambda i, j: by_size[len({i, j} - {0})])
 
 
-def zbar_by_enumeration(n: int, t, p) -> SymMatrix:
-    """The same minor by summing slack * indicator-outer-product over all
-    2^n vertex subsets; independent oracle for the closed form."""
-    if n > _ENUMERATION_MAX_N:
-        raise ValueError(f"enumeration capped at n <= {_ENUMERATION_MAX_N}")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    p = as_rational(p)
-    t = as_rational(t)
-    q = ONE - p
-    upper = [[ZERO] * (n + 1) for _ in range(n + 1)]  # entries (i, j), i <= j
-    for mask in range(1 << n):
-        a = mask.bit_count()
-        w = p**a * q ** (n - a) * (covered_edges(n, a) - t)
-        if w == 0:
-            continue
-        idx = [0] + [v + 1 for v in range(n) if mask >> v & 1]
-        for ii, i in enumerate(idx):
-            for j in idx[ii:]:
-                upper[i][j] += w
-    return SymMatrix.from_function(n + 1, lambda i, j: upper[i][j])
-
-
 def allones_eigenvalue_after_schur(zbar: SymMatrix):
     """Eigenvalue of the Schur complement (at the empty entry) along all-ones.
 
@@ -112,27 +88,23 @@ def level1_slack_matrix(params, coeffs, rhs) -> SymMatrix:
     """Slack moment matrix of one sparse LP row over {empty} u singletons of V u E.
 
     `coeffs` is the row's ((q, a_q), ...), as in `LinearProgram.rows`.
-    Entry (A, B) = sum_q a_q * moment(A u B u {q}) - rhs * moment(A u B).
-    Built from enumerated moments, so it works for any row, not only ones
-    with a closed form.  `params` is a `moments.DistParams`; `moments` is
-    imported here, so the `lasserre` command never loads it.
+    Entry (A, B) is the row lifted by x_{A u B} (`graphs.lift` at
+    (Y, N) = (A u B, {})), sum_S c_S * moment(S) = sum_q a_q * moment(A u B u {q})
+    - rhs * moment(A u B).  Built from enumerated moments, so it works for
+    any row, not only ones with a closed form.  `params` is a
+    `moments.DistParams`; `graphs` and `moments` are imported here, so the
+    `lasserre` command loads neither.
     """
+    from .graphs import lift
     from .moments import moment
 
-    g = params.graph
-    rhs = as_rational(rhs)
-    nz = [(q, as_rational(c)) for q, c in coeffs]
-    nvars = g.var_count
-    sets = [()] + [(q,) for q in range(nvars)]
+    sets = [()] + [(q,) for q in range(params.graph.var_count)]
 
     def entry(i: int, j: int):
-        ab = tuple(sorted(set(sets[i]) | set(sets[j])))
-        total = -rhs * moment(params, ab)
-        for q, c in nz:
-            total += c * moment(params, tuple(sorted(set(ab) | {q})))
-        return total / params.den
+        lifted = lift((coeffs, rhs), sets[i] + sets[j], ())
+        return Rat(sum(c * moment(params, s) for s, c in lifted.items()), params.den)
 
-    return SymMatrix.from_function(1 + nvars, entry)
+    return SymMatrix.from_function(len(sets), entry)
 
 
 # -- the refutation check -----------------------------------------------------

@@ -8,11 +8,13 @@ import pytest
 
 from pvcgap import hierarchy, simplex
 from pvcgap.graphs import Graph
+from pvcgap.lasserre import covered_edges
 from pvcgap.linalg import SymMatrix
 from pvcgap.rational import ONE, ZERO, Rat, as_rational
 
 # a path with four distinct weights: no symmetry at all
 WEIGHTED_PATH = Graph(4, ((1, 2), (2, 3), (3, 4)), weights=(Rat(3), Rat(1), Rat(2), Rat(1, 2)))
+PATH6 = Graph(6, tuple((i, i + 1) for i in range(1, 6)))
 
 
 @pytest.fixture
@@ -120,3 +122,29 @@ def equitable_classes(lp):
         assert len({as_rational(lp.objective[j]) for j in cls}) == 1
         assert len({tuple(column_sums[j]) for j in cls}) == 1
     return var_classes, row_classes
+
+
+_ENUMERATION_MAX_N = 20
+
+
+def zbar_by_enumeration(n: int, t, p) -> SymMatrix:
+    """The demand-slack minor by summing slack * indicator-outer-product over all
+    2^n vertex subsets; independent oracle for `lasserre.build_zbar`."""
+    if n > _ENUMERATION_MAX_N:
+        raise ValueError(f"enumeration capped at n <= {_ENUMERATION_MAX_N}")
+    if n < 2:
+        raise ValueError("need n >= 2")
+    p = as_rational(p)
+    t = as_rational(t)
+    q = ONE - p
+    upper = [[ZERO] * (n + 1) for _ in range(n + 1)]  # entries (i, j), i <= j
+    for mask in range(1 << n):
+        a = mask.bit_count()
+        w = p**a * q ** (n - a) * (covered_edges(n, a) - t)
+        if w == 0:
+            continue
+        idx = [0] + [v + 1 for v in range(n) if mask >> v & 1]
+        for ii, i in enumerate(idx):
+            for j in idx[ii:]:
+                upper[i][j] += w
+    return SymMatrix.from_function(n + 1, lambda i, j: upper[i][j])

@@ -25,13 +25,14 @@ from pvcgap.lasserre import (
     build_zbar,
     lasserre1_refutes,
     level1_slack_matrix,
-    zbar_by_enumeration,
 )
 from pvcgap.linalg import psd_check
 from pvcgap.moments import DistParams, build_cond_matrix, cond_weight, moment
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.sdp import build_star_sdp_solution, verify_hs_sdp
 from pvcgap.simplex import lp_solve
+
+from conftest import zbar_by_enumeration
 
 THREADS = min(8, os.cpu_count() or 1)
 

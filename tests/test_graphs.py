@@ -12,15 +12,18 @@ from pvcgap.graphs import (
     brute_force_witness,
     build_pvc_lp,
     integral_opt,
+    lift,
     make_clique,
     make_star,
     parse_graph,
     pvc_rows,
 )
+from pvcgap.hierarchy import yn_pairs
+from pvcgap.moments import DistParams, _pair_weights, moment
 from pvcgap.rational import ONE, Rat, rational_str
 from pvcgap.simplex import lp_solve
 
-from conftest import dot
+from conftest import WEIGHTED_PATH, dot
 
 
 def format_graph(g: Graph) -> str:
@@ -269,3 +272,51 @@ def test_graph_file_comments_and_errors():
     for text in ("3 -1\n", "3 -2\n1 2\n"):  # not re-read as weight lines
         with pytest.raises(ValueError, match="edge count"):
             parse_graph(text)
+
+
+# -- lifted rows ---------------------------------------------------------------
+
+
+def test_lift_of_an_edge_row_by_x_and_one_minus_x():
+    # K3: v1, v2, v3 are codes 0, 1, 2; e1_2 is code 3.  The edge row
+    # x0 + x1 - x3 >= 0 times x0 (1 - x1) is x0 - x0x1 - x0x3 + x0x1x3.
+    row = {name: (coeffs, rhs) for name, coeffs, rhs in pvc_rows(make_clique(3), 1)}
+    assert lift(row["edge:e1_2"], (0,), (1,)) == {(0,): 1, (0, 1): -1, (0, 3): -1, (0, 1, 3): 1}
+
+
+def test_lift_of_the_demand_row_has_a_term_per_subset_of_n():
+    # K3 at t = 1: (x3 + x4 + x5 - 1) x2 (1 - x0)(1 - x1), one signed term
+    # for each of T = {}, {0}, {1}, {0, 1}
+    demand = next((c, rhs) for name, c, rhs in pvc_rows(make_clique(3), 1) if name == "demand")
+    expected = {}
+    for t, sign in (((), 1), ((0,), -1), ((1,), -1), ((0, 1), 1)):
+        expected[(*t, 2)] = -sign
+        for e in (3, 4, 5):
+            expected[(*t, 2, e)] = sign
+    assert lift(demand, (2,), (0, 1)) == expected
+    assert len(expected) == 16
+
+
+def test_lift_with_overlapping_y_and_n_is_empty():
+    demand = next((c, rhs) for name, c, rhs in pvc_rows(make_clique(3), 1) if name == "demand")
+    assert lift(demand, (2,), (0, 2)) == {}
+    assert lift(demand, (0, 4), (4,)) == {}
+
+
+@pytest.mark.parametrize("g, t, p", [(make_clique(8), 1, Rat(1, comb(4, 2))),
+                                     (make_clique(6), 1, Rat(1, 100)),
+                                     (make_star(4), 2, Rat(1, 7)),
+                                     (WEIGHTED_PATH, 2, Rat(1, 7))],
+                         ids=["K8-canonical", "K6-p-1-100", "star4", "weighted-P4"])
+def test_a_lifted_row_on_the_moments_is_the_scans_weighted_row(g, t, p):
+    """Every row at every pair with |Y u N| <= 2: the lifted row summed over
+    the moments is the scan's sum_j c_j w(Y+{j}, N) - rhs * w(Y, N) (on K8,
+    261,893 rows)."""
+    params = DistParams(g, p)
+    rows = [(coeffs, rhs) for _, coeffs, rhs in pvc_rows(g, t)]
+    for y, n in yn_pairs(g.var_count, 2):
+        wyn, w = _pair_weights(params, y, n)
+        for coeffs, rhs in rows:
+            want = 0 if w is None else sum(c * w[j] for j, c in coeffs) - rhs * wyn
+            lifted = lift((coeffs, rhs), y, n)
+            assert sum(c * moment(params, s) for s, c in lifted.items()) == want, (y, n, coeffs)

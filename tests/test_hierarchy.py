@@ -21,7 +21,7 @@ from pvcgap.moments import DistParams, cond_weight, moment
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import lp_solve
 
-from conftest import WEIGHTED_PATH
+from conftest import PATH6, WEIGHTED_PATH
 
 
 def _clique_params(n, r, t):
@@ -321,9 +321,15 @@ def _dense_sa1_lp(graph, t) -> tuple:
     return names, tuple(rows), objective
 
 
-@pytest.mark.parametrize("g, t", [(make_star(6), 3), (make_star(4), 2), (make_clique(4), 2),
-                                  (WEIGHTED_PATH, 2)],
-                         ids=["star6-t3", "star4-t2", "K4-t2", "weighted-P4-t2"])
+DENSE_CASES = {
+    **{f"star{n}-t{n // 2}": (make_star(n), n // 2) for n in range(4, 9)},
+    **{f"K{n}-t2": (make_clique(n), 2) for n in range(4, 8)},
+    "P6-t3": (PATH6, 3),
+    "weighted-P4-t2": (WEIGHTED_PATH, 2),
+}
+
+
+@pytest.mark.parametrize("g, t", DENSE_CASES.values(), ids=DENSE_CASES)
 def test_sparse_lifted_lp_is_the_dense_oracle(g, t):
     lp = generate_sa1_lp(g, t)
     dense = []

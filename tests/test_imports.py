@@ -14,8 +14,8 @@ from perfbench.tracer import TARGETS  # noqa: E402
 
 MODULES = sorted(Path(pvcgap.__file__).parent.glob("*.py"))
 
-# kept in src/ although only tests call them: the oracles the closed forms are checked against
-ORACLES = {"level1_slack_matrix", "zbar_by_enumeration"}
+# kept in src/ although only tests call it: the oracle the closed form is checked against
+ORACLES = {"level1_slack_matrix"}
 
 
 def _unused_imports(tree: ast.Module) -> list:

@@ -1,5 +1,7 @@
 import pytest
 
+from math import comb
+
 from pvcgap.graphs import make_clique, build_pvc_lp
 from pvcgap.lasserre import (
     allones_eigenvalue_after_schur,
@@ -8,11 +10,12 @@ from pvcgap.lasserre import (
     expected_slack,
     lasserre1_refutes,
     level1_slack_matrix,
-    zbar_by_enumeration,
 )
-from pvcgap.linalg import psd_check, quadratic_form, schur_complement
+from pvcgap.linalg import SymMatrix, psd_check, quadratic_form, schur_complement
 from pvcgap.moments import DistParams
 from pvcgap.rational import ONE, ZERO, Rat
+
+from conftest import zbar_by_enumeration
 
 
 def test_covered_edges_formula():
@@ -80,8 +83,6 @@ EIGENVALUES = {
 
 @pytest.mark.parametrize("point,expected", sorted(EIGENVALUES.items()))
 def test_allones_eigenvalue_exact_values(point, expected):
-    from math import comb
-
     n, r, t = point
     p = Rat(t, comb(n - 2 * r, 2))
     zbar = build_zbar(n, t, p)
@@ -97,8 +98,6 @@ def test_negative_direction_refutes(point):
     assert cert.verdict == "refuted"
     assert cert.witness is not None
     # the witness is an exact negative direction for the matrix itself
-    from math import comb
-
     p = Rat(t, comb(n - 2 * r, 2))
     zbar = build_zbar(n, t, p)
     vec = [Rat(s) for s in cert.witness["vector"]]
@@ -135,3 +134,14 @@ def test_level1_slack_matrices_psd_on_small_clique():
         coeffs, rhs = lp.rows[row_idx]
         sm = level1_slack_matrix(params, coeffs, rhs)
         assert psd_check(sm).is_psd
+
+
+@pytest.mark.parametrize("n,r,t", [(6, 1, 1), (8, 2, 1), (9, 2, 2)])
+def test_the_demand_rows_slack_matrix_has_the_closed_form_minor(n, r, t):
+    """The lifted demand row's slack matrix, over {empty} u V, is `build_zbar`'s."""
+    g = make_clique(n)
+    p = Rat(t, comb(n - 2 * r, 2))
+    coeffs, rhs = build_pvc_lp(g, t).rows[g.m]  # the demand row follows the edge rows
+    full = level1_slack_matrix(DistParams(g, p), coeffs, rhs)
+    assert full.n == 1 + g.var_count
+    assert SymMatrix.from_function(n + 1, full.get) == build_zbar(n, t, p)

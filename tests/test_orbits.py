@@ -13,9 +13,7 @@ from pvcgap.hierarchy import generate_sa1_lp
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import LinearProgram, lp_solve
 
-from conftest import WEIGHTED_PATH, equitable_classes
-
-PATH6 = Graph(6, tuple((i, i + 1) for i in range(1, 6)))
+from conftest import PATH6, WEIGHTED_PATH, equitable_classes
 
 
 def _singletons(lp, _c):

@@ -25,9 +25,8 @@ from pvcgap.moments import (
 )
 from pvcgap.rational import ZERO, Rat
 
-from conftest import WEIGHTED_PATH
+from conftest import PATH6, WEIGHTED_PATH
 
-PATH6 = Graph(6, tuple((i, i + 1) for i in range(1, 6)))
 PATH8 = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
 GRAPHS = {
     "K7": make_clique(7),
