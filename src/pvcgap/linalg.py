@@ -25,15 +25,18 @@ the row back to lowest terms.  That keeps the integers about as small
 as the rationals themselves without normalising every entry, and does
 half the updates of a step on both triangles.
 
-Indices i < j are twins when the transposition (i j) fixes the matrix:
-rows i and j agree off {i, j} and their diagonals are equal.  Twinhood
-is an equivalence, and every step whose pivot is neither index keeps
-it, since the update is symmetric in i and j.  `_twins` finds the
-classes once, on the input, and a row whose previous class member j
-is still below the pivot takes its update by copying j's: j's diagonal,
-then j's entries past i, brought to lowest terms by the same one gcd.
-Each working row is its unique lowest-terms value, so every row, row
-denominator and L entry is the one the row's own update gives.
+Indices i - 1 and i are twins when the transposition (i-1 i) fixes the
+matrix: their rows agree off {i - 1, i} and their diagonals are equal.
+Every step whose pivot is neither index keeps that, since the update is
+symmetric in the two.  `_twins` links each index to its predecessor
+once, on the input, when the two are twins (twins that are not
+neighbours stay unlinked), and a row whose linked predecessor is still
+below the pivot takes its update by copying the predecessor's: its
+diagonal, then its entries past i, brought to lowest terms by the same
+one gcd.  Each working row is its unique lowest-terms value, so every
+row, row denominator and L entry is the one the row's own update gives.
+The twins that pay for the copy, the `lasserre` minor's vertex rows and
+the star Gram's leaves, are consecutive.
 
 Whole-matrix fraction-free (Bareiss) elimination was measured and
 rejected: its entries are minors of the input, which grow in bits with
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import itemgetter
 
 from .rational import ONE, ZERO, Rat, as_rational, integral
 
@@ -178,38 +180,18 @@ def _least_rows(m: SymMatrix) -> tuple:
 
 
 def _twins(m: SymMatrix) -> list:
-    """prev[i]: the largest j < i with (i j) fixing m, else -1.
-
-    Twins have equal diagonals, and their rows agree at every column whose
-    diagonal differs from theirs; rows alike in both are compared exactly,
-    off {f, i}, with the first member f of each class."""
-    rows, n = m.ints, m.n
-    by_diag: dict = {}
-    for i in range(n):
-        by_diag.setdefault(rows[i][i], []).append(i)
-    prev = [-1] * n
-    for d, same in by_diag.items():
-        others = [c for c in range(n) if rows[c][c] != d]
-        key = itemgetter(*others) if others else len  # len: one key for all
-        alike: dict = {}
-        for i in same:
-            alike.setdefault(key(rows[i]), []).append(i)
-        for members in alike.values():
-            last = {members[0]: members[0]}  # first member of a class -> its latest member
-            for i in members[1:]:
-                ri = rows[i]
-                f = next((f for f in last if ri[:f] == rows[f][:f] and ri[f + 1:i] == rows[f][f + 1:i]
-                          and ri[i + 1:] == rows[f][i + 1:]), i)
-                prev[i] = last.get(f, -1)
-                last[f] = i
-    return prev
+    """prev[i]: i - 1 when the transposition (i-1 i) fixes m, else -1."""
+    rows = m.ints
+    return [-1] + [i - 1 if a[i - 1] == b[i] and a[:i - 1] == b[:i - 1] and a[i + 1:] == b[i + 1:]
+                   else -1 for i, a, b in zip(range(1, m.n), rows, rows[1:])]
 
 
 def _eliminate_below(w: list, dens: list, k: int, prev: list) -> list:
     """Eliminate pivot k (w[k][k] > 0) from the rows below it, in place, on
     their upper triangle only; the L column as (row, numerator, denominator).
 
-    A row whose previous twin j is past k copies j's just-updated row."""
+    A row linked to its predecessor j (its twin, by `_twins`) copies j's
+    just-updated row when j is past k."""
     wk, dk = w[k], dens[k]
     p = wk[k]
     col = []

@@ -391,17 +391,10 @@ def _brute_force_twins(m: SymMatrix) -> set:
     return pairs
 
 
-def _class_pairs(prev: list) -> set:
-    """The pairs i < j in one class, from each index's previous class member."""
-    first = []
-    for i, j in enumerate(prev):
-        first.append(first[j] if j >= 0 else i)
-    return {(i, j) for i, j in combinations(range(len(prev)), 2) if first[i] == first[j]}
-
-
-def _quotient_matrices(rng: random.Random, count: int) -> list:
+def _quotient_matrices(rng: random.Random, count: int, shuffle: bool = True) -> list:
     """Symmetric matrices constant on the blocks of a partition into classes of
-    1-5 indices, shuffled so twins are not adjacent: indefinite ones, Gram
+    1-5 indices, shuffled (so twins are mostly apart) or, with `shuffle` off,
+    each class a run of consecutive indices: indefinite ones, Gram
     matrices of one vector per class plus a diagonal shift, and the same
     without the shift (so whole classes repeat one row)."""
 
@@ -412,7 +405,8 @@ def _quotient_matrices(rng: random.Random, count: int) -> list:
     for _ in range(count):
         sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
         cls = [c for c, size in enumerate(sizes) for _ in range(size)]
-        rng.shuffle(cls)
+        if shuffle:
+            rng.shuffle(cls)
         q, kind = len(sizes), rng.randrange(3)
         if kind == 0:  # indefinite in general
             raw = [[entry() for _ in range(q)] for _ in range(q)]
@@ -484,30 +478,33 @@ def _twin_test_matrices() -> list:
 
 def test_twin_rows_take_the_plain_update_step_by_step():
     rng = random.Random(2424)
-    random_set = _quotient_matrices(rng, 400) + _circulants(rng, 60)
+    random_set = (_quotient_matrices(rng, 400) + _circulants(rng, 60)
+                  + _quotient_matrices(rng, 200, shuffle=False))
     events = Counter()
     for m in random_set:
         _assert_steps_equal(m, events)
     assert {"negative pivot in a class", "zero pivot, bad index a twin",
             "zero multiplier across a class", "psd"} <= {e for e, c in events.items() if c}
+    assert events["copied rows"] > 0
     structured = _twin_test_matrices()
     for m in structured:
         _assert_steps_equal(m, events)
-    assert events["copied rows"] > 0
     _assert_same_verdicts(random_set + structured)
     for m in random_set + structured:
         if m.n > 1 and m.get(0, 0) > 0:
             assert schur_complement(m) == _reference_schur(m)
 
 
-def test_twin_classes_are_the_transposition_invariant_pairs():
+def test_a_row_is_linked_to_its_predecessor_exactly_when_they_are_twins():
     rng = random.Random(5151)
     matrices = _quotient_matrices(rng, 200) + _circulants(rng, 40) + _random_matrices(rng, 100)
+    matrices += _quotient_matrices(rng, 100, shuffle=False)
+    linked = 0
     for m in matrices:
-        prev = linalg._twins(m)
-        assert _class_pairs(prev) == _brute_force_twins(m)
-        assert all(j < i for i, j in enumerate(prev))
-    assert sum(map(bool, (_brute_force_twins(m) for m in matrices))) > 150
+        twins = _brute_force_twins(m)
+        assert linalg._twins(m) == [i - 1 if (i - 1, i) in twins else -1 for i in range(m.n)]
+        linked += any((i - 1, i) in twins for i in range(1, m.n))
+    assert linked > 250
     # 1, 2 and 3 are twins; 0 differs from them at one entry, (0, 4)
     twins = [[2, 1, 1, 1, 0], [1, 2, 1, 1, 0], [1, 1, 2, 1, 0], [1, 1, 1, 2, 0], [0, 0, 0, 0, 3]]
     assert linalg._twins(sym_from_rows(twins)) == [-1, 0, 1, 2, -1]
@@ -518,6 +515,24 @@ def test_twin_classes_are_the_transposition_invariant_pairs():
     cycle = [[2 if i == j else 1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)]
              for i in range(5)]
     assert linalg._twins(sym_from_rows(cycle)) == [-1] * 5
+    # 0 and 2 are twins, but not neighbours: no link
+    apart = [[2, 1, 0], [1, 3, 1], [0, 1, 2]]
+    assert (0, 2) in _brute_force_twins(sym_from_rows(apart))
+    assert linalg._twins(sym_from_rows(apart)) == [-1, -1, -1]
+    # rows 0 and 1 equal off the diagonal, diagonals different: no link
+    unequal = [[1, 1, 2], [1, 3, 2], [2, 2, 4]]
+    assert linalg._twins(sym_from_rows(unequal)) == [-1, -1, -1]
+
+
+@pytest.mark.parametrize("n, r, t", [(12, 2, 1), (13, 2, 1), (120, 1, 1)])
+def test_every_vertex_row_of_a_slack_minor_is_linked_to_the_one_before(n, r, t):
+    zbar = build_zbar(n, t, Rat(t, comb(n - 2 * r, 2)))
+    assert linalg._twins(zbar) == [-1, -1] + list(range(1, n))
+
+
+def test_every_leaf_of_the_star_gram_after_the_first_is_linked():
+    # index 0 is v_0, 1-6 the leaves and 7 the center
+    assert linalg._twins(build_star_sdp_solution(6, 3).gram) == [-1, -1, 1, 2, 3, 4, 5, -1]
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [2, 1]], [[0, 1], [1, 0]]])
