@@ -43,7 +43,9 @@ and including the witness, independent of worker count.  The fingerprint
 of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is stamped into
 every certificate.
 
-Only a scan with threads > 1 loads the process pool: `ProcessPoolExecutor`
+A scan with threads > 1 checks its first chunk in this process and loads
+the process pool only once past it, for the other chunks; each worker keeps
+the scan's params, memo included, for all of its chunks.  `ProcessPoolExecutor`
 is imported on first use, and `_first_failure` reads it from this module
 at call time, so a class put in its place (a test's forking pool, a
 tracer's timed one) is the one the scan starts.  `linalg` and `simplex`
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 from math import comb
 
@@ -206,15 +209,13 @@ def _validate(params: DistParams, t: int, r: int) -> None:
 # -- the first-failure scan driver ------------------------------------------
 
 
-def _scan_chunk(job):
+def _scan_chunk(params: DistParams, rows, max_size: int, xyn: bool, indices):
     """(first violation or None, items checked up to it) over flat pair indices.
 
     The indices are sorted; one walk of `yn_pairs` yields the pair at each.
     An item is one lifted multiplier pair (its rows count) or, for the
     `xyn` family, one conditioned moment matrix (it counts once).
-    Top level so it pickles for pool workers.
     """
-    params, rows, max_size, xyn, indices = job
     checked = 0
     for y, n in yn_pairs(params.graph.var_count, max_size, indices):
         if xyn:
@@ -227,6 +228,19 @@ def _scan_chunk(job):
     return None, checked
 
 
+_worker = None  # a pool worker's `_scan_chunk`, bound by its initializer for all its chunks
+
+
+def _start_worker(scan) -> None:
+    global _worker
+    _worker = scan
+
+
+def _worker_chunk(indices):
+    """`_scan_chunk` in a pool worker, on the scan it started with."""
+    return _worker(indices)
+
+
 def _chunk_ranges(total: int, pieces: int):
     step = max(1, (total + pieces - 1) // pieces)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -235,28 +249,29 @@ def _chunk_ranges(total: int, pieces: int):
 def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, threads: int):
     """Scan `indices` in order and stop at the first violation.
 
-    With threads > 1 the indices are split into ordered chunks run by a
-    process pool of at most one worker per chunk; the counts of whole
-    chunks before the first failing one are added to its own count, so
-    the result is the serial one for any worker count: rows (or matrices)
-    up to and including the first violation in canonical order.
+    With threads > 1 the indices are split into ordered chunks.  This process
+    scans the first; only if it passes and more follow does a pool start, with
+    at most one worker per remaining chunk, each keeping the params (and the
+    orbit memo the first chunk filled) and the rows for all its chunks.  The
+    counts of whole chunks before the first failing one are added to its own
+    count, so the result is the serial one for any worker count: rows (or
+    matrices) up to and including the first violation in canonical order.
     """
     if threads <= 1 or not indices:
-        return _scan_chunk((params, rows, max_size, xyn, indices))
+        return _scan_chunk(params, rows, max_size, xyn, indices)
+    scan = partial(_scan_chunk, params, rows, max_size, xyn)
+    chunks = [indices[lo:hi] for lo, hi in _chunk_ranges(len(indices), threads * 4)]
+    violation, checked = scan(chunks[0])
+    if violation is not None or len(chunks) == 1:
+        return violation, checked
     from concurrent.futures.process import BrokenProcessPool
 
     pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    # chunks carry params with an empty memo rather than pickling the caller's
-    fresh = DistParams(params.graph, params.p)
-    jobs = [
-        (fresh, rows, max_size, xyn, indices[lo:hi])
-        for lo, hi in _chunk_ranges(len(indices), threads * 4)
-    ]
-    checked = 0
     try:
-        with pool_class(max_workers=min(threads, len(jobs))) as pool:
+        with pool_class(max_workers=min(threads, len(chunks) - 1),
+                        initializer=_start_worker, initargs=(scan,)) as pool:
             try:
-                for violation, c in pool.map(_scan_chunk, jobs):
+                for violation, c in pool.map(_worker_chunk, chunks[1:]):
                     checked += c
                     if violation is not None:
                         return violation, checked

@@ -235,13 +235,17 @@ def test_usage_errors_exit_one():
         assert "Traceback" not in r.stderr, bad
 
 
-def _die(*_args):
-    os._exit(3)
+def _die_in_worker(test_pid, scan_pair, *args):
+    if os.getpid() != test_pid:
+        os._exit(3)
+    return scan_pair(*args)
 
 
 def test_dead_worker_exits_one_with_message(monkeypatch, capsys, fork_workers):
-    # forked workers inherit the patched scan, so each one dies on its first pair
-    monkeypatch.setattr(hierarchy, "_scan_pair", _die)
+    # this process scans the first chunk itself; forked workers inherit the
+    # patched scan, so each one dies on its first pair
+    monkeypatch.setattr(hierarchy, "_scan_pair",
+                        partial(_die_in_worker, os.getpid(), hierarchy._scan_pair))
     code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "2"])
     assert code == 1
     err = capsys.readouterr().err
@@ -291,14 +295,23 @@ def test_a_large_level_zero_scan_runs_within_the_address_limit():
     assert time.monotonic() - start < 30
 
 
-def _interrupt(*_args):
-    raise KeyboardInterrupt
+# K6 at r = 1: 43 pairs in 8 chunks of 6 (the last has 1) at --threads 2
+K6_CHUNKS = hierarchy._chunk_ranges(hierarchy.yn_pair_count(21, 1), 8)
+# the first pair of chunk 1, the first a pool worker scans
+CHUNK1_PAIR = list(hierarchy.yn_pairs(21, 1))[K6_CHUNKS[1][0]]
+
+
+def _interrupt_at_chunk1(_params, _rows, y, n):
+    if (y, n) == CHUNK1_PAIR:
+        raise KeyboardInterrupt
+    return None, 1
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_interrupt_exits_one_with_message(monkeypatch, capsys, fork_workers, threads):
-    # serially the scan itself raises; forked workers send the interrupt back
-    monkeypatch.setattr(hierarchy, "_scan_pair", _interrupt)
+    # serially the scan itself raises; at --threads 2 the pair is a worker's,
+    # which sends the interrupt back
+    monkeypatch.setattr(hierarchy, "_scan_pair", _interrupt_at_chunk1)
     code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1",
                  "--threads", threads])
     assert code == 1
@@ -306,22 +319,23 @@ def test_interrupt_exits_one_with_message(monkeypatch, capsys, fork_workers, thr
     assert out == "" and err == "error: interrupted\n"
 
 
-def _interrupt_first_pair(log, _params, _t, y, n):
-    if not y and not n:
-        raise KeyboardInterrupt
+def _interrupt_chunk1(log, params, rows, y, n):
+    verdict = _interrupt_at_chunk1(params, rows, y, n)
     with open(log, "a") as fh:
         fh.write(".")
     time.sleep(0.1)
-    return None, 1
+    return verdict
 
 
 def test_interrupt_cancels_unstarted_chunks(monkeypatch, capsys, fork_workers, tmp_path):
-    # 43 pairs in chunks of 6 (the last has 1); chunk 0 is interrupted at once and
-    # the others take 0.6 s each, so only the chunks already handed to the
-    # pool's call queue (at most 5 of the other 7) may still run
+    # this process scans chunk 0 (6 pairs); the pool's first chunk, chunk 1,
+    # is interrupted at once and the others take 0.6 s each, so only the
+    # chunks already handed to the pool's call queue may still run, never
+    # all of the other 6
+    assert (len(K6_CHUNKS), K6_CHUNKS[0], K6_CHUNKS[-1]) == (8, (0, 6), (42, 43))
     log = tmp_path / "pairs.log"
     log.write_text("")
-    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_interrupt_first_pair, str(log)))
+    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_interrupt_chunk1, str(log)))
     code = main(["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1", "--threads", "2"])
     assert code == 1 and capsys.readouterr().err == "error: interrupted\n"
     assert len(log.read_text()) < 43 - 6  # pairs scanned when every other chunk runs

@@ -1,3 +1,4 @@
+import os
 import random
 from functools import partial
 from itertools import combinations
@@ -53,7 +54,7 @@ def test_scan_chunk_visits_the_pairs_at_its_indices(monkeypatch, indices):
     assert params.graph.var_count == m
     seen = []
     monkeypatch.setattr(hierarchy, "_scan_pair", partial(_record_pair, seen))
-    assert hierarchy._scan_chunk((params, 1, r, False, indices)) == (None, len(indices))
+    assert hierarchy._scan_chunk(params, 1, r, False, indices) == (None, len(indices))
     pairs = list(yn_pairs(m, r))
     assert seen == [pairs[k] for k in indices]
 
@@ -190,15 +191,94 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, fork_workers):
     started = []
     pool = hierarchy.ProcessPoolExecutor
 
-    def recording(max_workers):
+    def recording(max_workers, initializer, initargs):
         started.append(max_workers)
-        return pool(max_workers=max_workers)
+        return pool(max_workers=max_workers, initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", recording)
     g = make_clique(4)
     verdict = verify_sa(DistParams(g, ONE), 1, 0, threads=3)
     assert verdict.constraints_checked == g.m + 1 + 2 * g.var_count
-    assert started == [1]  # a level-0 scan has one pair, so one chunk
+    assert started == []  # a level-0 scan has one pair, so one chunk: no pool
+    # 21 pairs at r = 1: 11 chunks at --threads 3 (10 of 2, one of 1), 7 of 3 at --threads 2
+    for threads in (3, 2):
+        chunks = len(hierarchy._chunk_ranges(yn_pair_count(g.var_count, 1), threads * 4))
+        assert verify_sa(DistParams(g, ONE), 1, 1, threads=threads).feasible
+        assert started.pop() == min(threads, chunks - 1)
+    # a sample of 3 matrices: 3 chunks of 1 at --threads 3, so 2 workers
+    assert verify_xyn_family(DistParams(g, ONE), 1, 2, sample=3, threads=3).feasible
+    assert started == [2]
+
+
+def _plant(pair, scan_pair, params, rows, y, n):
+    """`_scan_pair`, with a violation of row 2 planted at `pair`."""
+    if (y, n) == pair:
+        return hierarchy.Violation("planted", y, n, Rat(-1), ZERO), 2
+    return scan_pair(params, rows, y, n)
+
+
+def _where(total, threads, chunk):
+    """A flat index inside chunk `chunk` of a `threads` scan over `total` items."""
+    lo, hi = hierarchy._chunk_ranges(total, threads * 4)[chunk]
+    return (lo + hi) // 2
+
+
+@pytest.mark.parametrize("chunk", [0, 1, -1], ids=["chunk0", "chunk1", "last"])
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_sa_violation_in_any_chunk_matches_serial(monkeypatch, fork_workers, threads, chunk):
+    g, params = _clique_params(6, 1, 1)
+    total = yn_pair_count(g.var_count, 1)
+    pair = list(yn_pairs(g.var_count, 1))[_where(total, threads, chunk)]
+    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_plant, pair, hierarchy._scan_pair))
+    serial = verify_sa(DistParams(g, params.p), 1, 1)
+    assert (serial.violated.y, serial.violated.n) == pair
+    assert verify_sa(DistParams(g, params.p), 1, 1, threads=threads) == serial
+
+
+@pytest.mark.parametrize("chunk", [0, 1, -1], ids=["chunk0", "chunk1", "last"])
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_sampled_xyn_violation_in_any_chunk_matches_serial(monkeypatch, fork_workers,
+                                                           threads, chunk):
+    g, params = _clique_params(8, 2, 1)
+    m, sample, seed = g.var_count, 40, 3
+    drawn = sorted(random.Random(seed).sample(range(yn_pair_count(m, 1)), sample))
+    where = _where(sample, threads, chunk)
+    pair = list(yn_pairs(m, 1))[drawn[where]]
+    monkeypatch.setattr(hierarchy, "_check_matrix", partial(_fail_at, pair))
+    serial = verify_xyn_family(DistParams(g, params.p), 1, 2, sample=sample, seed=seed)
+    assert serial.violated == hierarchy.Violation("xyn:psd", *pair, Rat(-1), ZERO)
+    assert serial.constraints_checked == where + 1
+    threaded = verify_xyn_family(DistParams(g, params.p), 1, 2, sample=sample, seed=seed,
+                                 threads=threads)
+    assert threaded == serial
+
+
+def _logged_weights(log, weights_at, params, ys, ns):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {ys} {ns}\n")
+    return weights_at(params, ys, ns)
+
+
+def test_no_process_computes_an_orbit_key_twice(monkeypatch, fork_workers, tmp_path):
+    # K6 at r = 2: 883 pairs in 8 chunks at --threads 2; this process's chunk 0
+    # meets 16 of the 22 keys, the 2 workers run the last 7 chunks and meet
+    # keys they or the parent met before
+    log = tmp_path / "weights.log"
+    log.write_text("")
+    logged = partial(_logged_weights, str(log), moments._weights_at)
+    monkeypatch.setattr(hierarchy, "_weights_at", logged)
+    monkeypatch.setattr(moments, "_weights_at", logged)
+    g, params = _clique_params(6, 2, 1)
+    assert verify_sa(DistParams(g, params.p), 1, 2, threads=2).feasible
+    lines = log.read_text().splitlines()
+    assert len(lines) == len(set(lines))
+    by_pid = {}
+    for line in lines:
+        pid, key = line.split(" ", 1)
+        by_pid.setdefault(int(pid), set()).add(key)
+    parent = by_pid.pop(os.getpid())
+    assert len(parent) == 16 and len(set().union(*by_pid.values())) == 22 - 16
+    assert all(keys.isdisjoint(parent) for keys in by_pid.values())
 
 
 def test_conditioned_family_sampling_is_seed_deterministic():

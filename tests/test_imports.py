@@ -114,6 +114,14 @@ def test_only_a_threaded_scan_loads_the_pool():
     assert "concurrent.futures" in _loaded_by_command(*argv, "--threads", "2")
 
 
+def test_a_threaded_scan_failing_in_its_first_chunk_loads_no_pool():
+    # the p = 1/100 scan fails at its first pair, inside the chunk this process scans
+    argv = ("verify", "--level", "sa", "--n", "8", "--r", "1", "--t", "1", "--p", "1/100",
+            "--threads", "2")
+    loaded = _loaded(f"from pvcgap.cli import main\nassert main({list(argv)!r}) == 2")
+    assert "pvcgap.hierarchy" in loaded and "concurrent.futures" not in loaded
+
+
 def test_a_scan_loads_only_the_layers_it_checks_with():
     argv = ("verify", "--n", "6", "--r", "2", "--t", "1")
     sa = _loaded_by_command(*argv, "--level", "sa")
