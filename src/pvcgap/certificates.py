@@ -12,7 +12,6 @@ order that `hierarchy` scans in, which fixes which violation a scan reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import __version__
 from .rational import decimal_str, rational_str
@@ -25,13 +24,11 @@ def rational_entry(q) -> dict:
     return {"exact": rational_str(q), "decimal": decimal_str(q)}
 
 
-@dataclass
 class Certificate:
-    claim: str
-    params: dict
-    verdict: str
-    values: dict
-    witness: dict | None = None
+    def __init__(self, claim: str, params: dict, verdict: str, values: dict,
+                 witness: dict | None = None):
+        self.claim, self.params, self.verdict = claim, params, verdict
+        self.values, self.witness = values, witness
 
     def body(self) -> dict:
         return {

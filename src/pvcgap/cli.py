@@ -175,10 +175,11 @@ def _cmd_lasserre(args) -> int:
 def _parse_grid(spec: str) -> list:
     triples = []
     for chunk in spec.replace(";", " ").split():
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise _UsageError(f"grid entry {chunk!r} is not 'n,r,t'")
-        triples.append(tuple(int(x) for x in parts))
+        try:  # a wrong count or a non-integer entry
+            n, r, t = map(int, chunk.split(","))
+        except ValueError:
+            raise _UsageError(f"grid entry {chunk!r} is not 'n,r,t'") from None
+        triples.append((n, r, t))
     if not triples:
         raise _UsageError("empty grid")
     return triples

@@ -8,47 +8,41 @@ part of the certificate format and must not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, combinations
 from math import comb
 
 from .rational import ONE, ZERO, Rat, as_rational
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph with nonnegative rational vertex weights (default 1)."""
+class Graph(namedtuple("Graph", "n edges weights")):
+    """Simple undirected graph with nonnegative rational vertex weights (default 1).
 
-    n: int
-    edges: tuple
-    weights: tuple = ()
+    The tuple (n, edges, weights), edges sorted and weights rational: it
+    compares and hashes by them, and they cannot be reassigned."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, edges: tuple, weights: tuple = ()):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         seen = set()
-        for e in self.edges:
+        for e in edges:
             i, j = e
-            if not (1 <= i < j <= self.n):
+            if not (1 <= i < j <= n):
                 raise ValueError(f"bad edge {e}: need 1 <= i < j <= n")
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        if list(self.edges) != sorted(self.edges):
-            object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        if not self.weights:
-            object.__setattr__(self, "weights", (ONE,) * self.n)
+        if not weights:
+            weights = (ONE,) * n
         else:
-            if len(self.weights) != self.n:
+            if len(weights) != n:
                 raise ValueError("need one weight per vertex")
-            object.__setattr__(
-                self, "weights", tuple(as_rational(w) for w in self.weights)
-            )
-            if min(self.weights) < 0:
-                raise ValueError(f"vertex weights must be nonnegative, got {min(self.weights)}")
-        object.__setattr__(
-            self, "_edge_rank", {e: k for k, e in enumerate(self.edges)}
-        )
+            weights = tuple(as_rational(w) for w in weights)
+            if min(weights) < 0:
+                raise ValueError(f"vertex weights must be nonnegative, got {min(weights)}")
+        self = super().__new__(cls, n, tuple(sorted(edges)), weights)
+        self._edge_rank = {e: k for k, e in enumerate(self.edges)}
+        return self
 
     @property
     def m(self) -> int:

@@ -55,7 +55,7 @@ load likewise, in the matrix checks and the lifted LP, so `sa` needs neither.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import combinations, islice
 from math import comb
@@ -81,22 +81,11 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-@dataclass(frozen=True)
-class Violation:
-    constraint: str
-    y: tuple
-    n: tuple
-    lhs: object
-    rhs: object
+Violation = namedtuple("Violation", "constraint y n lhs rhs")
 
-
-@dataclass(frozen=True)
-class SaVerdict:
-    feasible: bool
-    violated: Violation | None
-    constraints_checked: int
-    objective_value: object
-    integrality_gap_lower_bound: object  # None when no integral oracle applies
+# integrality_gap_lower_bound is None when no integral oracle applies
+SaVerdict = namedtuple("SaVerdict", "feasible violated constraints_checked objective_value "
+                       "integrality_gap_lower_bound")
 
 
 # -- (Y, N) pair enumeration -------------------------------------------------

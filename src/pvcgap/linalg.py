@@ -56,7 +56,7 @@ lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 from .rational import ONE, ZERO, Rat, as_rational, integral
@@ -117,19 +117,10 @@ class SymMatrix:
         return f"SymMatrix({self.den}, {self.ints})" if self.n <= 6 else f"SymMatrix(n={self.n})"
 
 
-@dataclass(frozen=True)
-class PsdVerdict:
-    """Outcome of an exact PSD check.
-
-    When `is_psd`, `pivots` lists the nonnegative LDL^T pivots in
-    elimination order.  Otherwise `witness` is a rational vector with
-    `value` = witness^T M witness < 0, exactly.
-    """
-
-    is_psd: bool
-    pivots: tuple | None = None
-    witness: tuple | None = None
-    value: object = None
+# Outcome of an exact PSD check.  When `is_psd`, `pivots` lists the
+# nonnegative LDL^T pivots in elimination order.  Otherwise `witness` is a
+# rational vector with `value` = witness^T M witness < 0, exactly.
+PsdVerdict = namedtuple("PsdVerdict", "is_psd pivots witness value", defaults=(None,) * 3)
 
 
 def quadratic_form(m: SymMatrix, v) -> object:

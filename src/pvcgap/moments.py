@@ -37,7 +37,6 @@ order onto the least vertices of its classes), kept in the twin group: on K8,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, groupby, permutations, product
 
 from .graphs import Graph, least_twins
@@ -54,7 +53,6 @@ class MomentMismatch(AssertionError):
     """Inclusion-exclusion and direct enumeration disagreed (a bug)."""
 
 
-@dataclass(frozen=True, eq=True)
 class DistParams:
     """Graph plus inclusion probability p in [0, 1].
 
@@ -63,17 +61,12 @@ class DistParams:
     `_orbits` is the memo of `_orbit_value`.
     """
 
-    graph: Graph
-    p: object
-    _memo: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _orbits: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    den: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_rational(self.p))
+    def __init__(self, graph: Graph, p):
+        self.graph, self.p = graph, as_rational(p)
         if not (0 <= self.p <= 1):
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        object.__setattr__(self, "den", self.p.denominator ** min(self.graph.n, SUPPORT_CAP))
+        self.den = self.p.denominator ** min(graph.n, SUPPORT_CAP)
+        self._memo, self._orbits = {}, {}
 
 
 def canonical_set(graph: Graph, items) -> tuple:

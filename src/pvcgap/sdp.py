@@ -19,7 +19,7 @@ they witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .certificates import Certificate, rational_entry
 from .graphs import Graph, integral_opt, make_star
@@ -27,17 +27,15 @@ from .linalg import SymMatrix, psd_check
 from .rational import ONE, ZERO, Rat
 
 
-@dataclass(frozen=True)
-class GramSolution:
+class GramSolution(namedtuple("GramSolution", "graph t gram")):
     """Inner products of a candidate vector solution, indexed by {0} u V."""
 
-    graph: Graph
-    t: int
-    gram: SymMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gram.n != self.graph.n + 1:
+    def __new__(cls, graph: Graph, t: int, gram: SymMatrix):
+        if gram.n != graph.n + 1:
             raise ValueError("Gram dimension must be 1 + vertex count")
+        return super().__new__(cls, graph, t, gram)
 
     def ip(self, a: int, b: int):
         """Inner product v_a . v_b (vertex indices are 1-based; 0 is v_0)."""

@@ -42,7 +42,7 @@ of x_j, so the reported certificate always covers the original row list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from math import prod
 
@@ -51,21 +51,22 @@ from .rational import ZERO, Rat, as_rational, integral
 _PIVOT_CAP = 5_000_000  # the Bland fallback terminates; this guards against bugs
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Minimize objective . x subject to every row."""
+class LinearProgram(namedtuple("LinearProgram", "names rows objective")):
+    """Minimize objective . x subject to every row.
 
-    names: tuple
-    rows: tuple  # ((((j, c_j), ...), rhs), ...) each row means sum_j c_j x_j >= rhs
-    objective: tuple
+    `rows` is ((((j, c_j), ...), rhs), ...): each row means sum_j c_j x_j >= rhs.
+    """
 
-    def __post_init__(self):
-        nv = len(self.names)
-        if len(self.objective) != nv:
+    __slots__ = ()
+
+    def __new__(cls, names: tuple, rows: tuple, objective: tuple):
+        nv = len(names)
+        if len(objective) != nv:
             raise ValueError("objective length != variable count")
-        for k, (coeffs, _rhs) in enumerate(self.rows):
+        for k, (coeffs, _rhs) in enumerate(rows):
             if len({j for j, c in coeffs if c != 0 and 0 <= j < nv}) != len(coeffs):
                 raise ValueError(f"row {k} needs distinct variables in 0..{nv - 1}, each c != 0")
+        return super().__new__(cls, names, rows, objective)
 
     @property
     def n_vars(self) -> int:
@@ -76,13 +77,8 @@ class LinearProgram:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class LpResult:
-    """The minimum value, a primal optimum and one dual multiplier per row."""
-
-    value: object
-    primal: tuple
-    dual: tuple
+# the minimum value, a primal optimum and one dual multiplier per row
+LpResult = namedtuple("LpResult", "value primal dual")
 
 
 class _Tableau:

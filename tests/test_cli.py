@@ -222,6 +222,11 @@ def test_usage_errors_exit_one():
         r = run(*bad)
         assert r.returncode == 1, bad
         assert r.stderr.startswith("usage error:") and "Traceback" not in r.stderr, bad
+    # a grid entry of the wrong length or not of integers is named
+    for entry in ("8,1,1,2", "x,1,1"):
+        r = run("gap-table", "--grid", f"6,1,1;{entry}")
+        assert r.returncode == 1, entry
+        assert r.stderr.startswith(f"usage error: grid entry {entry!r} is not 'n,r,t'"), r.stderr
     # sizes out of range are refused by the parser, which names the flag
     for bad, flag in (
         (["verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "-1"], "--t"),

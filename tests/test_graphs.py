@@ -74,6 +74,21 @@ def test_graph_validation():
         Graph(3, ((2, 4),))
 
 
+def test_graph_sorts_edges_fills_weights_and_keeps_its_fields():
+    g = Graph(3, ((2, 3), (1, 3), (1, 2)))
+    assert g.edges == ((1, 2), (1, 3), (2, 3))
+    assert g.edge_code(1, 3) == 4
+    assert g.weights == (ONE, ONE, ONE)
+    weighted = Graph(2, ((1, 2),), (2, "1/3"))
+    assert weighted.weights == (Rat(2), Rat(1, 3))
+    assert all(type(w) is Rat for w in weighted.weights)
+    assert weighted == Graph(2, [(1, 2)], (Rat(2), Rat(1, 3)))
+    assert hash(weighted) == hash(Graph(2, ((1, 2),), (2, Rat(1, 3))))
+    with pytest.raises(AttributeError):
+        g.n = 4
+    assert g.n == 3
+
+
 def test_pvc_lp_row_and_variable_counts():
     lp = build_pvc_lp(make_star(3), 2)
     assert lp.n_vars == 7

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 from functools import partial
 from itertools import combinations
@@ -10,6 +11,7 @@ from pvcgap import hierarchy, linalg, moments
 from pvcgap.graphs import (Graph, brute_force_opt, build_pvc_lp, make_clique, make_star,
                            pvc_rows)
 from pvcgap.hierarchy import (
+    Violation,
     generate_sa1_lp,
     verify_sa,
     verify_sap,
@@ -97,6 +99,13 @@ def test_p_zero_fails_demand_at_empty_pair():
     assert v.y == () and v.n == ()
     assert v.lhs == ZERO and v.rhs == ONE
     assert verdict.integrality_gap_lower_bound is None
+
+
+def test_a_verdict_survives_a_pickle_round_trip():
+    # pool workers hand their chunk's violation back this way
+    verdict = verify_sa(DistParams(make_clique(6), ZERO), 1, 1)
+    assert isinstance(verdict.violated, Violation)
+    assert pickle.loads(pickle.dumps(verdict)) == verdict
 
 
 def test_violation_witness_reproduces_at_higher_level():

@@ -96,12 +96,20 @@ def _loaded_by_command(*argv) -> set:
     return _loaded(f"from pvcgap.cli import main\nassert main({list(argv)!r}) == 0")
 
 
-def test_short_commands_load_neither_the_scan_layers_nor_the_pool(tmp_path):
-    help_run = _loaded("from pvcgap.cli import main\ntry:\n    main(['--help'])\n"
-                       "except SystemExit as exc:\n    assert exc.code == 0")
+def _loaded_by_help() -> set:
+    return _loaded("from pvcgap.cli import main\ntry:\n    main(['--help'])\n"
+                   "except SystemExit as exc:\n    assert exc.code == 0")
+
+
+def _path_graph(tmp_path) -> str:
     path = tmp_path / "p4.graph"
     path.write_text("4 3\n1 2\n2 3\n3 4\n")
-    graph_opt = _loaded_by_command("graph-opt", "--graph", str(path), "--t", "2")
+    return str(path)
+
+
+def test_short_commands_load_neither_the_scan_layers_nor_the_pool(tmp_path):
+    help_run = _loaded_by_help()
+    graph_opt = _loaded_by_command("graph-opt", "--graph", _path_graph(tmp_path), "--t", "2")
     assert "pvcgap.cli" in help_run and "pvcgap.simplex" in graph_opt
     assert help_run & HEAVY == set()
     assert graph_opt & HEAVY == set()
@@ -145,3 +153,22 @@ def test_the_lasserre_command_loads_only_the_matrix_layer():
     assert "pvcgap.linalg" in loaded and "pvcgap.lasserre" in loaded
     assert loaded & {"pvcgap.moments", "pvcgap.graphs", "pvcgap.simplex",
                      "pvcgap.hierarchy"} == set()
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # their import alone costs several milliseconds of every run's start-up
+    verify = ("verify", "--n", "6", "--r", "1", "--t", "1", "--level")
+    runs = {
+        "--help": _loaded_by_help(),
+        "sa": _loaded_by_command(*verify, "sa"),
+        "sap": _loaded_by_command(*verify, "sap"),
+        "xyn": _loaded_by_command(*verify, "xyn"),
+        "star": _loaded_by_command("star", "--n", "6", "--t", "3"),
+        "lasserre": _loaded_by_command("lasserre", "--n", "12", "--r", "1", "--t", "1"),
+        "gap-table": _loaded_by_command("gap-table", "--grid", "6,1,1"),
+        "graph-opt": _loaded_by_command("graph-opt", "--graph", _path_graph(tmp_path),
+                                        "--t", "2"),
+    }
+    for command, loaded in runs.items():
+        assert "pvcgap.cli" in loaded, command
+        assert loaded & {"dataclasses", "inspect"} == set(), command

@@ -96,5 +96,5 @@ def test_non_psd_gram_is_caught():
 
 def test_gram_dimension_validation():
     sol = build_star_sdp_solution(4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"Gram dimension must be 1 \+ vertex count"):
         GramSolution(make_star(6), 1, sol.gram)

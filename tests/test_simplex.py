@@ -168,3 +168,8 @@ def test_row_entries_are_validated(coeffs):
     with pytest.raises(ValueError, match="row 1 needs distinct variables"):
         LinearProgram(names=("x", "y"), rows=((((0, ONE),), ZERO), (coeffs, ZERO)),
                       objective=(ONE, ONE))
+
+
+def test_objective_length_is_validated():
+    with pytest.raises(ValueError, match="objective length != variable count"):
+        LinearProgram(names=("x", "y"), rows=(), objective=(ONE,))
