@@ -3,7 +3,9 @@
 Vertices are 1-based; the star built by `make_star(n)` has its center at
 vertex n+1.  LP variables are indexed by V then E: vertex i gets code
 i-1, the k-th edge in lexicographic order gets code n+k.  That order is
-part of the certificate format and must not change.
+part of the certificate format and must not change.  `pvc_rows` gives the
+t-PVC rows in the one sparse format the scan, the LPs and the simplex
+share, unnamed: `row_name` names a row from its index when it fails.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ class Graph(namedtuple("Graph", "n edges weights")):
 
     The tuple (n, edges, weights), edges sorted and weights rational: it
     compares and hashes by them, and they cannot be reassigned."""
+
+    __slots__ = ()
 
     def __new__(cls, n: int, edges: tuple, weights: tuple = ()):
         if n < 1:
@@ -40,9 +44,7 @@ class Graph(namedtuple("Graph", "n edges weights")):
             weights = tuple(as_rational(w) for w in weights)
             if min(weights) < 0:
                 raise ValueError(f"vertex weights must be nonnegative, got {min(weights)}")
-        self = super().__new__(cls, n, tuple(sorted(edges)), weights)
-        self._edge_rank = {e: k for k, e in enumerate(self.edges)}
-        return self
+        return super().__new__(cls, n, tuple(sorted(edges)), weights)
 
     @property
     def m(self) -> int:
@@ -53,19 +55,6 @@ class Graph(namedtuple("Graph", "n edges weights")):
         return self.n + self.m
 
     # -- variable codes: vertices 0..n-1, then edges n..n+m-1 ---------------
-
-    def vertex_code(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"no vertex {i}")
-        return i - 1
-
-    def edge_code(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        rank = self._edge_rank.get((i, j))
-        if rank is None:
-            raise ValueError(f"no edge {{{i},{j}}}")
-        return self.n + rank
 
     def is_vertex_code(self, code: int) -> bool:
         return 0 <= code < self.n
@@ -80,9 +69,6 @@ class Graph(namedtuple("Graph", "n edges weights")):
             return f"v{code + 1}"
         i, j = self.edges[code - self.n]
         return f"e{i}_{j}"
-
-    def var_names(self) -> list:
-        return [self.var_name(c) for c in range(self.var_count)]
 
 
 MAX_GRAPH_SIZE = 10**6  # most vertices, and most edges, of a graph pvcgap builds
@@ -135,6 +121,16 @@ def least_twins(g: Graph) -> list:
 # line past a header that undercounts the edges from being read as a weight.
 
 
+def _ints(fields: list, count: int, line: str, shape: str) -> tuple:
+    """`count` integer fields of a graph-file line, or an error naming the line."""
+    try:
+        if len(fields) == count:
+            return tuple(map(int, fields))
+    except ValueError:
+        pass
+    raise ValueError(f"{shape}, got {line!r}")
+
+
 def parse_graph(text: str) -> Graph:
     lines = []
     for raw in text.splitlines():
@@ -143,10 +139,7 @@ def parse_graph(text: str) -> Graph:
             lines.append(line)
     if not lines:
         raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(lines[0].split(), 2, lines[0], "header must be 'n m'")
     if m < 0:
         raise ValueError(f"edge count must be >= 0, got {m}")
     _check_size("the graph file", n, m)
@@ -154,10 +147,7 @@ def parse_graph(text: str) -> Graph:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for line in lines[1 : 1 + m]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge line must be 'i j', got {line!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _ints(line.split(), 2, line, "edge line must be 'i j'")
         if i == j:
             raise ValueError(f"self-loop {i}")
         edges.append((min(i, j), max(i, j)))
@@ -170,7 +160,7 @@ def parse_graph(text: str) -> Graph:
                 f"line {line!r} is not a vertex-weight line 'w i value' "
                 f"(the header declares m={m} edge lines)"
             )
-        i = int(parts[1])
+        (i,) = _ints(parts[1:2], 1, line, "vertex-weight line must be 'w i value'")
         if not 1 <= i <= n:
             raise ValueError(f"vertex-weight line for unknown vertex {i}")
         if i in weighted:
@@ -199,18 +189,27 @@ def check_demand(g: Graph, t: int) -> None:
 def pvc_rows(g: Graph, t: int) -> tuple:
     """The rows sum_j c_j x_j >= rhs of the t-PVC relaxation over V u E.
 
-    Each row is (name, ((j, c) for each c != 0), rhs) in integers.  Row
-    order (fixed, part of the certificate format): one row per edge, the
-    demand row, all lower box rows x_q >= 0, all upper box rows -x_q >= -1.
+    Each row is (((j, c) for each c != 0), rhs) in integers, the
+    `LinearProgram` row.  Row order (fixed, part of the certificate
+    format): one row per edge, the demand row, all lower box rows
+    x_q >= 0, all upper box rows -x_q >= -1.  `row_name` names a row.
     """
     check_demand(g, t)
-    names = g.var_names()
-    rows = [(f"edge:{names[e]}", ((i - 1, 1), (j - 1, 1), (e, -1)), 0)
-            for e, (i, j) in enumerate(g.edges, g.n)]
-    rows.append(("demand", tuple((e, 1) for e in range(g.n, g.var_count)), t))
-    rows += [(f"box0:{v}", ((q, 1),), 0) for q, v in enumerate(names)]
-    rows += [(f"box1:{v}", ((q, -1),), -1) for q, v in enumerate(names)]
+    rows = [(((i - 1, 1), (j - 1, 1), (e, -1)), 0) for e, (i, j) in enumerate(g.edges, g.n)]
+    rows.append((tuple((e, 1) for e in range(g.n, g.var_count)), t))
+    rows += [(((q, 1),), 0) for q in range(g.var_count)]
+    rows += [(((q, -1),), -1) for q in range(g.var_count)]
     return tuple(rows)
+
+
+def row_name(g: Graph, k: int) -> str:
+    """The certificate name of row k of `pvc_rows`: edge:e1_2, demand, box0:v1 or box1:e1_2."""
+    if k < g.m:
+        return f"edge:{g.var_name(g.n + k)}"
+    if k == g.m:
+        return "demand"
+    box, q = divmod(k - g.m - 1, g.var_count)
+    return f"box{box}:{g.var_name(q)}"
 
 
 def lift(row: tuple, ys, ns) -> dict:
@@ -238,11 +237,11 @@ def lift(row: tuple, ys, ns) -> dict:
 
 
 def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
-    """The rows of `pvc_rows`, unnamed, as an LP; minimize the vertex weights."""
+    """The rows of `pvc_rows` as an LP; minimize the vertex weights."""
     from .simplex import LinearProgram
 
-    return LinearProgram(tuple(g.var_names()), tuple((c, rhs) for _, c, rhs in pvc_rows(g, t)),
-                         g.weights + (ZERO,) * g.m)
+    names = tuple(map(g.var_name, range(g.var_count)))
+    return LinearProgram(names, pvc_rows(g, t), g.weights + (ZERO,) * g.m)
 
 
 # -- brute-force integral oracle --------------------------------------------

@@ -2,12 +2,12 @@
 
 `verify_sa` checks the moment vector of the random-cover distribution
 against every product-lifted constraint of the cover polytope up to a
-given level r.  The rows are `graphs.pvc_rows`, in their order and under
-their names; without the names they are the rows of `graphs.build_pvc_lp`
-and the rows `generate_sa1_lp` lifts with `graphs.lift`, so the scan and the
-LPs share one sparse row format.  For each disjoint pair (Y, N) with
-|Y u N| <= r it evaluates the linearized weights w(Y u {q}, N) and tests,
-exactly, every row sum_j c_j x_j >= rhs in its lifted form
+given level r.  The rows are `graphs.pvc_rows` in their order, the rows of
+`graphs.build_pvc_lp` and those `generate_sa1_lp` lifts with `graphs.lift`:
+one sparse row format, named (`graphs.row_name`) only when a row fails.
+For each disjoint pair (Y, N) with |Y u N| <= r it evaluates the
+linearized weights w(Y u {q}, N) and tests, exactly, every row
+sum_j c_j x_j >= rhs in its lifted form
 
     sum_j c_j w(Y+{j}, N) >= rhs * w(Y, N)
 
@@ -61,7 +61,7 @@ from itertools import combinations, islice
 from math import comb
 
 from . import moments
-from .graphs import Graph, check_demand, integral_opt, lift, pvc_rows
+from .graphs import Graph, check_demand, integral_opt, lift, pvc_rows, row_name
 from .moments import DistParams, _key_value, _orbit_key, _pair_weights, _weights_at
 from .moments import build_cond_matrix, moment
 from .rational import ZERO, Rat
@@ -124,17 +124,19 @@ def _row_check(params: DistParams, rows: tuple, y: tuple, n: tuple, wyn: int, w)
 
     Row sum_j c_j x_j >= rhs is checked as sum_j c_j w(Y+{j}, N) >=
     rhs * w(Y, N).  The weights are integers over `params.den`; a
-    violation's two sides are rebuilt as rationals.
+    violation's two sides are rebuilt as rationals, and only the failing
+    row is named, by `graphs.row_name`.
     """
     if wyn == 0:
         # every weight below is squeezed into [0, 0]; nothing can fail
         return None
-    for k, (name, coeffs, rhs) in enumerate(rows, 1):
+    for k, (coeffs, rhs) in enumerate(rows, 1):
         lhs = 0
         for j, c in coeffs:
             lhs += c * w[j]
         if lhs < rhs * wyn:
-            return Violation(name, y, n, Rat(lhs, params.den), Rat(rhs * wyn, params.den)), k
+            return Violation(row_name(params.graph, k - 1), y, n,
+                             Rat(lhs, params.den), Rat(rhs * wyn, params.den)), k
     return None
 
 
@@ -353,7 +355,7 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
     sets = [()] + [(q,) for q in range(m)] + list(combinations(range(m), 2))
     index = {s: k for k, s in enumerate(sets)}
     rows, seen = [], set()
-    for source in ((nz, rhs) for _, nz, rhs in pvc_rows(graph, t)):
+    for source in pvc_rows(graph, t):
         for q in range(m):
             for lifted in (lift(source, (q,), ()), lift(source, (), (q,))):
                 row = (tuple(sorted((index[s], c) for s, c in lifted.items())), 0)

@@ -84,16 +84,15 @@ def allones_eigenvalue_after_schur(zbar: SymMatrix):
 # -- generic level-1 slack moment matrices -----------------------------------
 
 
-def level1_slack_matrix(params, coeffs, rhs) -> SymMatrix:
+def level1_slack_matrix(params, row) -> SymMatrix:
     """Slack moment matrix of one sparse LP row over {empty} u singletons of V u E.
 
-    `coeffs` is the row's ((q, a_q), ...), as in `LinearProgram.rows`.
-    Entry (A, B) is the row lifted by x_{A u B} (`graphs.lift` at
-    (Y, N) = (A u B, {})), sum_S c_S * moment(S) = sum_q a_q * moment(A u B u {q})
-    - rhs * moment(A u B).  Built from enumerated moments, so it works for
-    any row, not only ones with a closed form.  `params` is a
-    `moments.DistParams`; `graphs` and `moments` are imported here, so the
-    `lasserre` command loads neither.
+    `row` is (((q, a_q), ...), rhs), a `graphs.pvc_rows` row.  Entry (A, B)
+    is the row lifted by x_{A u B} (`graphs.lift` at (Y, N) = (A u B, {})),
+    sum_S c_S * moment(S) = sum_q a_q * moment(A u B u {q}) - rhs * moment(A u B).
+    Built from enumerated moments, so it works for any row, not only ones
+    with a closed form.  `params` is a `moments.DistParams`; `graphs` and
+    `moments` are imported here, so the `lasserre` command loads neither.
     """
     from .graphs import lift
     from .moments import moment
@@ -101,7 +100,7 @@ def level1_slack_matrix(params, coeffs, rhs) -> SymMatrix:
     sets = [()] + [(q,) for q in range(params.graph.var_count)]
 
     def entry(i: int, j: int):
-        lifted = lift((coeffs, rhs), sets[i] + sets[j], ())
+        lifted = lift(row, sets[i] + sets[j], ())
         return Rat(sum(c * moment(params, s) for s, c in lifted.items()), params.den)
 
     return SymMatrix.from_function(len(sets), entry)

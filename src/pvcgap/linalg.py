@@ -2,7 +2,7 @@
 
 A `SymMatrix` is one positive integer `den` and full square integer rows
 `ints`, entry (i, j) being ints[i][j] / den: the one form every producer
-writes and the elimination reads.  `get` and `rows` build `Rat`s for readers.
+writes and the elimination reads.  `get` builds one entry's `Rat` for readers.
 
 PSD testing runs an LDL^T factorization without pivoting.  A symmetric
 rational matrix is positive semidefinite exactly when the elimination
@@ -104,17 +104,6 @@ class SymMatrix:
             ints.append([r[i] for r in ints] + upper[start:start + n - i])
             start += n - i
         return cls(den, ints)
-
-    def rows(self) -> list:
-        return [[Rat(x, self.den) for x in row] for row in self.ints]
-
-    def __eq__(self, other) -> bool:  # equal values, whatever the denominators
-        return isinstance(other, SymMatrix) and self.n == other.n and all(
-            x * other.den == y * self.den
-            for a, b in zip(self.ints, other.ints) for x, y in zip(a, b))
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({self.den}, {self.ints})" if self.n <= 6 else f"SymMatrix(n={self.n})"
 
 
 # Outcome of an exact PSD check.  When `is_psd`, `pivots` lists the

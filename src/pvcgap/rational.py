@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import decimal
 import numbers
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -37,11 +38,23 @@ def as_rational(x):
 
 
 def parse_rational(text: str):
-    """Parse 'a/b', an integer, or an exact decimal literal like '0.25'."""
+    """Parse 'a/b', an integer, or an exact decimal literal like '0.25' or '2.5e-1'.
+
+    Like `int` on a typed-out literal, it refuses a numerator or denominator
+    past `sys.get_int_max_str_digits()` digits, which no certificate could
+    print; an exponent is bounded before `Fraction` expands it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit (0) before 3.10.7
+    mantissa, _, exp = text.strip().lower().partition("e")
     try:
-        return Fraction(text.strip())
+        big = bool(limit and exp) and abs(int(exp)) > limit + len(mantissa)
+        q = ZERO if big else Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+    top = max(abs(q.numerator), q.denominator)  # 2**(3 limit) < 10**limit below
+    if big or limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise ValueError(f"rational literal {text!r} has over {limit} digits "
+                         "in its numerator or denominator")
+    return q
 
 
 def integral(values) -> tuple:

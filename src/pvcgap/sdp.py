@@ -37,10 +37,6 @@ class GramSolution(namedtuple("GramSolution", "graph t gram")):
             raise ValueError("Gram dimension must be 1 + vertex count")
         return super().__new__(cls, graph, t, gram)
 
-    def ip(self, a: int, b: int):
-        """Inner product v_a . v_b (vertex indices are 1-based; 0 is v_0)."""
-        return self.gram.get(a, b)
-
 
 def build_star_sdp_solution(n: int, t: int) -> GramSolution:
     """The fooling point on the star with n leaves: v_0 = -v_leaf, and the
@@ -73,13 +69,13 @@ def verify_hs_sdp(sol: GramSolution) -> Certificate:
     integral optimum (when the instance is small enough) and the
     integrality gap the point witnesses.
     """
-    g = sol.graph
-    t = sol.t
+    g, t = sol.graph, sol.t
+    ip = sol.gram.get  # v_a . v_b; vertex indices are 1-based and 0 is v_0
     violation = None
 
     for a in range(g.n + 1):
-        if sol.gram.get(a, a) != ONE:
-            violation = ("unit-norm", f"|v_{a}|^2", sol.gram.get(a, a), ONE)
+        if ip(a, a) != ONE:
+            violation = ("unit-norm", f"|v_{a}|^2", ip(a, a), ONE)
             break
 
     if violation is None:
@@ -90,11 +86,11 @@ def verify_hs_sdp(sol: GramSolution) -> Certificate:
     demand_lhs = ZERO
     if violation is None:
         for i, j in g.edges:
-            s = sol.ip(0, i) + sol.ip(0, j) - sol.ip(i, j)
+            s = ip(0, i) + ip(0, j) - ip(i, j)
             if s > ONE:
                 violation = ("edge-upper", f"e{i}_{j}", s, ONE)
                 break
-            lo = sol.ip(0, i) + sol.ip(0, j) + sol.ip(i, j)
+            lo = ip(0, i) + ip(0, j) + ip(i, j)
             if lo < -ONE:
                 violation = ("edge-lower", f"e{i}_{j}", lo, -ONE)
                 break
@@ -104,7 +100,7 @@ def verify_hs_sdp(sol: GramSolution) -> Certificate:
 
     objective = ZERO
     for i in range(1, g.n + 1):
-        objective += (ONE + sol.ip(0, i)) / 2
+        objective += (ONE + ip(0, i)) / 2
 
     values = {"objective": rational_entry(objective)}
     if violation is None:

@@ -3,9 +3,9 @@
 `LinearProgram` holds a conified 0-1 polytope in a fixed normal form:
 every constraint row reads  sum_j c_j x_j >= rhs, variables are free
 (bounds are rows like any other), and the objective is minimized.  A row
-is sparse, ((j, c_j) for each c_j != 0, rhs): `graphs.pvc_rows`' rows
-without their names, so the scan, the LPs and the simplex share one row
-format and nothing is densified before the tableau.
+is sparse, ((j, c_j) for each c_j != 0, rhs): the rows `graphs.pvc_rows`
+returns, so the scan, the LPs and the simplex share one row format and
+nothing is densified before the tableau.
 
 `lp_solve` solves the program on the classes of its coarsest equitable
 partition, found by colour refinement (Grohe, Kersting, Mladenov and

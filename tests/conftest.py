@@ -42,9 +42,25 @@ def sym_from_rows(rows) -> SymMatrix:
     return SymMatrix.from_function(n, lambda i, j: vals[i][j])
 
 
+def sym_rows(m: SymMatrix) -> list:
+    """The full square of m's entries as `Rat`s."""
+    return [[Rat(x, m.den) for x in row] for row in m.ints]
+
+
+def sym_equal(a: SymMatrix, b: SymMatrix) -> bool:
+    """Equal entries, whatever the two denominators."""
+    return a.n == b.n and all(x * b.den == y * a.den
+                              for ra, rb in zip(a.ints, b.ints) for x, y in zip(ra, rb))
+
+
+def edge_code(g: Graph, i: int, j: int) -> int:
+    """The LP variable code of edge {i, j}: n plus its rank in `g.edges`."""
+    return g.n + g.edges.index((min(i, j), max(i, j)))
+
+
 def with_entries(m: SymMatrix, changes: dict) -> SymMatrix:
     """A copy of m with entries (i, j) and (j, i) set to each value in `changes`."""
-    rows = m.rows()
+    rows = sym_rows(m)
     for (i, j), value in changes.items():
         rows[i][j] = rows[j][i] = as_rational(value)
     return sym_from_rows(rows)

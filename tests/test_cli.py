@@ -188,6 +188,26 @@ def test_graph_opt_and_io_errors(tmp_path):
     assert r.stderr.startswith("error: vertex weights must be nonnegative"), r.stderr
 
 
+def _no_scan(*_args, **_kwargs):
+    raise AssertionError("the scan ran")
+
+
+def test_a_literal_past_the_digit_limit_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
+    # a 7-character exponent would expand past the digits a certificate can print
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(hierarchy, "verify_sa", _no_scan)
+    for p in ("1e-5000", "1e-200000"):
+        assert main(["verify", "--level", "sa", "--n", "8", "--r", "1", "--t", "1", "--p", p]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (f"error: rational literal {p!r} has over {limit} "
+                                             "digits in its numerator or denominator\n")
+    path = tmp_path / "g.graph"
+    path.write_text("2 1\n1 2\nw 1 1e5000\n")
+    assert main(["graph-opt", "--graph", str(path), "--t", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"'1e5000' has over {limit} digits" in out.err
+
+
 def test_failed_out_write_prints_nothing(tmp_path):
     r = run("star", "--n", "3", "--t", "1", "--out", str(tmp_path / "missing_dir" / "x.json"))
     assert r.returncode == 1 and r.stdout == ""

@@ -17,6 +17,7 @@ from pvcgap.graphs import (
     make_star,
     parse_graph,
     pvc_rows,
+    row_name,
 )
 from pvcgap.hierarchy import yn_pairs
 from pvcgap.moments import DistParams, _pair_weights, moment
@@ -62,7 +63,7 @@ def test_star_shape():
 
 def test_variable_order_is_vertices_then_edges():
     g = make_clique(3)
-    assert g.var_names() == ["v1", "v2", "v3", "e1_2", "e1_3", "e2_3"]
+    assert build_pvc_lp(g, 0).names == ("v1", "v2", "v3", "e1_2", "e1_3", "e2_3")
 
 
 def test_graph_validation():
@@ -77,7 +78,8 @@ def test_graph_validation():
 def test_graph_sorts_edges_fills_weights_and_keeps_its_fields():
     g = Graph(3, ((2, 3), (1, 3), (1, 2)))
     assert g.edges == ((1, 2), (1, 3), (2, 3))
-    assert g.edge_code(1, 3) == 4
+    assert g.var_name(4) == "e1_3"
+    assert not hasattr(g, "__dict__")
     assert g.weights == (ONE, ONE, ONE)
     weighted = Graph(2, ((1, 2),), (2, "1/3"))
     assert weighted.weights == (Rat(2), Rat(1, 3))
@@ -100,23 +102,47 @@ def test_pvc_lp_row_and_variable_counts():
         build_pvc_lp(make_clique(4), 7)
 
 
+WEIGHTED_P3 = Graph(3, ((1, 2), (2, 3)), weights=(Rat(5), Rat(0), Rat(1, 2)))
+
+
 def test_the_lp_rows_are_the_sparse_rows_in_their_order():
-    g = Graph(3, ((1, 2), (2, 3)), weights=(Rat(5), Rat(0), Rat(1, 2)))
+    g = WEIGHTED_P3
     rows = pvc_rows(g, 2)
-    assert [name for name, _, _ in rows] == [
-        "edge:e1_2", "edge:e2_3", "demand",
-        "box0:v1", "box0:v2", "box0:v3", "box0:e1_2", "box0:e2_3",
-        "box1:v1", "box1:v2", "box1:v3", "box1:e1_2", "box1:e2_3"]
-    assert rows[1] == ("edge:e2_3", ((1, 1), (2, 1), (4, -1)), 0)
-    assert rows[2] == ("demand", ((3, 1), (4, 1)), 2)
-    assert rows[-1] == ("box1:e2_3", ((4, -1),), -1)
+    assert len(rows) == 2 + 1 + 5 + 5
+    assert rows[1] == (((1, 1), (2, 1), (4, -1)), 0)
+    assert rows[2] == (((3, 1), (4, 1)), 2)
+    assert rows[3] == (((0, 1),), 0)
+    assert rows[-1] == (((4, -1),), -1)
     lp = build_pvc_lp(g, 2)
     assert lp.names == ("v1", "v2", "v3", "e1_2", "e2_3")
     assert lp.objective == g.weights + (Rat(0), Rat(0))
-    assert lp.rows == tuple((coeffs, rhs) for _, coeffs, rhs in rows)
+    assert lp.rows == rows
     for t in (-1, 3):
         with pytest.raises(ValueError):
             pvc_rows(g, t)
+
+
+ROW_NAMES = {
+    "path": (WEIGHTED_P3, [
+        "edge:e1_2", "edge:e2_3", "demand",
+        "box0:v1", "box0:v2", "box0:v3", "box0:e1_2", "box0:e2_3",
+        "box1:v1", "box1:v2", "box1:v3", "box1:e1_2", "box1:e2_3"]),
+    "K4": (make_clique(4), [
+        "edge:e1_2", "edge:e1_3", "edge:e1_4", "edge:e2_3", "edge:e2_4", "edge:e3_4", "demand",
+        "box0:v1", "box0:v2", "box0:v3", "box0:v4",
+        "box0:e1_2", "box0:e1_3", "box0:e1_4", "box0:e2_3", "box0:e2_4", "box0:e3_4",
+        "box1:v1", "box1:v2", "box1:v3", "box1:v4",
+        "box1:e1_2", "box1:e1_3", "box1:e1_4", "box1:e2_3", "box1:e2_4", "box1:e3_4"]),
+    "star": (make_star(3), [
+        "edge:e1_4", "edge:e2_4", "edge:e3_4", "demand",
+        "box0:v1", "box0:v2", "box0:v3", "box0:v4", "box0:e1_4", "box0:e2_4", "box0:e3_4",
+        "box1:v1", "box1:v2", "box1:v3", "box1:v4", "box1:e1_4", "box1:e2_4", "box1:e3_4"]),
+}
+
+
+@pytest.mark.parametrize("g, names", ROW_NAMES.values(), ids=ROW_NAMES)
+def test_row_name_names_every_row_in_order(g, names):
+    assert [row_name(g, k) for k in range(len(pvc_rows(g, 1)))] == names
 
 
 def test_full_demand_is_vertex_cover():
@@ -155,10 +181,10 @@ def test_brute_force_witness_is_lp_feasible():
         lp = build_pvc_lp(g, t)
         x = [Rat(0)] * lp.n_vars
         for v in cover:
-            x[g.vertex_code(v)] = Rat(1)
-        for i, j in g.edges:
+            x[v - 1] = Rat(1)
+        for e, (i, j) in enumerate(g.edges, g.n):
             if i in cover or j in cover:
-                x[g.edge_code(i, j)] = Rat(1)
+                x[e] = Rat(1)
         for coeffs, rhs in lp.rows:
             assert sum((c * x[j] for j, c in coeffs), Rat(0)) >= rhs
         assert dot(lp.objective, x) == weight
@@ -280,6 +306,14 @@ def test_graph_file_comments_and_errors():
         parse_graph("2 1\n1 2\nw 9 4\n")
     with pytest.raises(ValueError, match="second vertex-weight line for vertex 1"):
         parse_graph("2 1\n1 2\nw 1 1/2\nw 1 3\n")
+    # a field that is not an integer names its line
+    for text, message in (("x 2\n", "header must be 'n m', got 'x 2'"),
+                          ("2 1\n1 y\n", "edge line must be 'i j', got '1 y'"),
+                          ("2 1\n1 2\nw z 3\n",
+                           "vertex-weight line must be 'w i value', got 'w z 3'")):
+        with pytest.raises(ValueError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
     # a header that undercounts its edges no longer turns an edge into a weight
     for text in ("3 1\n1 2\n2 3\n", "2 1\n1 2\n2 5/2\n"):
         with pytest.raises(ValueError, match="m=1 edge lines"):
@@ -295,14 +329,14 @@ def test_graph_file_comments_and_errors():
 def test_lift_of_an_edge_row_by_x_and_one_minus_x():
     # K3: v1, v2, v3 are codes 0, 1, 2; e1_2 is code 3.  The edge row
     # x0 + x1 - x3 >= 0 times x0 (1 - x1) is x0 - x0x1 - x0x3 + x0x1x3.
-    row = {name: (coeffs, rhs) for name, coeffs, rhs in pvc_rows(make_clique(3), 1)}
-    assert lift(row["edge:e1_2"], (0,), (1,)) == {(0,): 1, (0, 1): -1, (0, 3): -1, (0, 1, 3): 1}
+    row = pvc_rows(make_clique(3), 1)[0]  # the edge row of e1_2
+    assert lift(row, (0,), (1,)) == {(0,): 1, (0, 1): -1, (0, 3): -1, (0, 1, 3): 1}
 
 
 def test_lift_of_the_demand_row_has_a_term_per_subset_of_n():
     # K3 at t = 1: (x3 + x4 + x5 - 1) x2 (1 - x0)(1 - x1), one signed term
     # for each of T = {}, {0}, {1}, {0, 1}
-    demand = next((c, rhs) for name, c, rhs in pvc_rows(make_clique(3), 1) if name == "demand")
+    demand = pvc_rows(make_clique(3), 1)[3]  # after K3's three edge rows
     expected = {}
     for t, sign in (((), 1), ((0,), -1), ((1,), -1), ((0, 1), 1)):
         expected[(*t, 2)] = -sign
@@ -313,7 +347,7 @@ def test_lift_of_the_demand_row_has_a_term_per_subset_of_n():
 
 
 def test_lift_with_overlapping_y_and_n_is_empty():
-    demand = next((c, rhs) for name, c, rhs in pvc_rows(make_clique(3), 1) if name == "demand")
+    demand = pvc_rows(make_clique(3), 1)[3]  # after K3's three edge rows
     assert lift(demand, (2,), (0, 2)) == {}
     assert lift(demand, (0, 4), (4,)) == {}
 
@@ -328,7 +362,7 @@ def test_a_lifted_row_on_the_moments_is_the_scans_weighted_row(g, t, p):
     the moments is the scan's sum_j c_j w(Y+{j}, N) - rhs * w(Y, N) (on K8,
     261,893 rows)."""
     params = DistParams(g, p)
-    rows = [(coeffs, rhs) for _, coeffs, rhs in pvc_rows(g, t)]
+    rows = pvc_rows(g, t)
     for y, n in yn_pairs(g.var_count, 2):
         wyn, w = _pair_weights(params, y, n)
         for coeffs, rhs in rows:

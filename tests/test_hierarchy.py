@@ -117,8 +117,8 @@ def test_violation_witness_reproduces_at_higher_level():
     # re-evaluate the reported demand row by hand; it must fail identically,
     # and the same pair is scanned by every higher level
     lhs = ZERO
-    for i, j in g.edges:
-        lhs += cond_weight(params, v.y + (g.edge_code(i, j),), v.n)
+    for e in range(g.n, g.var_count):
+        lhs += cond_weight(params, v.y + (e,), v.n)
     assert lhs == v.lhs < v.rhs == 2 * cond_weight(params, v.y, v.n)
     higher = verify_sa(params, 2, 2)
     assert not higher.feasible and higher.violated == v
@@ -314,14 +314,18 @@ def _weights_at_the_empty_pair(weights, default, _params, ys, _ns):
 @pytest.mark.parametrize("weights,default,name,lhs,rhs,checked", [
     # w(v1) + w(v2) - w(e1_2) = 1 + 1 - 5 fails the first row
     ({(): 1, (4,): 5}, 1, "edge:e1_2", Rat(-3), ZERO, 1),
+    # every edge weight 0 holds the edge rows and fails the demand row, 0 >= 1 * w()
+    ({(): 1}, 0, "demand", ZERO, ONE, 6 + 1),
+    # w(e2_3) >= 0 fails after 6 edge rows, the demand row (5 - 1 >= 1) and 7 lower box rows
+    ({(): 1, (7,): -1}, 1, "box0:e2_3", -ONE, ZERO, 6 + 1 + 8),
     # -w(v3) >= -w() fails after 6 edge rows, the demand row, 10 lower and 3 upper box rows
     ({(): 2, (2,): 3}, 2, "box1:v3", Rat(-3), Rat(-2), 6 + 1 + 10 + 3),
-], ids=["edge", "box1"])
+], ids=["edge", "demand", "box0", "box1"])
 def test_a_violation_reports_the_rows_own_name_and_sides(
         monkeypatch, weights, default, name, lhs, rhs, checked):
     g = make_clique(4)
     params = DistParams(g, Rat(1, 3))
-    assert g.edge_code(1, 2) == 4
+    assert g.var_name(4) == "e1_2"
     monkeypatch.setattr(moments, "_weight_overlap_ok",
                         partial(_weights_at_the_empty_pair, weights, default))
     verdict = verify_sa(params, 1, 1)
@@ -386,7 +390,7 @@ def _dense_sa1_lp(graph, t) -> tuple:
         seen.add(key)
         rows.append(key)
 
-    for _, nz, rhs in pvc_rows(graph, t):
+    for nz, rhs in pvc_rows(graph, t):
         for q in range(m):
             lifted = [0] * n_vars
             for j, c in nz:
@@ -429,7 +433,7 @@ def test_sparse_lifted_lp_is_the_dense_oracle(g, t):
         dense.append((tuple(row), rhs))
     assert (lp.names, tuple(dense), lp.objective) == _dense_sa1_lp(g, t)
     assert all(list(coeffs) == sorted(coeffs) for coeffs, _rhs in lp.rows)
-    assert build_pvc_lp(g, t).rows == tuple((c, rhs) for _, c, rhs in pvc_rows(g, t))
+    assert build_pvc_lp(g, t).rows == pvc_rows(g, t)
 
 
 def test_lifted_lp_closes_the_star_gap():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -9,13 +10,16 @@ import pytest
 
 import pvcgap
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.tracer import TARGETS  # noqa: E402
-
 MODULES = sorted(Path(pvcgap.__file__).parent.glob("*.py"))
 
-# kept in src/ although only tests call it: the oracle the closed form is checked against
-ORACLES = {"level1_slack_matrix"}
+# kept in src/ although nothing in src/ calls them
+ALLOWED = {
+    # the benchmark's tracer wraps it by name to count the weight layer's calls
+    "cond_weight",
+    # the full level-1 Lasserre slack matrix (ROADMAP direction 8 builds it from
+    # orbit values); tests check the closed-form minor against it
+    "level1_slack_matrix",
+}
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -49,29 +53,54 @@ def test_the_check_sees_an_unused_import():
 
 
 def _dead_definitions(trees: dict, external: set) -> list:
-    """Top-level functions and classes that no module, and no name in
-    `external`, refers to outside their own definition."""
-    defined, used = [], set(external)
+    """Functions, methods and classes, at any depth, that no module and no name
+    in `external` refers to outside their own definition; dunder methods,
+    which Python calls, are exempt."""
+    spans, used = {}, []  # name -> [(module, first line, last line)]; (name, module, line)
     for module, tree in trees.items():
-        for node in tree.body:
-            own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
-            defined.extend((module, name) for name in own)
-            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-            names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
-            used |= names - own
-    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                spans.setdefault(node.name, []).append((module, node.lineno, node.end_lineno))
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(name, str):
+                used.append((name, module, node.lineno))
+    referenced = set(external) | {name for name, module, line in used if name in spans and not any(
+        m == module and lo <= line <= hi for m, lo, hi in spans[name])}
+    return sorted(f"{module}.{name}" for name, where in spans.items() for module, _, _ in where
+                  if name not in referenced and not (name.startswith("__") and name.endswith("__")))
+
+
+def _overriding_methods() -> set:
+    """Names of the package's methods that override a base class's: the base calls them
+    (argparse calls the CLI parser's `error`)."""
+    names = set()
+    for path in MODULES:
+        module = importlib.import_module(f"pvcgap.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                names |= {name for name in vars(cls) if any(name in vars(base)
+                                                            for base in cls.__mro__[1:])}
+    return names
 
 
 def test_no_dead_helpers():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
-    external = ORACLES | {attr for _module, attr, _span in TARGETS}
-    assert _dead_definitions(trees, external) == []
+    assert _dead_definitions(trees, ALLOWED | _overriding_methods()) == []
 
 
 def test_the_check_sees_a_dead_helper():
     code = "def used():\n    return 1\n\n\ndef dead(k):\n    return dead(k - 1)\n\n\nX = used()\n"
     assert _dead_definitions({"m": ast.parse(code)}, set()) == ["m.dead"]
     assert _dead_definitions({"m": ast.parse(code)}, {"dead"}) == []
+
+
+def test_the_check_sees_a_dead_method():
+    code = ("class C:\n"
+            "    def __init__(self):\n        self.k = self.used()\n"
+            "    def used(self):\n        return 1\n"
+            "    def dead(self):\n        return self.dead()\n"
+            "\n\nX = C()\n")
+    assert _dead_definitions({"m": ast.parse(code)}, set()) == ["m.dead"]
 
 
 # child interpreters import the pvcgap this process imported, installed or not

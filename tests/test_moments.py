@@ -19,6 +19,8 @@ from pvcgap.moments import (
 )
 from pvcgap.rational import ONE, ZERO, Rat
 
+from conftest import edge_code
+
 
 def _params(n=8, p=Rat(1, 5)):
     return DistParams(make_clique(n), p)
@@ -33,15 +35,15 @@ def test_singleton_values():
     params = _params()
     g = params.graph
     p = params.p
-    assert _prob(params, (g.vertex_code(3),)) == p
-    assert _prob(params, (g.edge_code(2, 5),)) == 2 * p - p * p
+    assert _prob(params, (3 - 1,)) == p
+    assert _prob(params, (edge_code(g, 2, 5),)) == 2 * p - p * p
     assert _prob(params, ()) == ONE
 
 
 def test_vertex_forces_incident_edge():
     params = _params()
     g = params.graph
-    a = (g.vertex_code(1), g.edge_code(1, 2))
+    a = (1 - 1, edge_code(g, 1, 2))
     assert _prob(params, a) == params.p
 
 
@@ -63,9 +65,9 @@ def test_cond_weight_examples():
     g = params.graph
     p = params.p
     assert cond_weight(params, (), ()) == ONE
-    e = g.edge_code(1, 2)
-    assert cond_weight(params, (e,), (g.vertex_code(1),)) == p - p * p
-    assert cond_weight(params, (g.vertex_code(1),), (g.vertex_code(2),)) == p * (ONE - p)
+    e = edge_code(g, 1, 2)
+    assert cond_weight(params, (e,), (1 - 1,)) == p - p * p
+    assert cond_weight(params, (1 - 1,), (2 - 1,)) == p * (ONE - p)
     with pytest.raises(ValueError):
         cond_weight(params, (e,), (e,))
 
@@ -93,7 +95,7 @@ def test_inclusion_exclusion_matches_enumeration_500_cases():
 def test_cross_check_catches_a_wrong_moment():
     params = _params()
     g = params.graph
-    y, n = (g.vertex_code(1),), (g.vertex_code(2),)
+    y, n = (1 - 1,), (2 - 1,)
     # the inclusion-exclusion sum reads moment({v1, v2}) from the memo
     params._memo[tuple(sorted(y + n))] = params.den // 2
     with pytest.raises(MomentMismatch):
@@ -121,23 +123,23 @@ def test_untouched_edge_factors_out():
     g = params.graph
     p = params.p
     edge_val = 2 * p - p * p
-    y = (g.vertex_code(1), g.edge_code(2, 3))
-    n = (g.vertex_code(4),)
-    f = g.edge_code(6, 7)  # shares no endpoint with anything above
+    y = (1 - 1, edge_code(g, 2, 3))
+    n = (4 - 1,)
+    f = edge_code(g, 6, 7)  # shares no endpoint with anything above
     assert cond_weight(params, y + (f,), n) == edge_val * cond_weight(params, y, n)
 
 
 def test_cond_matrix_entries_and_idempotence():
     params = _params(5, Rat(1, 3))
     g = params.graph
-    cm = build_cond_matrix(params, (g.vertex_code(1),), (g.vertex_code(2),))
+    cm = build_cond_matrix(params, (1 - 1,), (2 - 1,))
     assert cm.n == 1 + g.var_count
     # (empty, empty) entry is the bare conditioning weight
-    assert cm.get(0, 0) == cond_weight(params, (g.vertex_code(1),), (g.vertex_code(2),))
-    i = g.vertex_code(3)
+    assert cm.get(0, 0) == cond_weight(params, (1 - 1,), (2 - 1,))
+    i = 3 - 1
     assert cm.get(1 + i, 1 + i) == cm.get(0, 1 + i)
     # columns of variables inside N vanish
-    j = g.vertex_code(2)
+    j = 2 - 1
     assert all(cm.get(1 + j, k) == ZERO for k in range(cm.n))
 
 
@@ -169,7 +171,7 @@ def test_unconditioned_matrix_psd_cross_checked_with_floats():
 def test_support_cap_is_enforced():
     params = DistParams(make_clique(2 * 14), Rat(1, 2))
     g = params.graph
-    pairs = [g.edge_code(2 * i + 1, 2 * i + 2) for i in range(14)]
+    pairs = [edge_code(g, 2 * i + 1, 2 * i + 2) for i in range(14)]
     with pytest.raises(SupportTooLarge, match="28 vertices"):
         moment(params, pairs)
     # the cap is inclusive: requiring 13 disjoint edges off spans exactly 26 vertices
@@ -178,23 +180,23 @@ def test_support_cap_is_enforced():
     assert params.den == 2**26
     assert _enumerate_on_off(params, (), pairs[:13]) == 1
     with pytest.raises(SupportTooLarge, match="27 vertices"):
-        _enumerate_on_off(params, (g.vertex_code(27),), pairs[:13])
+        _enumerate_on_off(params, (27 - 1,), pairs[:13])
 
 
 def test_degenerate_probabilities():
     for p in (ZERO, ONE):
         params = _params(6, p)
         g = params.graph
-        assert _prob(params, (g.vertex_code(1),)) == p
-        assert _prob(params, (g.edge_code(1, 2),)) == (ZERO if p == 0 else ONE)
-        assert cond_weight(params, (), (g.vertex_code(1),)) == ONE - p
+        assert _prob(params, (1 - 1,)) == p
+        assert _prob(params, (edge_code(g, 1, 2),)) == (ZERO if p == 0 else ONE)
+        assert cond_weight(params, (), (1 - 1,)) == ONE - p
 
 
 def test_star_graph_moments():
     g = make_star(4)
     params = DistParams(g, Rat(1, 2))
-    center = g.vertex_code(5)
-    leaf_edge = g.edge_code(1, 5)
+    center = 5 - 1
+    leaf_edge = edge_code(g, 1, 5)
     # edge on iff center or its leaf chosen
     assert _prob(params, (leaf_edge,)) == Rat(3, 4)
     assert cond_weight(params, (leaf_edge,), (center,)) == Rat(1, 4)

@@ -84,6 +84,17 @@ def test_parse_and_render_round_trip():
         parse_rational("abc")
 
 
+def test_exponent_literals_parse_exactly_within_the_digit_limit():
+    assert parse_rational("1e-3") == Rat(1, 1000)
+    assert parse_rational("2.5e-1") == parse_rational("0.25") == Rat(1, 4)
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)  # exactly `limit` digits
+    for text in (f"1e{limit}", f"1e-{limit}", "1e-5000", "1e-999999999999",
+                 "1" * (limit - 1) + "." + "1" * (limit - 1)):  # the digits of both parts
+        with pytest.raises(ValueError, match=f"over {limit} digits"):
+            parse_rational(text)
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         as_rational(0.5)

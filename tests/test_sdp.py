@@ -20,12 +20,12 @@ def gram_from_cover(g, t, cover) -> GramSolution:
 def test_star_inner_products():
     sol = build_star_sdp_solution(4, 2)
     center = 5
-    assert sol.ip(0, center) == Rat(0)  # -1 + 2t/n at n=4, t=2
-    assert all(sol.ip(a, a) == ONE for a in range(sol.graph.n + 1))
+    assert sol.gram.get(0, center) == Rat(0)  # -1 + 2t/n at n=4, t=2
+    assert all(sol.gram.get(a, a) == ONE for a in range(sol.graph.n + 1))
     sol = build_star_sdp_solution(10, 1)
-    assert sol.ip(1, 11) == Rat(4, 5)
-    assert sol.ip(0, 3) == -ONE
-    assert sol.ip(2, 7) == ONE
+    assert sol.gram.get(1, 11) == Rat(4, 5)
+    assert sol.gram.get(0, 3) == -ONE
+    assert sol.gram.get(2, 7) == ONE
 
 
 def test_star_solution_requires_small_demand():
@@ -58,9 +58,9 @@ def test_star_edge_slack_value():
     n, t = 12, 3
     sol = build_star_sdp_solution(n, t)
     for i in range(1, n + 1):
-        s = sol.ip(0, i) + sol.ip(0, n + 1) - sol.ip(i, n + 1)
+        s = sol.gram.get(0, i) + sol.gram.get(0, n + 1) - sol.gram.get(i, n + 1)
         assert ONE - s == 4 - Rat(4 * t, n)
-        lo = sol.ip(0, i) + sol.ip(0, n + 1) + sol.ip(i, n + 1)
+        lo = sol.gram.get(0, i) + sol.gram.get(0, n + 1) + sol.gram.get(i, n + 1)
         assert lo == -ONE
 
 
