@@ -8,8 +8,8 @@ strings with decimal renderings alongside.
 
 Each subcommand's handler imports the modules it calls when it runs, so
 a command loads only what it uses: `graph-opt` never loads the moment
-and matrix layers, and only a `--threads` > 1 scan past its first chunk
-loads the process pool (see `hierarchy`).
+and matrix layers, and only a `--threads` > 1 scan past its CPU budget,
+with work left, loads the process pool (see `hierarchy`).
 """
 
 from __future__ import annotations

@@ -166,7 +166,12 @@ def parse_graph(text: str) -> Graph:
         if i in weighted:
             raise ValueError(f"a second vertex-weight line for vertex {i}")
         weighted.add(i)
-        weights[i - 1] = as_rational(parts[2])
+        try:
+            weights[i - 1] = as_rational(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{exc}, in {line!r}") from None
+        if weights[i - 1] < 0:
+            raise ValueError(f"vertex weights must be nonnegative, got {line!r}")
     return Graph(n, tuple(edges), tuple(weights))
 
 

@@ -43,13 +43,19 @@ and including the witness, independent of worker count.  The fingerprint
 of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is stamped into
 every certificate.
 
-A scan with threads > 1 checks its first chunk in this process and loads
-the process pool only once past it, for the other chunks; each worker keeps
-the scan's params, memo included, for all of its chunks.  `ProcessPoolExecutor`
-is imported on first use, and `_first_failure` reads it from this module
-at call time, so a class put in its place (a test's forking pool, a
-tracer's timed one) is the one the scan starts.  `linalg` and `simplex`
-load likewise, in the matrix checks and the lifted LP, so `sa` needs neither.
+A scan with threads > 1 is cut into ordered chunks, which this process
+scans in turn.  It rents before it buys ("ski rental", Karlin et al. 1988):
+a pool starts, for the chunks left, only once this process has spent
+`POOL_AFTER_S` seconds of CPU time on them (about three times the pool's
+start-up cost) and, at its rate so far, the chunks left would take it twice
+that.  Each worker keeps the scan's params, memo included, for all its
+chunks.  A short scan never loads the pool, and chunks count in order, so
+no certificate depends on the budget or the worker count.
+`ProcessPoolExecutor` is imported on first use, and `_first_failure` reads
+it and `POOL_AFTER_S` from this module at call time, so a class put in its
+place (a test's forking pool, a tracer's timed one) is the one the scan
+starts.  `linalg` and `simplex` load likewise, in the matrix checks and the
+lifted LP, so `sa` needs neither.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from collections import namedtuple
 from functools import partial
 from itertools import combinations, islice
 from math import comb
+from time import process_time
 
 from . import moments
 from .graphs import Graph, check_demand, integral_opt, lift, pvc_rows, row_name
@@ -219,6 +226,11 @@ def _scan_chunk(params: DistParams, rows, max_size: int, xyn: bool, indices):
     return None, checked
 
 
+# CPU seconds a threaded scan spends in this process before its pool may start,
+# about three times the pool's start-up cost.  CPU time, since time spent waiting
+# for a busy CPU is no time a pool wins back.
+POOL_AFTER_S = 0.1
+
 _worker = None  # a pool worker's `_scan_chunk`, bound by its initializer for all its chunks
 
 
@@ -241,28 +253,40 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
     """Scan `indices` in order and stop at the first violation.
 
     With threads > 1 the indices are split into ordered chunks.  This process
-    scans the first; only if it passes and more follow does a pool start, with
-    at most one worker per remaining chunk, each keeping the params (and the
-    orbit memo the first chunk filled) and the rows for all its chunks.  The
-    counts of whole chunks before the first failing one are added to its own
-    count, so the result is the serial one for any worker count: rows (or
-    matrices) up to and including the first violation in canonical order.
+    scans them in turn until one fails, or until it has spent `POOL_AFTER_S`
+    CPU seconds on them and, at its rate so far, the chunks left would take it
+    twice that (two workers save at most half of it).  A pool then takes the
+    chunks left, with at most one worker per chunk, each keeping the params
+    (and the orbit memo this process filled) and the rows for all its chunks.
+    The counts of whole chunks before the first failing one are added to its
+    own count, so the result is the serial one for any worker count and
+    budget: rows (or matrices) up to and including the first violation in
+    canonical order.
     """
     if threads <= 1 or not indices:
         return _scan_chunk(params, rows, max_size, xyn, indices)
     scan = partial(_scan_chunk, params, rows, max_size, xyn)
     chunks = [indices[lo:hi] for lo, hi in _chunk_ranges(len(indices), threads * 4)]
-    violation, checked = scan(chunks[0])
-    if violation is not None or len(chunks) == 1:
-        return violation, checked
+    checked, start = 0, process_time()
+    for k, chunk in enumerate(chunks):
+        spent = process_time() - start  # on k chunks: the rest take spent * left / k at that rate
+        if k and spent >= POOL_AFTER_S and spent * (len(chunks) - k) >= 2 * POOL_AFTER_S * k:
+            chunks = chunks[k:]
+            break
+        violation, c = scan(chunk)
+        checked += c
+        if violation is not None:
+            return violation, checked
+    else:
+        return None, checked
     from concurrent.futures.process import BrokenProcessPool
 
     pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
     try:
-        with pool_class(max_workers=min(threads, len(chunks) - 1),
+        with pool_class(max_workers=min(threads, len(chunks)),
                         initializer=_start_worker, initargs=(scan,)) as pool:
             try:
-                for violation, c in pool.map(_worker_chunk, chunks[1:]):
+                for violation, c in pool.map(_worker_chunk, chunks):
                     checked += c
                     if violation is not None:
                         return violation, checked

@@ -27,8 +27,8 @@ from __future__ import annotations
 from math import comb
 
 from .certificates import Certificate, rational_entry
-from .linalg import SymMatrix, psd_check, schur_complement
-from .rational import Rat, as_rational, rational_str
+from .linalg import SymMatrix, check_size, psd_check, schur_complement
+from .rational import Rat, as_rational, integral, rational_str
 
 
 def covered_edges(n: int, a: int) -> int:
@@ -55,10 +55,13 @@ def build_zbar(n: int, t, p) -> SymMatrix:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    check_size(n + 1)
     p = as_rational(p)
     t = as_rational(t)
     by_size = [p**u * (expected_slack(n - u, t, p) + covered_edges(n, u)) for u in (0, 1, 2)]
-    return SymMatrix.from_function(n + 1, lambda i, j: by_size[len({i, j} - {0})])
+    den, (e0, e1, e2) = integral(by_size)  # the entries at |I u J| = 0, 1, 2
+    rows = [[e1] + [e2] * (i - 1) + [e1] + [e2] * (n - i) for i in range(1, n + 1)]
+    return SymMatrix(den, [[e0] + [e1] * n] + rows)
 
 
 def allones_eigenvalue_after_schur(zbar: SymMatrix):

@@ -10,6 +10,7 @@ from pvcgap import hierarchy, simplex
 from pvcgap.graphs import Graph
 from pvcgap.lasserre import covered_edges
 from pvcgap.linalg import SymMatrix
+from pvcgap.moments import _weight_overlap_ok
 from pvcgap.rational import ONE, ZERO, Rat, as_rational
 
 # a path with four distinct weights: no symmetry at all
@@ -19,10 +20,23 @@ PATH6 = Graph(6, tuple((i, i + 1) for i in range(1, 6)))
 
 @pytest.fixture
 def fork_workers(monkeypatch):
-    """Fork the scan's pool workers, so they inherit what a test patched into `hierarchy`."""
+    """Fork the scan's pool workers, so they inherit what a test patched into `hierarchy`,
+    and start the pool right after the first chunk, so a short scan still reaches it."""
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(hierarchy, "ProcessPoolExecutor",
                         partial(ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr(hierarchy, "POOL_AFTER_S", 0)
+
+
+def weights_per_code(params, y, n):
+    """w(Y, N) and every w(Y+{q}, N), each from `_weight_overlap_ok`, code by
+    code and pair by pair: the oracle of `moments._weights_at`, which computes
+    one weight per stabiliser class of q, and of the scan's per-orbit weights."""
+    wyn = _weight_overlap_ok(params, y, n)
+    if wyn == 0:
+        return 0, None
+    return wyn, [0 if q in n else _weight_overlap_ok(params, tuple(sorted({*y, q})), n)
+                 for q in range(params.graph.var_count)]
 
 
 def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3, max_den: int = 6):

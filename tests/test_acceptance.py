@@ -103,7 +103,7 @@ def _grid_params(n, r, t):
     return g, DistParams(g, Rat(t, comb(n - 2 * r, 2)))
 
 
-def test_05_lifted_membership_on_the_grid():
+def test_05_lifted_membership_on_the_grid(fork_workers):
     ok = True
     details = []
     for n, r, t in GRID:
@@ -124,7 +124,7 @@ def test_05_lifted_membership_on_the_grid():
     _report("05 lifted-lp-membership", ok, " ".join(details))
 
 
-def test_06_lifted_membership_with_psd_minor():
+def test_06_lifted_membership_with_psd_minor(fork_workers):
     ok = True
     details = []
     for n, r, t in GRID:
@@ -136,7 +136,7 @@ def test_06_lifted_membership_with_psd_minor():
     _report("06 lifted-psd-membership", ok, " ".join(details))
 
 
-def test_07_conditioned_matrix_family():
+def test_07_conditioned_matrix_family(fork_workers):
     g, params = _grid_params(10, 2, 1)
     start = time.monotonic()
     exhaustive = verify_xyn_family(params, 1, 2, threads=THREADS)

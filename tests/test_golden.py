@@ -3,7 +3,8 @@
 Each case runs in-process through `pvcgap.cli.main` and its stdout must
 equal `tests/golden/<name>.json` byte for byte.  Every `verify` case is run
 again with `--threads 2` and `--threads 3` against the same file, because a
-certificate may not depend on the worker count.
+certificate may not depend on the worker count, both with the pool started
+after the first chunk and at the default `hierarchy.POOL_AFTER_S` budget.
 
 A change that alters certificate bytes on purpose regenerates the files
 with `PYTHONPATH=src python tests/test_golden.py` and says why.
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from pvcgap import hierarchy
 from pvcgap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,10 +69,14 @@ def test_golden_bytes(name, capsys):
 
 
 @pytest.mark.parametrize("name,argv,expected_code", list(_threaded_cases()))
-def test_golden_bytes_do_not_depend_on_threads(name, argv, expected_code, capsys):
-    code, out = _run(argv, capsys)
-    assert code == expected_code
-    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+def test_golden_bytes_do_not_depend_on_threads(name, argv, expected_code, capsys, monkeypatch):
+    # budget 0 starts the pool after the first chunk; the default lets this
+    # process scan a short job alone
+    for pool_after_s in (0, hierarchy.POOL_AFTER_S):
+        monkeypatch.setattr(hierarchy, "POOL_AFTER_S", pool_after_s)
+        code, out = _run(argv, capsys)
+        assert code == expected_code
+        assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 if __name__ == "__main__":

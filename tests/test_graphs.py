@@ -306,11 +306,14 @@ def test_graph_file_comments_and_errors():
         parse_graph("2 1\n1 2\nw 9 4\n")
     with pytest.raises(ValueError, match="second vertex-weight line for vertex 1"):
         parse_graph("2 1\n1 2\nw 1 1/2\nw 1 3\n")
-    # a field that is not an integer names its line
+    # a field that is not an integer, or a bad weight, names its line
     for text, message in (("x 2\n", "header must be 'n m', got 'x 2'"),
                           ("2 1\n1 y\n", "edge line must be 'i j', got '1 y'"),
                           ("2 1\n1 2\nw z 3\n",
-                           "vertex-weight line must be 'w i value', got 'w z 3'")):
+                           "vertex-weight line must be 'w i value', got 'w z 3'"),
+                          ("2 1\n1 2\nw 1 x\n", "not a rational literal: 'x', in 'w 1 x'"),
+                          ("2 1\n1 2\nw 1 -1\n",
+                           "vertex weights must be nonnegative, got 'w 1 -1'")):
         with pytest.raises(ValueError) as exc:
             parse_graph(text)
         assert str(exc.value) == message

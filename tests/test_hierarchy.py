@@ -127,7 +127,7 @@ def test_violation_witness_reproduces_at_higher_level():
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize("p", [Rat(1, 15), ZERO, Rat(1, 100)], ids=["feasible", "p0", "p1_100"])
 @pytest.mark.parametrize("verify", [verify_sa, verify_sap], ids=["sa", "sap"])
-def test_threaded_run_matches_single_thread(verify, p, threads):
+def test_threaded_run_matches_single_thread(verify, p, threads, fork_workers):
     g = make_clique(8)
     solo = verify(DistParams(g, p), 1, 1)
     multi = verify(DistParams(g, p), 1, 1, threads=threads)
@@ -217,6 +217,37 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, fork_workers):
     # a sample of 3 matrices: 3 chunks of 1 at --threads 3, so 2 workers
     assert verify_xyn_family(DistParams(g, ONE), 1, 2, sample=3, threads=3).feasible
     assert started == [2]
+
+
+@pytest.mark.parametrize("cost,parent_chunks", [(0.01, 8), (0.03, 8), (0.06, 2), (0.2, 1)])
+def test_the_pool_starts_once_the_budget_is_spent_with_twice_it_left(
+        monkeypatch, fork_workers, cost, parent_chunks):
+    """At 8 chunks of `cost` CPU seconds each, the default budget of 0.1 s:
+    0.08 s in all is never past it; 0.24 s is past it after 4 chunks, with
+    at most 0.12 s left; at 0.06 s a chunk, 0.36 s is left after 2; and a
+    0.2 s chunk is past the budget on its own.  The verdict is the serial one."""
+    monkeypatch.setattr(hierarchy, "POOL_AFTER_S", 0.1)
+    clock, scanned, started = [0.0], [], []
+    scan_chunk, pool = hierarchy._scan_chunk, hierarchy.ProcessPoolExecutor
+
+    def timed(params, rows, max_size, xyn, indices):
+        scanned.append(indices)
+        clock[0] += cost
+        return scan_chunk(params, rows, max_size, xyn, indices)
+
+    def recording(max_workers, initializer, initargs):
+        started.append(max_workers)
+        return pool(max_workers=max_workers, initializer=initializer, initargs=initargs)
+
+    monkeypatch.setattr(hierarchy, "_scan_chunk", timed)
+    monkeypatch.setattr(hierarchy, "process_time", lambda: clock[0])
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", recording)
+    g, params = _clique_params(6, 1, 1)
+    serial = verify_sa(DistParams(g, params.p), 1, 1)
+    scanned.clear()
+    assert verify_sa(DistParams(g, params.p), 1, 1, threads=2) == serial
+    assert len(scanned) == parent_chunks  # the workers' chunks are scanned in their own memory
+    assert started == ([] if parent_chunks == 8 else [2])
 
 
 def _plant(pair, scan_pair, params, rows, y, n):
@@ -311,19 +342,23 @@ def _weights_at_the_empty_pair(weights, default, _params, ys, _ns):
     return weights.get(ys, default)
 
 
-@pytest.mark.parametrize("weights,default,name,lhs,rhs,checked", [
+# The box cases plant a weight on one code, so they run on the weighted path,
+# where each code is its own stabiliser class: on K4 the scan reads one code
+# of each class and copies its weight to the others.
+@pytest.mark.parametrize("g,weights,default,name,lhs,rhs,checked", [
     # w(v1) + w(v2) - w(e1_2) = 1 + 1 - 5 fails the first row
-    ({(): 1, (4,): 5}, 1, "edge:e1_2", Rat(-3), ZERO, 1),
+    (make_clique(4), {(): 1, (4,): 5}, 1, "edge:e1_2", Rat(-3), ZERO, 1),
     # every edge weight 0 holds the edge rows and fails the demand row, 0 >= 1 * w()
-    ({(): 1}, 0, "demand", ZERO, ONE, 6 + 1),
-    # w(e2_3) >= 0 fails after 6 edge rows, the demand row (5 - 1 >= 1) and 7 lower box rows
-    ({(): 1, (7,): -1}, 1, "box0:e2_3", -ONE, ZERO, 6 + 1 + 8),
-    # -w(v3) >= -w() fails after 6 edge rows, the demand row, 10 lower and 3 upper box rows
-    ({(): 2, (2,): 3}, 2, "box1:v3", Rat(-3), Rat(-2), 6 + 1 + 10 + 3),
+    (make_clique(4), {(): 1}, 0, "demand", ZERO, ONE, 6 + 1),
+    # w(e2_3) >= 0, the 6th lower box row, fails after 3 edge rows and the demand row
+    # (1 - 1 + 1 >= 1)
+    (WEIGHTED_PATH, {(): 1, (5,): -1}, 1, "box0:e2_3", -ONE, ZERO, 3 + 1 + 6),
+    # -w(v3) >= -w(), the 3rd upper box row, fails after 3 edge rows, the demand row
+    # and 7 lower box rows
+    (WEIGHTED_PATH, {(): 2, (2,): 3}, 2, "box1:v3", Rat(-3), Rat(-2), 3 + 1 + 7 + 3),
 ], ids=["edge", "demand", "box0", "box1"])
 def test_a_violation_reports_the_rows_own_name_and_sides(
-        monkeypatch, weights, default, name, lhs, rhs, checked):
-    g = make_clique(4)
+        monkeypatch, g, weights, default, name, lhs, rhs, checked):
     params = DistParams(g, Rat(1, 3))
     assert g.var_name(4) == "e1_2"
     monkeypatch.setattr(moments, "_weight_overlap_ok",

@@ -144,18 +144,31 @@ def test_short_commands_load_neither_the_scan_layers_nor_the_pool(tmp_path):
     assert graph_opt & HEAVY == set()
 
 
+SHORT_SCAN = ("verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1")
+# a child whose threaded scans start their pool right after the first chunk
+_NO_BUDGET = ("from pvcgap import hierarchy\nfrom pvcgap.cli import main\n"
+              "hierarchy.POOL_AFTER_S = 0\n")
+
+
+def test_a_short_threaded_scan_loads_no_pool():
+    # this process scans all 43 pairs within its budget, so no pool starts
+    threaded = _loaded_by_command(*SHORT_SCAN, "--threads", "2")
+    assert "pvcgap.hierarchy" in threaded and "concurrent.futures" not in threaded
+
+
 def test_only_a_threaded_scan_loads_the_pool():
-    argv = ("verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1")
-    serial = _loaded_by_command(*argv)
+    serial = _loaded(_NO_BUDGET + f"assert main({list(SHORT_SCAN)!r}) == 0")
     assert "pvcgap.hierarchy" in serial and "concurrent.futures" not in serial
-    assert "concurrent.futures" in _loaded_by_command(*argv, "--threads", "2")
+    threaded = [*SHORT_SCAN, "--threads", "2"]
+    assert "concurrent.futures" in _loaded(_NO_BUDGET + f"assert main({threaded!r}) == 0")
 
 
 def test_a_threaded_scan_failing_in_its_first_chunk_loads_no_pool():
-    # the p = 1/100 scan fails at its first pair, inside the chunk this process scans
+    # the p = 1/100 scan fails at its first pair, inside the chunk this process
+    # scans before it looks at its budget
     argv = ("verify", "--level", "sa", "--n", "8", "--r", "1", "--t", "1", "--p", "1/100",
             "--threads", "2")
-    loaded = _loaded(f"from pvcgap.cli import main\nassert main({list(argv)!r}) == 2")
+    loaded = _loaded(_NO_BUDGET + f"assert main({list(argv)!r}) == 2")
     assert "pvcgap.hierarchy" in loaded and "concurrent.futures" not in loaded
 
 

@@ -25,7 +25,7 @@ from pvcgap.moments import (
 )
 from pvcgap.rational import ZERO, Rat
 
-from conftest import PATH6, WEIGHTED_PATH, edge_code, sym_equal
+from conftest import PATH6, WEIGHTED_PATH, edge_code, sym_equal, weights_per_code
 
 PATH8 = Graph(8, tuple((i, i + 1) for i in range(1, 8)))
 GRAPHS = {
@@ -37,20 +37,10 @@ GRAPHS = {
 }
 
 
-def _direct_weights(params, y, n):
-    """w(Y, N) and every w(Y+{q}, N), each from `_weight_overlap_ok`: the
-    per-pair loop the scan ran before it read weights by orbit."""
-    wyn = _weight_overlap_ok(params, y, n)
-    if wyn == 0:
-        return 0, None
-    return wyn, [0 if q in n else _weight_overlap_ok(params, tuple(sorted({*y, q})), n)
-                 for q in range(params.graph.var_count)]
-
-
 def _oracle_scan_pair(cache, params, rows, y, n):
     """`_scan_pair` on the direct weights, cached per pair for the scans of one test."""
     if (y, n) not in cache:
-        wyn, w = _direct_weights(params, y, n)
+        wyn, w = weights_per_code(params, y, n)
         cache[y, n] = None, len(rows)
         for k, (coeffs, rhs) in enumerate(rows if wyn else (), 1):
             lhs = sum(c * w[j] for j, c in coeffs)
@@ -66,7 +56,48 @@ def test_relabelled_weights_equal_the_direct_ones(name):
     g = GRAPHS[name]
     params = DistParams(g, Rat(1, 7))
     for y, n in yn_pairs(g.var_count, 2):
-        assert _pair_weights(params, y, n) == _direct_weights(params, y, n), (y, n)
+        assert _pair_weights(params, y, n) == weights_per_code(params, y, n), (y, n)
+
+
+K33 = Graph(6, tuple((i, j) for i in (1, 2, 3) for j in (4, 5, 6)))
+CLASS_GRAPHS = {
+    "K7": make_clique(7),
+    "K9": make_clique(9),
+    "star6": make_star(6),
+    "K3,3": K33,
+    "P5": Graph(5, tuple((i, i + 1) for i in range(1, 5))),
+    "weighted-path": WEIGHTED_PATH,
+}
+
+
+@pytest.mark.parametrize("p", [None, Rat(1, 100), Rat(1, 3)], ids=["canonical", "p1_100", "p1_3"])
+@pytest.mark.parametrize("name", CLASS_GRAPHS)
+def test_weights_per_stabiliser_class_equal_the_per_code_ones(name, p):
+    # the canonical p of a clique at r = 2, t = 1; 1/7 off the cliques
+    g = CLASS_GRAPHS[name]
+    if p is None:
+        p = Rat(1, comb(g.n - 4, 2)) if g.m == comb(g.n, 2) else Rat(1, 7)
+    params, group = DistParams(g, p), _twin_group(g)
+    keys = {_canonical_pair(group, y, n)[0] for y, n in yn_pairs(g.var_count, 2)}
+    for y, n in sorted(keys):
+        assert moments._weights_at(params, y, n) == weights_per_code(params, y, n), (y, n)
+
+
+def test_a_clique_computes_as_many_weights_for_any_n(monkeypatch):
+    """At r = 2 each of the 22 keys computes one weight per stabiliser class,
+    and the classes do not grow with n: 195 cross-checked weights on K8 and
+    on K12, against 1 + var_count at each key with a nonzero w(Y, N) before."""
+    calls, weight = [0], moments._weight_overlap_ok
+
+    def counted(params, ys, ns):
+        calls[0] += 1
+        return weight(params, ys, ns)
+
+    monkeypatch.setattr(moments, "_weight_overlap_ok", counted)
+    for n in (8, 12):
+        calls[0] = 0
+        assert verify_sa(DistParams(make_clique(n), Rat(1, comb(n - 4, 2))), 1, 2).feasible
+        assert calls[0] == 195
 
 
 def test_on_a_twin_free_graph_every_pair_is_its_own_key():
