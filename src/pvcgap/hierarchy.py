@@ -46,13 +46,13 @@ every certificate.
 A scan with threads > 1 is cut into ordered chunks, which this process
 scans in turn.  It rents before it buys ("ski rental", Karlin et al. 1988):
 a pool starts, for the chunks left, only once this process has spent
-`POOL_AFTER_S` seconds of CPU time on them (about three times the pool's
-start-up cost) and, at its rate so far, the chunks left would take it twice
-that.  Each worker keeps the scan's params, memo included, for all its
-chunks.  A short scan never loads the pool, and chunks count in order, so
-no certificate depends on the budget or the worker count.
+`POOL_AFTER_S` seconds of CPU time on them, and only if, at its rate so far,
+the workers would save at least the pool's start-up cost `POOL_START_S`.
+Each worker keeps the scan's params, memo included, for all its chunks.  A
+short scan never loads the pool, and chunks count in order, so no
+certificate depends on the budget or the worker count.
 `ProcessPoolExecutor` is imported on first use, and `_first_failure` reads
-it and `POOL_AFTER_S` from this module at call time, so a class put in its
+it and both constants from this module at call time, so a class put in its
 place (a test's forking pool, a tracer's timed one) is the one the scan
 starts.  `linalg` and `simplex` load likewise, in the matrix checks and the
 lifted LP, so `sa` needs neither.
@@ -226,9 +226,13 @@ def _scan_chunk(params: DistParams, rows, max_size: int, xyn: bool, indices):
     return None, checked
 
 
-# CPU seconds a threaded scan spends in this process before its pool may start,
-# about three times the pool's start-up cost.  CPU time, since time spent waiting
-# for a busy CPU is no time a pool wins back.
+# A pool's start-up cost in seconds: importing `concurrent.futures` (16-20 ms)
+# and starting and stopping its workers (11-12 ms at two), on a 2-CPU x86-64 VM.
+POOL_START_S = 0.03
+# CPU seconds a threaded scan spends in this process before its pool may start.
+# The first chunks fill the orbit memo, so a rate read off a few of them
+# overstates what is left; short scans stay here.  CPU time, since time spent
+# waiting for a busy CPU is no time a pool wins back.
 POOL_AFTER_S = 0.1
 
 _worker = None  # a pool worker's `_scan_chunk`, bound by its initializer for all its chunks
@@ -254,10 +258,12 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
 
     With threads > 1 the indices are split into ordered chunks.  This process
     scans them in turn until one fails, or until it has spent `POOL_AFTER_S`
-    CPU seconds on them and, at its rate so far, the chunks left would take it
-    twice that (two workers save at most half of it).  A pool then takes the
-    chunks left, with at most one worker per chunk, each keeping the params
-    (and the orbit memo this process filled) and the rows for all its chunks.
+    CPU seconds on them and the pool would save at least its start-up cost
+    `POOL_START_S`: if the chunks left would take this process `rest` at its
+    rate so far, w = min(threads, chunks left) workers, a CPU each, save
+    rest * (1 - 1/w).  The pool then takes the chunks left, each worker
+    keeping the params (and the orbit memo this process filled) and the rows
+    for all its chunks.
     The counts of whole chunks before the first failing one are added to its
     own count, so the result is the serial one for any worker count and
     budget: rows (or matrices) up to and including the first violation in
@@ -269,10 +275,13 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
     chunks = [indices[lo:hi] for lo, hi in _chunk_ranges(len(indices), threads * 4)]
     checked, start = 0, process_time()
     for k, chunk in enumerate(chunks):
-        spent = process_time() - start  # on k chunks: the rest take spent * left / k at that rate
-        if k and spent >= POOL_AFTER_S and spent * (len(chunks) - k) >= 2 * POOL_AFTER_S * k:
-            chunks = chunks[k:]
-            break
+        spent = process_time() - start
+        if k and spent >= POOL_AFTER_S:
+            left = len(chunks) - k
+            rest = spent * left / k  # at the rate of the k chunks scanned
+            if rest * (1 - 1 / min(threads, left)) >= POOL_START_S:
+                chunks = chunks[k:]
+                break
         violation, c = scan(chunk)
         checked += c
         if violation is not None:

@@ -26,6 +26,7 @@ def fork_workers(monkeypatch):
     monkeypatch.setattr(hierarchy, "ProcessPoolExecutor",
                         partial(ProcessPoolExecutor, mp_context=fork))
     monkeypatch.setattr(hierarchy, "POOL_AFTER_S", 0)
+    monkeypatch.setattr(hierarchy, "POOL_START_S", 0)
 
 
 def weights_per_code(params, y, n):

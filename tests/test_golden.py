@@ -4,7 +4,8 @@ Each case runs in-process through `pvcgap.cli.main` and its stdout must
 equal `tests/golden/<name>.json` byte for byte.  Every `verify` case is run
 again with `--threads 2` and `--threads 3` against the same file, because a
 certificate may not depend on the worker count, both with the pool started
-after the first chunk and at the default `hierarchy.POOL_AFTER_S` budget.
+after the first chunk and at the default `hierarchy.POOL_AFTER_S` budget
+and `hierarchy.POOL_START_S` cost.
 
 A change that alters certificate bytes on purpose regenerates the files
 with `PYTHONPATH=src python tests/test_golden.py` and says why.
@@ -70,10 +71,11 @@ def test_golden_bytes(name, capsys):
 
 @pytest.mark.parametrize("name,argv,expected_code", list(_threaded_cases()))
 def test_golden_bytes_do_not_depend_on_threads(name, argv, expected_code, capsys, monkeypatch):
-    # budget 0 starts the pool after the first chunk; the default lets this
-    # process scan a short job alone
-    for pool_after_s in (0, hierarchy.POOL_AFTER_S):
-        monkeypatch.setattr(hierarchy, "POOL_AFTER_S", pool_after_s)
+    # budget and cost 0 start the pool after the first chunk; the defaults
+    # let this process scan a short job alone
+    for after_s, start_s in ((0, 0), (hierarchy.POOL_AFTER_S, hierarchy.POOL_START_S)):
+        monkeypatch.setattr(hierarchy, "POOL_AFTER_S", after_s)
+        monkeypatch.setattr(hierarchy, "POOL_START_S", start_s)
         code, out = _run(argv, capsys)
         assert code == expected_code
         assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

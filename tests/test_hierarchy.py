@@ -219,14 +219,21 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, fork_workers):
     assert started == [2]
 
 
-@pytest.mark.parametrize("cost,parent_chunks", [(0.01, 8), (0.03, 8), (0.06, 2), (0.2, 1)])
-def test_the_pool_starts_once_the_budget_is_spent_with_twice_it_left(
-        monkeypatch, fork_workers, cost, parent_chunks):
-    """At 8 chunks of `cost` CPU seconds each, the default budget of 0.1 s:
-    0.08 s in all is never past it; 0.24 s is past it after 4 chunks, with
-    at most 0.12 s left; at 0.06 s a chunk, 0.36 s is left after 2; and a
-    0.2 s chunk is past the budget on its own.  The verdict is the serial one."""
+@pytest.mark.parametrize("threads,cost,parent_chunks,workers", [
+    (2, 0.01, 8, None),  # 0.08 s in all: never past the budget
+    (2, 0.0175, 8, None),  # past it after 6, when two workers would save 0.0175 s
+    (2, 0.03, 4, 2),  # past it after 4, when two workers would save 0.06 s
+    (2, 0.2, 1, 2),  # past it after the first chunk
+    (4, 0.019, 6, 4),  # 15 chunks: past it after 6, when four workers would save 0.128 s
+])
+def test_the_pool_starts_once_the_budget_is_spent_if_it_saves_its_cost(
+        monkeypatch, fork_workers, threads, cost, parent_chunks, workers):
+    """Chunks of `cost` CPU seconds each, the default budget of 0.1 s and
+    start-up cost of 0.03 s.  Once past the budget, w workers would save
+    cost * (chunks left) * (1 - 1/w), and one worker nothing.  The verdict is
+    the serial one."""
     monkeypatch.setattr(hierarchy, "POOL_AFTER_S", 0.1)
+    monkeypatch.setattr(hierarchy, "POOL_START_S", 0.03)
     clock, scanned, started = [0.0], [], []
     scan_chunk, pool = hierarchy._scan_chunk, hierarchy.ProcessPoolExecutor
 
@@ -245,9 +252,9 @@ def test_the_pool_starts_once_the_budget_is_spent_with_twice_it_left(
     g, params = _clique_params(6, 1, 1)
     serial = verify_sa(DistParams(g, params.p), 1, 1)
     scanned.clear()
-    assert verify_sa(DistParams(g, params.p), 1, 1, threads=2) == serial
+    assert verify_sa(DistParams(g, params.p), 1, 1, threads=threads) == serial
     assert len(scanned) == parent_chunks  # the workers' chunks are scanned in their own memory
-    assert started == ([] if parent_chunks == 8 else [2])
+    assert started == ([] if workers is None else [workers])
 
 
 def _plant(pair, scan_pair, params, rows, y, n):

@@ -147,7 +147,7 @@ def test_short_commands_load_neither_the_scan_layers_nor_the_pool(tmp_path):
 SHORT_SCAN = ("verify", "--level", "sa", "--n", "6", "--r", "1", "--t", "1")
 # a child whose threaded scans start their pool right after the first chunk
 _NO_BUDGET = ("from pvcgap import hierarchy\nfrom pvcgap.cli import main\n"
-              "hierarchy.POOL_AFTER_S = 0\n")
+              "hierarchy.POOL_AFTER_S = hierarchy.POOL_START_S = 0\n")
 
 
 def test_a_short_threaded_scan_loads_no_pool():
