@@ -217,27 +217,33 @@ def row_name(g: Graph, k: int) -> str:
     return f"box{box}:{g.var_name(q)}"
 
 
+def expand(ys, ns) -> dict:
+    """{Y u T: (-1)^|T|} over T subset of N, sorted code tuples: prod_{Y} x_y
+    prod_{N} (1 - x_n) as signed monomials; {} if Y and N overlap (0 on 0-1 points)."""
+    if not set(ys).isdisjoint(ns):
+        return {}
+    terms = {tuple(sorted(set(ys))): 1}
+    for n in ns:
+        terms.update({tuple(sorted((*s, n))): -sign for s, sign in terms.items()})
+    return terms
+
+
 def lift(row: tuple, ys, ns) -> dict:
     """{S: coefficient} of the row times prod_{Y} x_y prod_{N} (1 - x_n), linearized.
 
     `row` is a `LinearProgram.rows` row (((j, c_j), ...), rhs); each S is a
     sorted code tuple standing for y_S, the product of the x's in S (Sherali
-    & Adams 1990).  The lifted row reads sum coefficient * y_S >= 0: it is
-    sum over T subset of N of (-1)^|T| (sum_j c_j y(Y u T u {j}) - rhs y(Y u T)),
-    with zero coefficients dropped.  Overlapping Y and N give {}.
+    & Adams 1990).  The lifted row reads sum coefficient * y_S >= 0: over the
+    monomials Y u T of `expand`, sum (-1)^|T| (sum_j c_j y(Y u T u {j}) - rhs
+    y(Y u T)), with zero coefficients dropped.  Overlapping Y and N give {}.
     """
-    if not set(ys).isdisjoint(ns):
-        return {}
     coeffs, rhs = row
     lifted = {}
-    for k in range(len(ns) + 1):
-        sign = -1 if k % 2 else 1
-        for t in combinations(ns, k):
-            base = tuple(sorted({*ys, *t}))
-            lifted[base] = lifted.get(base, 0) - sign * rhs
-            for j, c in coeffs:
-                s = base if j in base else tuple(sorted((*base, j)))
-                lifted[s] = lifted.get(s, 0) + sign * c
+    for base, sign in expand(ys, ns).items():
+        lifted[base] = lifted.get(base, 0) - sign * rhs
+        for j, c in coeffs:
+            s = base if j in base else tuple(sorted((*base, j)))
+            lifted[s] = lifted.get(s, 0) + sign * c
     return {s: c for s, c in lifted.items() if c}
 
 

@@ -48,9 +48,9 @@ scans in turn.  It rents before it buys ("ski rental", Karlin et al. 1988):
 a pool starts, for the chunks left, only once this process has spent
 `POOL_AFTER_S` seconds of CPU time on them, and only if, at its rate so far,
 the workers would save at least the pool's start-up cost `POOL_START_S`.
-Each worker keeps the scan's params, memo included, for all its chunks.  A
-short scan never loads the pool, and chunks count in order, so no
-certificate depends on the budget or the worker count.
+Each worker, one per usable CPU at most, keeps the scan's params and memo
+for all its chunks.  A short scan never loads the pool, and chunks count
+in order, so no certificate depends on the budget or the worker count.
 `ProcessPoolExecutor` is imported on first use, and `_first_failure` reads
 it and both constants from this module at call time, so a class put in its
 place (a test's forking pool, a tracer's timed one) is the one the scan
@@ -60,6 +60,7 @@ lifted LP, so `sa` needs neither.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import namedtuple
 from functools import partial
@@ -165,7 +166,7 @@ def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
     A pair passes, with all its rows counted, when its orbit's key does: a
     twin relabelling maps the rows onto themselves.  A pair of a failing orbit
     checks its own rows on its own weights (`_row_check`), so the witness and
-    the count are its own.
+    the count are its own; it fails, the one pair of its scan looked up twice.
     """
     if _key_violation(params, rows, _orbit_key(params, y, n)[0]) is None:
         return None, len(rows)
@@ -184,15 +185,15 @@ def _key_is_psd(params: DistParams, ys: tuple, ns: tuple) -> bool:
 def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
     """Violation `name` unless the conditioned moment matrix at (Y, N) is PSD.
 
-    The matrix is built for every pair.  It is a symmetric permutation of its
-    orbit key's, so the key's verdict, once per orbit, decides a PSD pair; a
-    pair of a non-PSD orbit is factorised itself, so the witness is its own.
+    The matrix is built for every pair, on the orbit key looked up here.  It
+    is a symmetric permutation of the key's, so the key's verdict, once per
+    orbit, decides a PSD pair; a pair of a non-PSD orbit is factorised itself.
     """
     from .linalg import psd_check
 
-    matrix = build_cond_matrix(params, y, n)
-    key = _orbit_key(params, y, n)[0]  # the key the build just found
-    if _key_value(params, _key_is_psd, key):
+    found = _orbit_key(params, y, n)
+    matrix = build_cond_matrix(params, y, n, found)
+    if _key_value(params, _key_is_psd, found[0]):
         return None
     verdict = psd_check(matrix)
     return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)
@@ -248,6 +249,12 @@ def _worker_chunk(indices):
     return _worker(indices)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _chunk_ranges(total: int, pieces: int):
     step = max(1, (total + pieces - 1) // pieces)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -260,10 +267,10 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
     scans them in turn until one fails, or until it has spent `POOL_AFTER_S`
     CPU seconds on them and the pool would save at least its start-up cost
     `POOL_START_S`: if the chunks left would take this process `rest` at its
-    rate so far, w = min(threads, chunks left) workers, a CPU each, save
-    rest * (1 - 1/w).  The pool then takes the chunks left, each worker
-    keeping the params (and the orbit memo this process filled) and the rows
-    for all its chunks.
+    rate so far, w = min(threads, chunks left, usable CPUs) workers, a CPU
+    each, save rest * (1 - 1/w).  The pool of w workers then takes the chunks
+    left, each worker keeping the params (and the orbit memo this process
+    filled) and the rows for all its chunks.
     The counts of whole chunks before the first failing one are added to its
     own count, so the result is the serial one for any worker count and
     budget: rows (or matrices) up to and including the first violation in
@@ -273,13 +280,13 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
         return _scan_chunk(params, rows, max_size, xyn, indices)
     scan = partial(_scan_chunk, params, rows, max_size, xyn)
     chunks = [indices[lo:hi] for lo, hi in _chunk_ranges(len(indices), threads * 4)]
-    checked, start = 0, process_time()
+    checked, start, cpus = 0, process_time(), _usable_cpus()
     for k, chunk in enumerate(chunks):
         spent = process_time() - start
         if k and spent >= POOL_AFTER_S:
-            left = len(chunks) - k
-            rest = spent * left / k  # at the rate of the k chunks scanned
-            if rest * (1 - 1 / min(threads, left)) >= POOL_START_S:
+            workers = min(threads, len(chunks) - k, cpus)
+            rest = spent * (len(chunks) - k) / k  # at the rate of the k chunks scanned
+            if rest * (1 - 1 / workers) >= POOL_START_S:
                 chunks = chunks[k:]
                 break
         violation, c = scan(chunk)
@@ -292,8 +299,7 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
 
     pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
     try:
-        with pool_class(max_workers=min(threads, len(chunks)),
-                        initializer=_start_worker, initargs=(scan,)) as pool:
+        with pool_class(max_workers=workers, initializer=_start_worker, initargs=(scan,)) as pool:
             try:
                 for violation, c in pool.map(_worker_chunk, chunks):
                     checked += c

@@ -21,9 +21,10 @@ only for `cond_weight` here and for violation values in `hierarchy`.
 `cond_weight` evaluates the linearized product weight
 w(Y, N) = sum over T subset of N of (-1)^|T| * moment(Y u T)
 two ways on every call: by that inclusion-exclusion sum over memoized
-moments, and by a direct run of the kernel on the event "all of Y on, all
-of N off".  The two must agree exactly; the equality is checked at
-runtime so the identity behind the verifier is re-proved on every use.
+moments (the terms `graphs.expand` gives), and by a direct run of the kernel
+on the event "all of Y on, all of N off".  The two must agree exactly; the
+equality is checked at runtime so the identity behind the verifier is
+re-proved on every use.
 
 Relabelling twin vertices maps (Y, N) pairs onto each other and keeps their
 weights, so `_weights_at` evaluates them once per orbit (on K_n 5, 22 and 104
@@ -33,6 +34,8 @@ An orbit's key is its least pair under those relabellings (`_canonical_pair`).
 The search for it runs once per pre-sorted image (the pair mapped in its own
 order onto the least vertices of its classes), kept in the twin group: on K8,
 22 searches for the 2,593 pairs at r = 2 and 115 for the 59,713 at r = 3.
+A lookup (`_orbit_key`) keeps nothing: `build_cond_matrix` takes the one
+its caller made as `found`.
 At a key, w(Y+{q}, N) is computed once per stabiliser class of q: permuting
 the twins (Y, N) does not touch fixes the pair, so the codes it maps onto
 each other share one weight: on K_n at r = 2 the 22 keys compute 195
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from itertools import chain, groupby, permutations, product
 
-from .graphs import Graph, least_twins
+from .graphs import Graph, expand, least_twins
 from .rational import Rat, as_rational
 
 SUPPORT_CAP = 26  # most vertices a moment's support closure may span
@@ -62,7 +65,7 @@ class DistParams:
 
     `den` is the common denominator of every moment of the graph: the
     memo and the kernels hold probabilities as integers over it.
-    `_orbits` is the memo of `_orbit_value`.
+    `_group` is the graph's `_twin_group`; `_orbits` is the memo of `_key_value`.
     """
 
     def __init__(self, graph: Graph, p):
@@ -70,7 +73,7 @@ class DistParams:
         if not (0 <= self.p <= 1):
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         self.den = self.p.denominator ** min(graph.n, SUPPORT_CAP)
-        self._memo, self._orbits = {}, {}
+        self._memo, self._orbits, self._group = {}, {}, None
 
 
 def canonical_set(graph: Graph, items) -> tuple:
@@ -155,14 +158,9 @@ def cond_weight(params: DistParams, y, n) -> object:
 
 
 def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> int:
-    """w(Y, N) times `params.den`; overlapping arguments give 0 both ways (the
-    sum telescopes, and the kernel zeroes a code forced both on and off)."""
-    total = 0
-    k = len(ns)
-    for mask in range(1 << k):
-        t = tuple(ns[i] for i in range(k) if mask >> i & 1)
-        term = moment(params, ys + t)
-        total = total + term if mask.bit_count() % 2 == 0 else total - term
+    """w(Y, N) times `params.den` over the `graphs.expand` terms; overlapping arguments
+    give 0 both ways (no terms, and the kernel zeroes a code forced both on and off)."""
+    total = sum(sign * moment(params, s) for s, sign in expand(ys, ns).items())
     direct = _enumerate_on_off(params, ys, ns)
     if total != direct:
         raise MomentMismatch(
@@ -250,39 +248,23 @@ def _code_perm(group: tuple, vmap: dict) -> list:
 
 
 def _group(params: DistParams) -> tuple:
-    """The `_twin_group` of the params' graph, kept in `params._orbits` under None."""
-    if None not in params._orbits:
-        params._orbits[None] = _twin_group(params.graph)
-    return params._orbits[None]
+    """The `_twin_group` of the params' graph, built once into `params._group`."""
+    if params._group is None:
+        params._group = _twin_group(params.graph)
+    return params._group
 
 
 def _orbit_key(params: DistParams, ys: tuple, ns: tuple) -> tuple:
-    """`_canonical_pair` of the pair under the twin group (the pair itself on a
-    twin-free graph), kept in `params._orbits` (the last pair looked up under
-    `_orbit_key`, so a caller asking again for it reads it)."""
-    memo = params._orbits
-    last = memo.get(_orbit_key)
-    if last is None or last[0] != (ys, ns):
-        last = memo[_orbit_key] = (ys, ns), _canonical_pair(_group(params), ys, ns)
-    return last[1]
+    """(key, vmap): `_canonical_pair` of the pair under the twin group."""
+    return _canonical_pair(_group(params), ys, ns)
 
 
 def _key_value(params: DistParams, build, key: tuple):
     """build(params, *key), once per twin-orbit key into `params._orbits` under (build, key)."""
     memo = params._orbits
     if (build, key) not in memo:
-        last = memo.get(_orbit_key)
         memo[build, key] = build(params, *key)
-        memo[_orbit_key] = last  # the build's own lookups leave the caller's pair the last
     return memo[build, key]
-
-
-def _orbit_value(params: DistParams, build, ys: tuple, ns: tuple) -> tuple:
-    """(build(params, *key), perm): `build` at the key of the pair's twin orbit,
-    by `_key_value`, and the `_code_perm` relabelling of the pair's codes onto
-    the key's (the identity if the pair is its key)."""
-    key, vmap = _orbit_key(params, ys, ns)
-    return _key_value(params, build, key), _code_perm(params._orbits[None], vmap)
 
 
 def _weights_at(params: DistParams, ys: tuple, ns: tuple) -> tuple:
@@ -311,24 +293,27 @@ def _weights_at(params: DistParams, ys: tuple, ns: tuple) -> tuple:
 
 def _pair_weights(params: DistParams, y: tuple, n: tuple) -> tuple:
     """`_weights_at` the pair, once per twin orbit: the orbit's other pairs
-    relabel its key's weights, w(Y+{q}, N) = w_key[perm[q]]."""
-    (wyn, w), perm = _orbit_value(params, _weights_at, y, n)
-    return (wyn, w) if w is None else (wyn, [w[q] for q in perm])
+    relabel its key's weights, w(Y+{q}, N) = w_key[perm[q]], perm the
+    `_code_perm` of their `_orbit_key`."""
+    key, vmap = _orbit_key(params, y, n)
+    wyn, w = _key_value(params, _weights_at, key)
+    return (wyn, w) if w is None else (wyn, [w[q] for q in _code_perm(_group(params), vmap)])
 
 
 def _matrix_rows(params: DistParams, ys: tuple, ns: tuple) -> list:
-    """Rows of the conditioned moment matrix at (Y, N), over den: the `_pair_weights` rows
-    [w, *w_q] of (Y, N) and each (Y u {a}, N) (Laurent 2003), zeros for a in N or empty events."""
+    """Rows of the conditioned moment matrix at a twin-orbit key (Y, N), over den: weight rows
+    [w, *w_q] of the key and each (Y u {a}, N) (Laurent 2003), zeros for a in N or empty events."""
     m = params.graph.var_count
 
-    def row(y) -> list:
-        wyn, w = _pair_weights(params, tuple(sorted(y)), ns)
+    def row(wyn, w) -> list:
         return [0] * (1 + m) if w is None else [wyn, *w]
 
-    return [row(ys)] + [[0] * (1 + m) if a in ns else row({*ys, a}) for a in range(m)]
+    first = row(*_key_value(params, _weights_at, (ys, ns)))
+    return [first] + [[0] * (1 + m) if a in ns else first if a in ys else
+                      row(*_pair_weights(params, tuple(sorted((*ys, a))), ns)) for a in range(m)]
 
 
-def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
+def build_cond_matrix(params: DistParams, y, n, found=None) -> SymMatrix:
     """Conditioned second-moment matrix over {empty} u singletons of V u E.
 
     Index 0 stands for the empty set; index 1+c for the singleton {c}.
@@ -337,12 +322,14 @@ def build_cond_matrix(params: DistParams, y, n) -> SymMatrix:
     a genuine distribution over 0-1 assignments.  Its entries are the
     `_matrix_rows` weight rows over `params.den` (zero rows for a in N and
     empty events) at its twin orbit's key; the orbit's other pairs take
-    M[i][j] = M_key[pi(i)][pi(j)], pi(0) = 0 and pi(1+c) = 1+perm[c].
+    M[i][j] = M_key[pi(i)][pi(j)], pi(0) = 0 and pi(1+c) = 1+perm[c], perm
+    the `_code_perm` of the pair's `_orbit_key` (`found`, if already looked up).
     """
     from .linalg import SymMatrix, check_size
 
     ys, ns = _disjoint_pair(params.graph, y, n)
     check_size(1 + params.graph.var_count)  # over its size cap, refused before any entry
-    rows, perm = _orbit_value(params, _matrix_rows, ys, ns)
-    pi = [0, *(1 + c for c in perm)]
+    key, vmap = found or _orbit_key(params, ys, ns)
+    rows = _key_value(params, _matrix_rows, key)
+    pi = [0, *(1 + c for c in _code_perm(_group(params), vmap))]
     return SymMatrix(params.den, [list(map(rows[a].__getitem__, pi)) for a in pi])

@@ -11,6 +11,7 @@ from pvcgap.graphs import (
     brute_force_opt,
     brute_force_witness,
     build_pvc_lp,
+    expand,
     integral_opt,
     lift,
     make_clique,
@@ -327,6 +328,35 @@ def test_graph_file_comments_and_errors():
 
 
 # -- lifted rows ---------------------------------------------------------------
+
+
+def test_expand_is_the_written_out_product():
+    """On random disjoint (Y, N) with |N| <= 4: the signed monomials of
+    prod_{Y} x_y prod_{N} (1 - x_n), written out as one term (-1)^|T| per
+    subset T of N, and equal to the product at every 0-1 point."""
+    rng = random.Random(5)
+    for _ in range(200):
+        codes = rng.sample(range(12), rng.randint(0, 8))
+        k = rng.randint(0, min(4, len(codes)))
+        ns, ys = tuple(codes[:k]), tuple(codes[k:])
+        written = {tuple(sorted((*ys, *t))): (-1) ** size
+                   for size in range(k + 1) for t in combinations(ns, size)}
+        terms = expand(ys, ns)
+        assert terms == written and len(terms) == 1 << k, (ys, ns)
+        for point in range(1 << len(codes)):
+            x = {c: point >> i & 1 for i, c in enumerate(codes)}
+            product = 1
+            for c in ys:
+                product *= x[c]
+            for c in ns:
+                product *= 1 - x[c]
+            assert sum(sign * all(x[c] for c in s) for s, sign in terms.items()) == product
+
+
+def test_expand_of_an_overlapping_pair_is_empty():
+    assert expand((2,), (0, 2)) == {}
+    assert expand((0, 4), (4,)) == {}
+    assert expand((), ()) == {(): 1}
 
 
 def test_lift_of_an_edge_row_by_x_and_one_minus_x():

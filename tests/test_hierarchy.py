@@ -205,6 +205,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, fork_workers):
         return pool(max_workers=max_workers, initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(hierarchy, "_usable_cpus", lambda: 8)  # chunks, not CPUs, bound it here
     g = make_clique(4)
     verdict = verify_sa(DistParams(g, ONE), 1, 0, threads=3)
     assert verdict.constraints_checked == g.m + 1 + 2 * g.var_count
@@ -219,21 +220,14 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, fork_workers):
     assert started == [2]
 
 
-@pytest.mark.parametrize("threads,cost,parent_chunks,workers", [
-    (2, 0.01, 8, None),  # 0.08 s in all: never past the budget
-    (2, 0.0175, 8, None),  # past it after 6, when two workers would save 0.0175 s
-    (2, 0.03, 4, 2),  # past it after 4, when two workers would save 0.06 s
-    (2, 0.2, 1, 2),  # past it after the first chunk
-    (4, 0.019, 6, 4),  # 15 chunks: past it after 6, when four workers would save 0.128 s
-])
-def test_the_pool_starts_once_the_budget_is_spent_if_it_saves_its_cost(
-        monkeypatch, fork_workers, threads, cost, parent_chunks, workers):
-    """Chunks of `cost` CPU seconds each, the default budget of 0.1 s and
-    start-up cost of 0.03 s.  Once past the budget, w workers would save
-    cost * (chunks left) * (1 - 1/w), and one worker nothing.  The verdict is
-    the serial one."""
+def _pool_start(monkeypatch, threads, cpus, cost):
+    """(chunks this process scanned, worker counts of the pools started) of a
+    K6 r=1 `threads` scan on `cpus` usable CPUs, each chunk taking `cost` CPU
+    seconds, at the default budget of 0.1 s and start-up cost of 0.03 s.
+    The verdict is the serial one."""
     monkeypatch.setattr(hierarchy, "POOL_AFTER_S", 0.1)
     monkeypatch.setattr(hierarchy, "POOL_START_S", 0.03)
+    monkeypatch.setattr(hierarchy, "_usable_cpus", lambda: cpus)
     clock, scanned, started = [0.0], [], []
     scan_chunk, pool = hierarchy._scan_chunk, hierarchy.ProcessPoolExecutor
 
@@ -253,8 +247,33 @@ def test_the_pool_starts_once_the_budget_is_spent_if_it_saves_its_cost(
     serial = verify_sa(DistParams(g, params.p), 1, 1)
     scanned.clear()
     assert verify_sa(DistParams(g, params.p), 1, 1, threads=threads) == serial
-    assert len(scanned) == parent_chunks  # the workers' chunks are scanned in their own memory
-    assert started == ([] if workers is None else [workers])
+    return len(scanned), started  # the workers' chunks are scanned in their own memory
+
+
+@pytest.mark.parametrize("threads,cost,parent_chunks,workers", [
+    (2, 0.01, 8, None),  # 0.08 s in all: never past the budget
+    (2, 0.0175, 8, None),  # past it after 6, when two workers would save 0.0175 s
+    (2, 0.03, 4, 2),  # past it after 4, when two workers would save 0.06 s
+    (2, 0.2, 1, 2),  # past it after the first chunk
+    (4, 0.019, 6, 4),  # 15 chunks: past it after 6, when four workers would save 0.128 s
+])
+def test_the_pool_starts_once_the_budget_is_spent_if_it_saves_its_cost(
+        monkeypatch, fork_workers, threads, cost, parent_chunks, workers):
+    """A CPU per thread.  Once past the budget, w workers would save
+    cost * (chunks left) * (1 - 1/w), and one worker nothing."""
+    assert _pool_start(monkeypatch, threads, threads, cost) == (
+        parent_chunks, [] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("cpus,cost,parent_chunks,workers", [
+    (2, 0.019, 6, 2),  # as at 4 CPUs, past the budget after 6; two workers save 0.0855 s
+    (1, 0.2, 15, None),  # past it after the first chunk, but one worker saves nothing
+])
+def test_the_pool_starts_no_more_workers_than_usable_cpus(
+        monkeypatch, fork_workers, cpus, cost, parent_chunks, workers):
+    """--threads 4 on fewer CPUs: w = min(threads, chunks left, usable CPUs)."""
+    assert _pool_start(monkeypatch, 4, cpus, cost) == (
+        parent_chunks, [] if workers is None else [workers])
 
 
 def _plant(pair, scan_pair, params, rows, y, n):

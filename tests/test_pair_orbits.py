@@ -430,7 +430,27 @@ def test_matrices_evaluate_each_weight_once_per_orbit(monkeypatch, size, r, orbi
 
 def _memoised_keys(params, build) -> set:
     """The orbit keys `params._orbits` keeps a value of `build` for."""
-    return {entry[1] for entry in params._orbits if isinstance(entry, tuple) and entry[0] is build}
+    return {key for kept, key in params._orbits if kept is build}
+
+
+def test_the_orbit_memo_holds_only_build_and_key_entries():
+    """After a row scan and a matrix family on K6, every entry of `params._orbits`
+    is (build, key) for one of the four builds, its key a twin-orbit key; a
+    lookup leaves the memo as it found it."""
+    g = make_clique(6)
+    params = DistParams(g, Rat(1, 7))
+    assert verify_sa(params, 1, 2).feasible and verify_xyn_family(params, 1, 2).feasible
+    builds = {moments._weights_at, moments._matrix_rows, hierarchy._key_violation,
+              hierarchy._key_is_psd}
+    group = moments._group(params)
+    for entry in params._orbits:
+        build, key = entry
+        assert build in builds and _canonical_pair(group, *key)[0] == key, entry
+    assert {build for build, _ in params._orbits} == builds
+    memo = dict(params._orbits)
+    for y, n in yn_pairs(g.var_count, 2):
+        moments._orbit_key(params, y, n)
+    assert params._orbits == memo
 
 
 def test_a_twin_free_graph_memoizes_each_pair_as_its_own_key(monkeypatch):
@@ -449,7 +469,7 @@ def test_a_twin_free_graph_memoizes_each_pair_as_its_own_key(monkeypatch):
     family = set(yn_pairs(g.var_count, 1))
     assert _memoised_keys(xyn, moments._matrix_rows) == family
     assert _memoised_keys(xyn, hierarchy._key_is_psd) == family
-    group = xyn._orbits[None]
+    group = moments._group(xyn)
     for key in _memoised_keys(xyn, moments._weights_at):
         assert _canonical_pair(group, *key)[0] == key
     monkeypatch.setattr(hierarchy, "_scan_pair", partial(_oracle_scan_pair, {}))
@@ -470,11 +490,11 @@ def _counted(monkeypatch, module, name, counts):
 
 def test_each_twin_orbit_is_factorised_once(monkeypatch):
     """K8 at r = 2: 73 matrices are built, one per pair, and the 5 twin orbits
-    they fall into are factorised once each.  Each pair's orbit verdict reads
-    the key its build found, so every canonical form is computed inside a
-    build: at most one for each of the 73 pairs and of the 183 weight rows of
-    the 5 keys' matrices (a row that repeats the pair looked up just before it
-    reuses that lookup).  A second lookup per pair made 334 = 2 * 73 + 183 + 5."""
+    they fall into are factorised once each.  `_check_matrix` looks each
+    pair's key up once, outside the build, and hands it to the build and to
+    the orbit verdict: 73 canonical forms outside builds, and inside them at
+    most one for each of the 183 weight rows of the 5 keys' matrices.  A
+    second lookup per pair made 146 outside builds."""
     counts = {"psd_check": 0, "build_cond_matrix": 0}
     _counted(monkeypatch, linalg, "psd_check", counts)
     canonical, build = moments._canonical_pair, hierarchy.build_cond_matrix
@@ -496,7 +516,7 @@ def test_each_twin_orbit_is_factorised_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "build_cond_matrix", counted_build)
     assert verify_xyn_family(DistParams(make_clique(8), Rat(1, comb(4, 2))), 1, 2).feasible
     assert counts == {"psd_check": 5, "build_cond_matrix": 73}
-    assert forms[False] == 0 and 73 <= forms[True] <= 73 + 183
+    assert forms[False] == 73 and forms[True] <= 183
 
 
 def test_a_twin_free_graph_builds_and_factorises_each_matrix_once(monkeypatch):
