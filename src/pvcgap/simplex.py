@@ -21,10 +21,11 @@ two-phase primal simplex over the rationals solves it on one tableau.
 Phase 1 carries both objective rows, so phase 2 continues from the
 phase-1 basis; after phase 1 the artificial columns and the phase-1 row
 are cut away.  Each row is scaled to integers by `rational.integral` and
-the tableau is kept in integers over one common denominator, so a pivot
-does no gcd work.  It pivots by Dantzig's rule and falls back to Bland's
-rule only after a degenerate stall, so it is deterministic and
-terminates on every input.
+the tableau is kept in integers, each row over its own denominator (the
+basis determinant at the last pivot that changed it), so a pivot does no
+gcd work and skips every row with a 0 in the pivot column.  It pivots by
+Dantzig's rule and falls back to Bland's rule only after a degenerate
+stall, so it is deterministic and terminates on every input.
 
 The class optimum is expanded back (x_j is the value of j's class, and
 each row-class multiplier is spread evenly over the rows of its class)
@@ -82,19 +83,24 @@ LpResult = namedtuple("LpResult", "value primal dual")
 
 
 class _Tableau:
-    """Integer simplex tableau over one common denominator (Edmonds).
+    """Integer simplex tableau with one denominator per row (after Edmonds).
 
-    Every entry is an integer: the true tableau value times `d`, the
-    absolute determinant of the current basis in the row-scaled integer
-    program that `_solve` builds.  A pivot on (r, s) with p = T[r][s] > 0
-    keeps row r, sets every other row i to (p*T[i] - T[i][s]*T[r]) / d and
-    makes p the new d.  The division is exact because the results are
-    minors of the starting integer matrix, so no entry is ever reduced by a
-    gcd; a negative pivot (only when artificials are pivoted out) first
-    negates row r.  A row with T[i][s] = 0 only rescales by p/d, and when
-    p = d it is left alone and every other row changes only where row r is
-    nonzero.  Signs and ratios of the integers are those of the true
-    values, so the rules below read them directly.
+    Every entry is an integer: the true tableau value times its row's
+    denominator, `dens[i]` for row i and `obj_dens[k]` for objective row k.
+    That denominator is `d`, the absolute determinant of the basis in the
+    row-scaled integer program that `_solve` builds, as it was at the last
+    pivot that changed the row.  Times the current d, every true entry is
+    an integer, a minor of the starting integer matrix (Edmonds'
+    fraction-free tableau).  A pivot on (r, s) first brings row r to the
+    current d (R*d/D_r, exact since the result is such a minor) and, if
+    p = R[s] < 0 (only when artificials are pivoted out), negates it.  It
+    leaves every row with R_i[s] = 0 alone, since its true values do not
+    change.  It sets each other row to (p*R_i - R_i[s]*R) / D_i, exact
+    because the result is the Edmonds entry over the new basis (when
+    p = D_i, only where R is nonzero), and makes p the new d and the
+    denominator of row r and of every row it changed.  Positive scales keep
+    every sign and every ratio within a row, so the rules below read the
+    integers directly and compare rows by cross-multiplying.
 
     Entering rule: Dantzig (most negative reduced cost, smallest index on
     ties) while the objective moves, falling back to Bland's smallest-index
@@ -109,35 +115,36 @@ class _Tableau:
         self.objs = objs          # reduced-cost rows, each + [-(objective value)]
         self.basis = basis        # basis[i] = column index basic in row i
         self.d = d
-
-    def value(self, entry):
-        """The true value of a tableau entry."""
-        return Rat(entry, self.d)
+        self.dens = [d] * len(rows)
+        self.obj_dens = [d] * len(objs)
 
     def pivot(self, row_i: int, col_j: int) -> None:
-        prow = self.rows[row_i]
-        p, d = prow[col_j], self.d
+        prow, d, den = self.rows[row_i], self.d, self.dens[row_i]
+        if den != d:
+            prow[:] = [v * d // den for v in prow]
+        p = prow[col_j]
         if p < 0:
             prow[:] = [-v for v in prow]
             p = -p
         nz = [k for k, v in enumerate(prow) if v]
-        for r in chain(self.rows, self.objs):
-            if r is prow:
-                continue
-            f = r[col_j]
-            if f == 0:
-                if p != d:
-                    r[:] = [v * p // d for v in r]
-            elif p == d:
-                for k in nz:
-                    r[k] -= f * prow[k] // d
-            else:
-                r[:] = [(p * a - f * b) // d for a, b in zip(r, prow)]
-        self.d = p
+        for rows, dens in ((self.rows, self.dens), (self.objs, self.obj_dens)):
+            for i, r in enumerate(rows):
+                f = r[col_j]
+                if f == 0 or r is prow:
+                    continue
+                den = dens[i]
+                if p == den:
+                    for k in nz:
+                        r[k] -= f * prow[k] // p
+                else:
+                    r[:] = [(p * a - f * b) // den for a, b in zip(r, prow)]
+                    dens[i] = p
+        self.dens[row_i] = self.d = p
         self.basis[row_i] = col_j
 
-    def step(self, obj, bland: bool) -> bool:
-        """One simplex step over every column of obj; False once optimal."""
+    def step(self, k: int, bland: bool) -> bool:
+        """One simplex step over every column of objective row k; False once optimal."""
+        obj = self.objs[k]
         cols = range(len(obj) - 1)
         if bland:
             enter = next((j for j in cols if obj[j] < 0), None)
@@ -147,29 +154,34 @@ class _Tableau:
                 enter = None
         if enter is None:
             return False
-        # ratio test; ties go to the smallest basic column
-        rows, basis = self.rows, self.basis
-        best_row = min(
-            (i for i, r in enumerate(rows) if r[enter] > 0),
-            key=lambda i: (Rat(rows[i][-1], rows[i][enter]), basis[i]),
-            default=None,
-        )
+        # ratio test, rhs/entry cross-multiplied; ties go to the smallest basic column
+        basis = self.basis
+        best_row = None
+        for i, r in enumerate(self.rows):
+            a = r[enter]
+            if a > 0:
+                if best_row is not None:
+                    mine, best = r[-1] * best_a, best_b * a
+                    if mine > best or mine == best and basis[i] > basis[best_row]:
+                        continue
+                best_row, best_a, best_b = i, a, r[-1]
         if best_row is None:
             raise ValueError("the linear program is unbounded")
         self.pivot(best_row, enter)
         return True
 
-    def run(self, obj) -> None:
+    def run(self, k: int) -> None:
+        """Pivot on objective row k until it is optimal."""
+        obj, dens = self.objs[k], self.obj_dens
         stall_limit = max(64, len(self.rows))
         bland = False
         stalled = 0
-        last_value = self.value(obj[-1])
+        last, last_den = obj[-1], dens[k]
         for _ in range(_PIVOT_CAP):
-            if not self.step(obj, bland):
+            if not self.step(k, bland):
                 return
-            value = self.value(obj[-1])
-            if value != last_value:
-                last_value = value
+            if obj[-1] * last_den != last * dens[k]:
+                last, last_den = obj[-1], dens[k]
                 bland = False
                 stalled = 0
             else:
@@ -315,15 +327,15 @@ def _solve(rows: list, c: list) -> tuple:
     # the starting basis costs nothing in phase 2, so obj2 starts priced out
     tab = _Tableau(tab_rows, [obj1, obj2], basis, d)
     if n_art:
-        tab.run(obj1)  # bounded below by 0
+        tab.run(0)  # bounded below by 0
         if obj1[-1] != 0:  # a positive artificial sum is left
             raise ValueError("the linear program is infeasible")
-    del tab.objs[0]
+    del tab.objs[0], tab.obj_dens[0]
     _drop_artificials(tab, n_struct + m)
-    tab.run(obj2)
+    tab.run(0)
     x = _primal_from_tableau(tab, col_var, nv)
-    dual = _multipliers(tab, obj2, obj_scale, len(rows), solver_rows, n_struct,
-                        absorber, pos_col)
+    dual = _multipliers(tab, obj_scale, len(rows), solver_rows, n_struct, absorber,
+                        pos_col)
     return x, dual
 
 
@@ -343,26 +355,26 @@ def _drop_artificials(tab: _Tableau, keep_cols: int) -> None:
 
 def _primal_from_tableau(tab: _Tableau, col_var, nv: int) -> list:
     x = [ZERO] * nv
-    for i, b in enumerate(tab.basis):
+    for r, den, b in zip(tab.rows, tab.dens, tab.basis):
         if b < len(col_var):
             j, sign = col_var[b]
-            x[j] += sign * tab.value(tab.rows[i][-1])
+            x[j] += sign * Rat(r[-1], den)
     return x
 
 
-def _multipliers(tab, obj, obj_scale, n_rows, solver_rows, n_struct, absorber,
-                 pos_col):
-    """One optimal dual multiplier per row given to `_solve`, read from the final obj.
+def _multipliers(tab, obj_scale, n_rows, solver_rows, n_struct, absorber, pos_col):
+    """One optimal dual multiplier per row given to `_solve`, read from the final objective.
 
     A solver row's multiplier is the reduced cost of its surplus column; an
     absorbed a*x_j >= 0 row's is the reduced cost of x_j divided by a.
     Reduced costs are divided by obj_scale.
     """
+    obj, scale = tab.objs[0], tab.obj_dens[0] * obj_scale
     u = [ZERO] * n_rows
     for i, (idx, _coeffs, _rhs) in enumerate(solver_rows):
-        u[idx] = tab.value(obj[n_struct + i]) / obj_scale
+        u[idx] = Rat(obj[n_struct + i], scale)
     for j, (idx, a) in absorber.items():
-        u[idx] = tab.value(obj[pos_col[j]]) / obj_scale / a
+        u[idx] = Rat(obj[pos_col[j]], scale) / a
     return u
 
 

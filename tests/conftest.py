@@ -2,7 +2,7 @@ import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -27,6 +27,78 @@ def fork_workers(monkeypatch):
                         partial(ProcessPoolExecutor, mp_context=fork))
     monkeypatch.setattr(hierarchy, "POOL_AFTER_S", 0)
     monkeypatch.setattr(hierarchy, "POOL_START_S", 0)
+
+
+class EdmondsTableau(simplex._Tableau):
+    """`simplex._Tableau` with every row over one common denominator d: Edmonds'
+    fraction-free pivot, which rescales every other row by p/d, those with a 0
+    in the pivot column too, and pivot rules that compare `Rat`s.  The oracle
+    of the tableau's per-row denominators and integer comparisons; every
+    row's denominator is d after each pivot, so the solver reads its values
+    as it reads its own."""
+
+    def pivot(self, row_i: int, col_j: int) -> None:
+        prow = self.rows[row_i]
+        p, d = prow[col_j], self.d
+        if p < 0:
+            prow[:] = [-v for v in prow]
+            p = -p
+        nz = [k for k, v in enumerate(prow) if v]
+        for r in chain(self.rows, self.objs):
+            if r is prow:
+                continue
+            f = r[col_j]
+            if f == 0:
+                if p != d:
+                    r[:] = [v * p // d for v in r]
+            elif p == d:
+                for k in nz:
+                    r[k] -= f * prow[k] // d
+            else:
+                r[:] = [(p * a - f * b) // d for a, b in zip(r, prow)]
+        self.d = p
+        self.basis[row_i] = col_j
+        self.dens = [p] * len(self.rows)
+        self.obj_dens = [p] * len(self.objs)
+
+    def step(self, k: int, bland: bool) -> bool:
+        obj = self.objs[k]
+        cols = range(len(obj) - 1)
+        if bland:
+            enter = next((j for j in cols if obj[j] < 0), None)
+        else:
+            enter = min(cols, key=obj.__getitem__, default=None)
+            if enter is not None and obj[enter] >= 0:
+                enter = None
+        if enter is None:
+            return False
+        rows, basis = self.rows, self.basis
+        best_row = min(
+            (i for i, r in enumerate(rows) if r[enter] > 0),
+            key=lambda i: (Rat(rows[i][-1], rows[i][enter]), basis[i]),
+            default=None,
+        )
+        if best_row is None:
+            raise ValueError("the linear program is unbounded")
+        self.pivot(best_row, enter)
+        return True
+
+    def run(self, k: int) -> None:
+        obj = self.objs[k]
+        stall_limit = max(64, len(self.rows))
+        bland = False
+        stalled = 0
+        last_value = Rat(obj[-1], self.d)
+        while self.step(k, bland):
+            value = Rat(obj[-1], self.d)
+            if value != last_value:
+                last_value = value
+                bland = False
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled >= stall_limit:
+                    bland = True
 
 
 def weights_per_code(params, y, n):

@@ -41,6 +41,11 @@ CASES = {
     "gap-table-small": (
         ["gap-table", "--grid", "6,1,1;8,1,1;4,9,1", "--format", "json"], 0),
     "graph-opt-tiny": (["graph-opt", "--graph", "tiny.graph", "--t", "3"], 0),
+    # lp-star's largest random-graph size, (n, m, t) = (18, 36, 12)
+    "graph-opt-n18-m36-t12": (
+        ["graph-opt", "--graph", "random-n18-m36.graph", "--t", "12"], 0),
+    # vertex weights 2 and 1/2: a fractional objective
+    "graph-opt-weighted-t4": (["graph-opt", "--graph", "weighted.graph", "--t", "4"], 0),
 }
 
 

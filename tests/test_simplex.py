@@ -1,12 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from pvcgap import simplex
+from pvcgap.graphs import Graph, build_pvc_lp, make_star
+from pvcgap.hierarchy import generate_sa1_lp
 from pvcgap.rational import ONE, ZERO, Rat
 from pvcgap.simplex import LinearProgram, lp_solve
 
-from conftest import equitable_classes, rand_rational, vertex_enumeration_min
+from conftest import EdmondsTableau, equitable_classes, rand_rational, vertex_enumeration_min
+
+PER_ROW = simplex._Tableau
 
 
 def _lp(rows, objective):
@@ -155,6 +160,102 @@ def test_matches_vertex_enumeration_on_random_boxed_programs():
 def test_classes_are_equitable_on_random_boxed_programs():
     for lp in _random_boxed_programs():
         equitable_classes(lp)
+
+
+def _random_cover_lps():
+    """The cover LPs of seeded random graphs at `lp-star`'s (n, m, t)."""
+    for n, m, t in ((14, 24, 8), (16, 30, 10), (18, 36, 12)):
+        edges = random.Random(f"cover-{n}-{m}").sample(list(combinations(range(1, n + 1), 2)), m)
+        yield build_pvc_lp(Graph(n, tuple(edges)), t)
+
+
+PROGRAMS = {
+    "boxed": _random_boxed_programs,
+    "star6-sa1": lambda: [generate_sa1_lp(make_star(6), 3)],
+    "cover": _random_cover_lps,
+}
+
+
+class _Twin(PER_ROW):
+    """The per-row tableau, checked after each pivot against an `EdmondsTableau`
+    copy driven through the same pivot.  `_solve` cuts the artificial columns
+    and the phase-1 row from this tableau only, so rows compare on the columns
+    both keep, and objective rows from the last."""
+
+    def __init__(self, rows, objs, basis, d):
+        super().__init__(rows, objs, basis, d)
+        self.oracle = EdmondsTableau([list(r) for r in rows], [list(r) for r in objs],
+                                     list(basis), d)
+
+    def _rows(self) -> list:
+        return list(zip(self.rows + self.objs, self.dens + self.obj_dens))
+
+    def pivot(self, row_i: int, col_j: int) -> None:
+        kept = [(k, r, list(r), den) for k, (r, den) in enumerate(self._rows()) if r[col_j] == 0]
+        super().pivot(row_i, col_j)
+        oracle = self.oracle
+        oracle.pivot(row_i, col_j)
+        d, rows = self.d, self._rows()
+        assert d == oracle.d and self.basis == oracle.basis
+        for (r, den), o in zip(rows, oracle.rows + oracle.objs[-len(self.objs):]):
+            width = len(r) - 1
+            assert [v * d for v in r] == [v * den for v in o[:width] + o[-1:]]
+        for k, r, before, den in kept:
+            assert rows[k][0] is r and r == before and rows[k][1] == den
+
+
+def _solve_on(monkeypatch, tableau, lp) -> tuple:
+    """(LpResult or the ValueError's message, the pivots made) of `lp_solve` on
+    `tableau`; a pivot made under Bland's rule is marked "bland"."""
+    pivots = []
+
+    class Counted(tableau):
+        bland = False
+
+        def step(self, k, bland):
+            self.bland = bland
+            return super().step(k, bland)
+
+        def pivot(self, row_i, col_j):
+            pivots.append((row_i, col_j, "bland") if self.bland else (row_i, col_j))
+            super().pivot(row_i, col_j)
+
+    monkeypatch.setattr(simplex, "_Tableau", Counted)
+    try:
+        result = lp_solve(lp)
+    except ValueError as exc:
+        result = str(exc)
+    return result, pivots
+
+
+@pytest.mark.parametrize("programs", sorted(PROGRAMS))
+def test_each_pivot_matches_the_one_denominator_oracle(programs, monkeypatch):
+    # each row times d equals the oracle's row times the row's denominator, and
+    # a row with a 0 in the pivot column is kept as it was
+    pivots = sum(len(_solve_on(monkeypatch, _Twin, lp)[1]) for lp in PROGRAMS[programs]())
+    assert pivots > 0
+
+
+@pytest.mark.parametrize("programs", sorted(PROGRAMS))
+def test_lp_solve_matches_a_solve_on_the_oracle_tableau(programs, monkeypatch):
+    # the same value, primal and dual (or the same refusal) after the same pivots
+    for lp in PROGRAMS[programs]():
+        assert _solve_on(monkeypatch, PER_ROW, lp) == _solve_on(monkeypatch, EdmondsTableau, lp)
+
+
+def test_a_cycling_program_falls_back_to_bland_as_the_oracle_does(monkeypatch):
+    # Beale's example (1955) cycles under Dantzig's rule; x4 = 1/3 lifts the
+    # objective off 0, so its degenerate pivots keep the objective's value
+    # while they change its row's denominator
+    lp = _lp([(((0, Rat(-1, 4)), (1, 8), (2, 1), (3, -9)), 0),
+              (((0, Rat(-1, 2)), (1, 12), (2, Rat(1, 2)), (3, -3)), 0),
+              (((2, -1),), -1), (((4, 3),), 1), (((4, -3),), -1)]
+             + [(((j, 1),), 0) for j in range(4)],
+             [Rat(-3, 4), 20, Rat(-1, 2), 6, 1])
+    result, pivots = _solve_on(monkeypatch, PER_ROW, lp)
+    assert (result, pivots) == _solve_on(monkeypatch, EdmondsTableau, lp)
+    assert result.value == Rat(-5, 4) + Rat(1, 3)
+    assert len(pivots) > 64 and any(len(pivot) == 3 for pivot in pivots)
 
 
 @pytest.mark.parametrize(
