@@ -251,8 +251,7 @@ def build_pvc_lp(g: Graph, t: int) -> LinearProgram:
     """The rows of `pvc_rows` as an LP; minimize the vertex weights."""
     from .simplex import LinearProgram
 
-    names = tuple(map(g.var_name, range(g.var_count)))
-    return LinearProgram(names, pvc_rows(g, t), g.weights + (ZERO,) * g.m)
+    return LinearProgram(pvc_rows(g, t), g.weights + (ZERO,) * g.m)
 
 
 # -- brute-force integral oracle --------------------------------------------

@@ -17,14 +17,15 @@ off the pair's weights.
 `moments` computes each pair's weights and conditioned moment matrix once
 per twin-vertex orbit of (Y, N) pairs and relabels them for the orbit's
 other pairs (on a twin-free graph each pair is its own orbit).  A
-relabelling maps the rows onto themselves, so the rows are checked once per
-orbit, at its key, and every pair of a passing orbit passes with all its
-rows counted; a pair of a failing orbit checks its own rows on its own
-weights, so its witness and count are its own.  A matrix is built for every
-pair and LDL^T-factorised once per orbit, at the orbit's key: relabelling
-is a symmetric permutation, which keeps the PSD verdict.  A pair of a
-non-PSD orbit is factorised itself, so a failing pair's witness comes from
-its own matrix.
+relabelling maps the rows onto themselves and a matrix onto a symmetric
+permutation of itself, so the pairs of an orbit share one row verdict and
+one PSD verdict.  Each scan keeps the keys of the orbits that have passed:
+a pair whose key is among them passes, its rows (or its one matrix)
+counted.  Any other pair checks itself, its own rows on its own weights or
+the LDL^T of its own matrix, and its key joins them if it holds.  So rows
+are checked and matrices factorised at the first pair of each orbit the
+scan meets, and the first pair of a failing orbit fails with its own
+witness and count.  A matrix is built for every pair.
 
 `verify_sap` adds one exact PSD check of the conditioned moment matrix at
 (Y, N) = (empty, empty); `verify_xyn_family` checks the whole family of
@@ -43,14 +44,15 @@ and including the witness, independent of worker count.  The fingerprint
 of this order, `certificates.ENUM_ORDER_FINGERPRINT`, is stamped into
 every certificate.
 
-A scan with threads > 1 is cut into ordered chunks, which this process
-scans in turn.  It rents before it buys ("ski rental", Karlin et al. 1988):
-a pool starts, for the chunks left, only once this process has spent
-`POOL_AFTER_S` seconds of CPU time on them, and only if, at its rate so far,
-the workers would save at least the pool's start-up cost `POOL_START_S`.
-Each worker, one per usable CPU at most, keeps the scan's params and memo
-for all its chunks.  A short scan never loads the pool, and chunks count
-in order, so no certificate depends on the budget or the worker count.
+A scan is cut into threads * 4 ordered chunks, which this process scans
+in turn.  It rents before it buys ("ski rental", Karlin et al. 1988): a
+pool of more than one worker starts, for the chunks left, only once this
+process has spent `POOL_AFTER_S` seconds of CPU time on them, and only if,
+at its rate so far, the workers would save at least the pool's start-up
+cost `POOL_START_S`.  Each worker, one per usable CPU at most, keeps the
+scan's check (its params, memo and passed keys) for all its chunks.  A
+short or one-worker scan never loads the pool, and chunks count in order,
+so no certificate depends on the budget or the worker count.
 `ProcessPoolExecutor` is imported on first use, and `_first_failure` reads
 it and both constants from this module at call time, so a class put in its
 place (a test's forking pool, a tracer's timed one) is the one the scan
@@ -68,10 +70,8 @@ from itertools import combinations, islice
 from math import comb
 from time import process_time
 
-from . import moments
 from .graphs import Graph, check_demand, integral_opt, lift, pvc_rows, row_name
-from .moments import DistParams, _key_value, _orbit_key, _pair_weights, _weights_at
-from .moments import build_cond_matrix, moment
+from .moments import DistParams, _orbit_key, _pair_weights, build_cond_matrix, moment
 from .rational import ZERO, Rat
 
 
@@ -148,55 +148,42 @@ def _row_check(params: DistParams, rows: tuple, y: tuple, n: tuple, wyn: int, w)
     return None
 
 
-def _key_violation(params: DistParams, rows: tuple, key: tuple):
-    """`_row_check` of a twin-orbit key on its memoised weights: (violation, rows
-    checked) at its first failing row, or None; kept in `params._orbits` with
-    the rows it was found for, so a scan of other rows finds it anew."""
-    memo = params._orbits
-    kept = memo.get((_key_violation, key))
-    if kept is None or kept[0] is not rows:
-        weights = _key_value(params, _weights_at, key)
-        kept = memo[_key_violation, key] = rows, _row_check(params, rows, *key, *weights)
-    return kept[1]
-
-
-def _scan_pair(params: DistParams, rows: tuple, y: tuple, n: tuple):
+def _scan_pair(params: DistParams, rows: tuple, passed: set, y: tuple, n: tuple):
     """(violation or None, rows checked) for one lifted multiplier pair.
 
-    A pair passes, with all its rows counted, when its orbit's key does: a
-    twin relabelling maps the rows onto themselves.  A pair of a failing orbit
-    checks its own rows on its own weights (`_row_check`), so the witness and
-    the count are its own; it fails, the one pair of its scan looked up twice.
+    A pair whose twin-orbit key is in `passed` passes with all its rows
+    counted: a twin relabelling maps the rows onto themselves.  Any other
+    pair checks its own rows on its own weights (`_row_check`), so a failing
+    orbit's first pair fails with its own witness and count; a pair that
+    holds adds its key to `passed`.
     """
-    if _key_violation(params, rows, _orbit_key(params, y, n)[0]) is None:
-        return None, len(rows)
-    return _row_check(params, rows, y, n, *_pair_weights(params, y, n))
+    key = _orbit_key(params, y, n)[0]
+    if key not in passed:
+        failed = _row_check(params, rows, y, n, *_pair_weights(params, y, n))
+        if failed is not None:
+            return failed
+        passed.add(key)
+    return None, len(rows)
 
 
-def _key_is_psd(params: DistParams, ys: tuple, ns: tuple) -> bool:
-    """Whether the matrix at a twin-orbit key is PSD, from the rows `build_cond_matrix`
-    keeps at the key (its builder read through `moments` at call time)."""
-    from .linalg import SymMatrix, psd_check
-
-    rows = _key_value(params, moments._matrix_rows, (ys, ns))
-    return psd_check(SymMatrix(params.den, rows)).is_psd
-
-
-def _check_matrix(params: DistParams, y: tuple, n: tuple, name: str):
-    """Violation `name` unless the conditioned moment matrix at (Y, N) is PSD.
+def _check_matrix(params: DistParams, passed: set, name: str, y: tuple, n: tuple):
+    """(violation `name`, or None if the moment matrix conditioned on (Y, N) is PSD; 1).
 
     The matrix is built for every pair, on the orbit key looked up here.  It
-    is a symmetric permutation of the key's, so the key's verdict, once per
-    orbit, decides a PSD pair; a pair of a non-PSD orbit is factorised itself.
+    is a symmetric permutation of the key's, so a pair whose key is in
+    `passed` is PSD; any other pair factorises its own matrix, and adds its
+    key to `passed` if it is PSD.
     """
     from .linalg import psd_check
 
     found = _orbit_key(params, y, n)
     matrix = build_cond_matrix(params, y, n, found)
-    if _key_value(params, _key_is_psd, found[0]):
-        return None
-    verdict = psd_check(matrix)
-    return None if verdict.is_psd else Violation(name, y, n, verdict.value, ZERO)
+    if found[0] not in passed:
+        verdict = psd_check(matrix)
+        if not verdict.is_psd:
+            return Violation(name, y, n, verdict.value, ZERO), 1
+        passed.add(found[0])
+    return None, 1
 
 
 def _validate(params: DistParams, t: int, r: int) -> None:
@@ -208,19 +195,15 @@ def _validate(params: DistParams, t: int, r: int) -> None:
 # -- the first-failure scan driver ------------------------------------------
 
 
-def _scan_chunk(params: DistParams, rows, max_size: int, xyn: bool, indices):
+def _scan_chunk(check, m: int, max_size: int, indices):
     """(first violation or None, items checked up to it) over flat pair indices.
 
-    The indices are sorted; one walk of `yn_pairs` yields the pair at each.
-    An item is one lifted multiplier pair (its rows count) or, for the
-    `xyn` family, one conditioned moment matrix (it counts once).
+    One walk of `yn_pairs` over m codes yields the pair at each sorted index;
+    `check(y, n)` gives its (violation or None, items counted).
     """
     checked = 0
-    for y, n in yn_pairs(params.graph.var_count, max_size, indices):
-        if xyn:
-            violation, c = _check_matrix(params, y, n, "xyn:psd"), 1
-        else:
-            violation, c = _scan_pair(params, rows, y, n)
+    for y, n in yn_pairs(m, max_size, indices):
+        violation, c = check(y, n)
         checked += c
         if violation is not None:
             return violation, checked
@@ -260,25 +243,23 @@ def _chunk_ranges(total: int, pieces: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, threads: int):
-    """Scan `indices` in order and stop at the first violation.
+def _first_failure(check, m: int, max_size: int, indices, threads: int):
+    """Scan `indices` with `check` in order and stop at the first violation.
 
-    With threads > 1 the indices are split into ordered chunks.  This process
+    The indices are split into threads * 4 ordered chunks.  This process
     scans them in turn until one fails, or until it has spent `POOL_AFTER_S`
-    CPU seconds on them and the pool would save at least its start-up cost
+    CPU seconds on them and a pool would save at least its start-up cost
     `POOL_START_S`: if the chunks left would take this process `rest` at its
-    rate so far, w = min(threads, chunks left, usable CPUs) workers, a CPU
-    each, save rest * (1 - 1/w).  The pool of w workers then takes the chunks
-    left, each worker keeping the params (and the orbit memo this process
-    filled) and the rows for all its chunks.
+    rate so far, w = min(threads, chunks left, usable CPUs) > 1 workers, a
+    CPU each, save rest * (1 - 1/w).  The pool of w workers then takes the
+    chunks left, each worker keeping the check (its params, the orbit memo
+    and the `passed` keys this process filled) for all its chunks.
     The counts of whole chunks before the first failing one are added to its
     own count, so the result is the serial one for any worker count and
     budget: rows (or matrices) up to and including the first violation in
     canonical order.
     """
-    if threads <= 1 or not indices:
-        return _scan_chunk(params, rows, max_size, xyn, indices)
-    scan = partial(_scan_chunk, params, rows, max_size, xyn)
+    scan = partial(_scan_chunk, check, m, max_size)
     chunks = [indices[lo:hi] for lo, hi in _chunk_ranges(len(indices), threads * 4)]
     checked, start, cpus = 0, process_time(), _usable_cpus()
     for k, chunk in enumerate(chunks):
@@ -286,7 +267,7 @@ def _first_failure(params: DistParams, rows, max_size: int, indices, xyn: bool, 
         if k and spent >= POOL_AFTER_S:
             workers = min(threads, len(chunks) - k, cpus)
             rest = spent * (len(chunks) - k) / k  # at the rate of the k chunks scanned
-            if rest * (1 - 1 / workers) >= POOL_START_S:
+            if workers > 1 and rest * (1 - 1 / workers) >= POOL_START_S:
                 chunks = chunks[k:]
                 break
         violation, c = scan(chunk)
@@ -329,8 +310,9 @@ def _verdict(params: DistParams, t: int, violation, checked: int) -> SaVerdict:
 
 def _sa_scan(params: DistParams, t: int, r: int, threads: int):
     _validate(params, t, r)
-    indices = range(yn_pair_count(params.graph.var_count, r))
-    return _first_failure(params, pvc_rows(params.graph, t), r, indices, False, threads)
+    m = params.graph.var_count
+    check = partial(_scan_pair, params, pvc_rows(params.graph, t), set())
+    return _first_failure(check, m, r, range(yn_pair_count(m, r)), threads)
 
 
 def verify_sa(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdict:
@@ -342,7 +324,8 @@ def verify_sap(params: DistParams, t: int, r: int, threads: int = 1) -> SaVerdic
     """verify_sa plus the PSD test of the unconditioned moment matrix minor."""
     violation, checked = _sa_scan(params, t, r, threads)
     if violation is None:
-        violation, checked = _check_matrix(params, (), (), "sa+:moment-psd"), checked + 1
+        violation, c = _check_matrix(params, set(), "sa+:moment-psd", (), ())
+        checked += c
     return _verdict(params, t, violation, checked)
 
 
@@ -361,10 +344,12 @@ def verify_xyn_family(
     empty and the verdict is trivially feasible.
     """
     _validate(params, t, r)
-    indices = range(yn_pair_count(params.graph.var_count, r - 1))
+    m = params.graph.var_count
+    indices = range(yn_pair_count(m, r - 1))
     if sample is not None and sample < len(indices):
         indices = sorted(random.Random(seed).sample(indices, sample))
-    return _verdict(params, t, *_first_failure(params, (), r - 1, indices, True, threads))
+    check = partial(_check_matrix, params, set(), "xyn:psd")
+    return _verdict(params, t, *_first_failure(check, m, r - 1, indices, threads))
 
 
 # -- explicit level-1 lifted LP ----------------------------------------------
@@ -403,6 +388,5 @@ def generate_sa1_lp(graph: Graph, t: int) -> LinearProgram:
                     rows.append(row)
     rows += [(((0, 1),), 1), (((0, -1),), -1)]
 
-    names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
     objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))  # as `sets`
-    return LinearProgram(names=names, rows=tuple(rows), objective=objective)
+    return LinearProgram(tuple(rows), objective)

@@ -35,7 +35,7 @@ The search for it runs once per pre-sorted image (the pair mapped in its own
 order onto the least vertices of its classes), kept in the twin group: on K8,
 22 searches for the 2,593 pairs at r = 2 and 115 for the 59,713 at r = 3.
 A lookup (`_orbit_key`) keeps nothing: `build_cond_matrix` takes the one
-its caller made as `found`.
+its caller made as `found`.  The verdicts are each scan's own (`hierarchy`).
 At a key, w(Y+{q}, N) is computed once per stabiliser class of q: permuting
 the twins (Y, N) does not touch fixes the pair, so the codes it maps onto
 each other share one weight: on K_n at r = 2 the 22 keys compute 195
@@ -65,7 +65,8 @@ class DistParams:
 
     `den` is the common denominator of every moment of the graph: the
     memo and the kernels hold probabilities as integers over it.
-    `_group` is the graph's `_twin_group`; `_orbits` is the memo of `_key_value`.
+    `_group` is the graph's `_twin_group`; `_orbits`, the memo of `_key_value`,
+    holds the `_weights_at` and `_matrix_rows` of each twin-orbit key met.
     """
 
     def __init__(self, graph: Graph, p):

@@ -52,26 +52,25 @@ from .rational import ZERO, Rat, as_rational, integral
 _PIVOT_CAP = 5_000_000  # the Bland fallback terminates; this guards against bugs
 
 
-class LinearProgram(namedtuple("LinearProgram", "names rows objective")):
+class LinearProgram(namedtuple("LinearProgram", "rows objective")):
     """Minimize objective . x subject to every row.
 
     `rows` is ((((j, c_j), ...), rhs), ...): each row means sum_j c_j x_j >= rhs.
+    The objective has one entry per variable.
     """
 
     __slots__ = ()
 
-    def __new__(cls, names: tuple, rows: tuple, objective: tuple):
-        nv = len(names)
-        if len(objective) != nv:
-            raise ValueError("objective length != variable count")
+    def __new__(cls, rows: tuple, objective: tuple):
+        nv = len(objective)
         for k, (coeffs, _rhs) in enumerate(rows):
             if len({j for j, c in coeffs if c != 0 and 0 <= j < nv}) != len(coeffs):
                 raise ValueError(f"row {k} needs distinct variables in 0..{nv - 1}, each c != 0")
-        return super().__new__(cls, names, rows, objective)
+        return super().__new__(cls, rows, objective)
 
     @property
     def n_vars(self) -> int:
-        return len(self.names)
+        return len(self.objective)
 
     @property
     def n_rows(self) -> int:
@@ -214,8 +213,9 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     x = [z[k] for k in class_of]
     dual = [ZERO] * lp.n_rows
     for cls, uk in zip(row_classes, u):
+        share = uk / len(cls)
         for i in cls:
-            dual[i] = uk / len(cls)
+            dual[i] = share
     return _optimal_result(lp, c, x, dual)
 
 

@@ -326,7 +326,7 @@ K6_CHUNKS = hierarchy._chunk_ranges(hierarchy.yn_pair_count(21, 1), 8)
 CHUNK1_PAIR = list(hierarchy.yn_pairs(21, 1))[K6_CHUNKS[1][0]]
 
 
-def _interrupt_at_chunk1(_params, _rows, y, n):
+def _interrupt_at_chunk1(_params, _rows, _passed, y, n):
     if (y, n) == CHUNK1_PAIR:
         raise KeyboardInterrupt
     return None, 1
@@ -344,8 +344,8 @@ def test_interrupt_exits_one_with_message(monkeypatch, capsys, fork_workers, thr
     assert out == "" and err == "error: interrupted\n"
 
 
-def _interrupt_chunk1(log, params, rows, y, n):
-    verdict = _interrupt_at_chunk1(params, rows, y, n)
+def _interrupt_chunk1(log, params, rows, passed, y, n):
+    verdict = _interrupt_at_chunk1(params, rows, passed, y, n)
     with open(log, "a") as fh:
         fh.write(".")
     time.sleep(0.1)

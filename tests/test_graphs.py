@@ -22,7 +22,7 @@ from pvcgap.graphs import (
 )
 from pvcgap.hierarchy import yn_pairs
 from pvcgap.moments import DistParams, _pair_weights, moment
-from pvcgap.rational import ONE, Rat, rational_str
+from pvcgap.rational import ONE, ZERO, Rat, rational_str
 from pvcgap.simplex import lp_solve
 
 from conftest import WEIGHTED_PATH, dot
@@ -64,7 +64,12 @@ def test_star_shape():
 
 def test_variable_order_is_vertices_then_edges():
     g = make_clique(3)
-    assert build_pvc_lp(g, 0).names == ("v1", "v2", "v3", "e1_2", "e1_3", "e2_3")
+    lp = build_pvc_lp(g, 0)
+    assert [g.var_name(c) for c in range(lp.n_vars)] == ["v1", "v2", "v3", "e1_2", "e1_3", "e2_3"]
+    # edge row i_j reads x_vi + x_vj - x_ei_j >= 0
+    assert lp.rows[:3] == ((((0, 1), (1, 1), (3, -1)), 0), (((0, 1), (2, 1), (4, -1)), 0),
+                           (((1, 1), (2, 1), (5, -1)), 0))
+    assert lp.objective == (ONE,) * 3 + (ZERO,) * 3
 
 
 def test_graph_validation():
@@ -115,7 +120,7 @@ def test_the_lp_rows_are_the_sparse_rows_in_their_order():
     assert rows[3] == (((0, 1),), 0)
     assert rows[-1] == (((4, -1),), -1)
     lp = build_pvc_lp(g, 2)
-    assert lp.names == ("v1", "v2", "v3", "e1_2", "e2_3")
+    assert [g.var_name(c) for c in range(lp.n_vars)] == ["v1", "v2", "v3", "e1_2", "e2_3"]
     assert lp.objective == g.weights + (Rat(0), Rat(0))
     assert lp.rows == rows
     for t in (-1, 3):

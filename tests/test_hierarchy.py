@@ -43,7 +43,7 @@ def test_pair_enumeration_count_and_order():
     assert sizes == sorted(sizes)
 
 
-def _record_pair(seen, _params, _t, y, n):
+def _record_pair(seen, y, n):
     seen.append((y, n))
     return None, 1
 
@@ -52,11 +52,9 @@ def _record_pair(seen, _params, _t, y, n):
     "indices", [range(40, 90), [0, 1, 7, 19, 20, 64, 151], []], ids=["range", "sparse", "empty"])
 def test_scan_chunk_visits_the_pairs_at_its_indices(monkeypatch, indices):
     m, r = 9, 2
-    params = DistParams(make_star(4), ONE)
-    assert params.graph.var_count == m
     seen = []
-    monkeypatch.setattr(hierarchy, "_scan_pair", partial(_record_pair, seen))
-    assert hierarchy._scan_chunk(params, 1, r, False, indices) == (None, len(indices))
+    assert hierarchy._scan_chunk(partial(_record_pair, seen), m, r, indices) == (
+        None, len(indices))
     pairs = list(yn_pairs(m, r))
     assert seen == [pairs[k] for k in indices]
 
@@ -175,10 +173,10 @@ def test_conditioned_family_at_level_zero_is_vacuous():
     assert verdict.constraints_checked == 0
 
 
-def _fail_at(pair, params, y, n, name):
+def _fail_at(pair, _params, _passed, name, y, n):
     if (y, n) == pair:
-        return hierarchy.Violation(name, y, n, Rat(-1), ZERO)
-    return None
+        return hierarchy.Violation(name, y, n, Rat(-1), ZERO), 1
+    return None, 1
 
 
 def test_sampled_family_violation_does_not_depend_on_threads(monkeypatch, fork_workers):
@@ -231,10 +229,10 @@ def _pool_start(monkeypatch, threads, cpus, cost):
     clock, scanned, started = [0.0], [], []
     scan_chunk, pool = hierarchy._scan_chunk, hierarchy.ProcessPoolExecutor
 
-    def timed(params, rows, max_size, xyn, indices):
+    def timed(check, m, max_size, indices):
         scanned.append(indices)
         clock[0] += cost
-        return scan_chunk(params, rows, max_size, xyn, indices)
+        return scan_chunk(check, m, max_size, indices)
 
     def recording(max_workers, initializer, initargs):
         started.append(max_workers)
@@ -265,6 +263,35 @@ def test_the_pool_starts_once_the_budget_is_spent_if_it_saves_its_cost(
         parent_chunks, [] if workers is None else [workers])
 
 
+def test_a_one_worker_scan_starts_no_pool(monkeypatch, fork_workers):
+    """With no budget and no start-up cost, a K6 r=1 scan at --threads 1
+    scans all its chunks in this process, since one worker saves nothing,
+    and starts no pool; at --threads 2 it starts one after its first chunk."""
+    started, scanned = [], []
+    scan_chunk, pool = hierarchy._scan_chunk, hierarchy.ProcessPoolExecutor
+
+    def recorded(check, m, max_size, indices):
+        scanned.append(indices)
+        return scan_chunk(check, m, max_size, indices)
+
+    def recording(max_workers, initializer, initargs):
+        started.append(max_workers)
+        return pool(max_workers=max_workers, initializer=initializer, initargs=initargs)
+
+    monkeypatch.setattr(hierarchy, "_scan_chunk", recorded)
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(hierarchy, "_usable_cpus", lambda: 2)
+    g, params = _clique_params(6, 1, 1)
+    total = yn_pair_count(g.var_count, 1)
+    serial = verify_sa(DistParams(g, params.p), 1, 1)
+    assert serial.feasible and started == []
+    assert scanned == [range(lo, hi) for lo, hi in hierarchy._chunk_ranges(total, 4)]
+    assert len(scanned) == 4 and scanned[-1].stop == total == 43
+    scanned.clear()
+    assert verify_sa(DistParams(g, params.p), 1, 1, threads=2) == serial
+    assert started == [2] and scanned == [range(0, 6)]
+
+
 @pytest.mark.parametrize("cpus,cost,parent_chunks,workers", [
     (2, 0.019, 6, 2),  # as at 4 CPUs, past the budget after 6; two workers save 0.0855 s
     (1, 0.2, 15, None),  # past it after the first chunk, but one worker saves nothing
@@ -276,11 +303,11 @@ def test_the_pool_starts_no_more_workers_than_usable_cpus(
         parent_chunks, [] if workers is None else [workers])
 
 
-def _plant(pair, scan_pair, params, rows, y, n):
+def _plant(pair, scan_pair, params, rows, passed, y, n):
     """`_scan_pair`, with a violation of row 2 planted at `pair`."""
     if (y, n) == pair:
         return hierarchy.Violation("planted", y, n, Rat(-1), ZERO), 2
-    return scan_pair(params, rows, y, n)
+    return scan_pair(params, rows, passed, y, n)
 
 
 def _where(total, threads, chunk):
@@ -331,9 +358,8 @@ def test_no_process_computes_an_orbit_key_twice(monkeypatch, fork_workers, tmp_p
     # keys they or the parent met before
     log = tmp_path / "weights.log"
     log.write_text("")
-    logged = partial(_logged_weights, str(log), moments._weights_at)
-    monkeypatch.setattr(hierarchy, "_weights_at", logged)
-    monkeypatch.setattr(moments, "_weights_at", logged)
+    monkeypatch.setattr(moments, "_weights_at",
+                        partial(_logged_weights, str(log), moments._weights_at))
     g, params = _clique_params(6, 2, 1)
     assert verify_sa(DistParams(g, params.p), 1, 2, threads=2).feasible
     lines = log.read_text().splitlines()
@@ -402,7 +428,7 @@ def _sa1_rows_hold(params, t) -> bool:
     sets = [()] + [(q,) for q in range(g.var_count)] + list(combinations(range(g.var_count), 2))
     y = [moment(params, s) for s in sets]  # y_S times den
     lp = generate_sa1_lp(g, t)
-    assert len(lp.names) == len(sets)
+    assert lp.n_vars == len(sets)
     return all(sum((c * y[j] for j, c in coeffs), ZERO) >= rhs * params.den
                for coeffs, rhs in lp.rows)
 
@@ -430,7 +456,7 @@ def test_rejects_bad_arguments():
 
 
 def _dense_sa1_lp(graph, t) -> tuple:
-    """(names, rows, objective) of the level-1 lifted LP with
+    """(rows, objective) of the level-1 lifted LP with
     every row an n_vars-long coefficient tuple: the lifting loop of the
     dense row format `generate_sa1_lp` used before its rows were sparse."""
     m = graph.var_count
@@ -470,9 +496,8 @@ def _dense_sa1_lp(graph, t) -> tuple:
         norm[0] = sign
         rows.append((tuple(norm), sign))
 
-    names = tuple(f"y({','.join(map(graph.var_name, s))})" for s in sets)
     objective = (ZERO, *graph.weights) + (ZERO,) * (m - graph.n + comb(m, 2))
-    return names, tuple(rows), objective
+    return tuple(rows), objective
 
 
 DENSE_CASES = {
@@ -492,7 +517,7 @@ def test_sparse_lifted_lp_is_the_dense_oracle(g, t):
         for j, c in coeffs:
             row[j] = c
         dense.append((tuple(row), rhs))
-    assert (lp.names, tuple(dense), lp.objective) == _dense_sa1_lp(g, t)
+    assert (tuple(dense), lp.objective) == _dense_sa1_lp(g, t)
     assert all(list(coeffs) == sorted(coeffs) for coeffs, _rhs in lp.rows)
     assert build_pvc_lp(g, t).rows == pvc_rows(g, t)
 
@@ -522,13 +547,10 @@ def test_lifted_lp_never_below_base_lp():
 
 
 def test_lifted_lp_variable_order():
+    # y(), the 5 singletons, then the 10 pairs in lexicographic order; the
+    # dense oracle pins the order of each variable
     lp = generate_sa1_lp(make_star(2), 1)
-    assert lp.names == (
-        "y()", "y(v1)", "y(v2)", "y(v3)", "y(e1_3)", "y(e2_3)",
-        "y(v1,v2)", "y(v1,v3)", "y(v1,e1_3)", "y(v1,e2_3)",
-        "y(v2,v3)", "y(v2,e1_3)", "y(v2,e2_3)",
-        "y(v3,e1_3)", "y(v3,e2_3)", "y(e1_3,e2_3)",
-    )
+    assert lp.n_vars == 1 + 5 + 10
     assert lp.objective == (ZERO,) + (ONE,) * 3 + (ZERO,) * 12
 
 

@@ -112,6 +112,41 @@ def test_the_check_sees_a_dead_method():
     assert _dead_definitions({"m": ast.parse(code)}, set()) == ["m.dead"]
 
 
+# the orbit memo's layout: its dict on the params, its lookup and its builds
+ORBIT_MEMO = {"_orbits", "_key_value", "_weights_at", "_matrix_rows"}
+
+
+def _names(tree: ast.Module) -> set:
+    """Every name a module writes: variables, attributes, imports, definitions,
+    parameters and keywords."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+    return names
+
+
+def test_only_moments_names_the_orbit_memo():
+    """The memo's layout stays behind `moments`: every other module reads an
+    orbit's weights and matrices through its public lookups."""
+    named = {path.stem: _names(ast.parse(path.read_text(encoding="utf-8"))) & ORBIT_MEMO
+             for path in MODULES}
+    assert {stem: names for stem, names in named.items() if names} == {"moments": ORBIT_MEMO}
+
+
+def test_the_memo_check_sees_every_kind_of_name():
+    code = ("from .moments import _key_value as lookup\n"
+            "def f(params, _weights_at=None):\n    return params._orbits\n"
+            "g(_matrix_rows=1)\n")
+    assert _names(ast.parse(code)) & ORBIT_MEMO == ORBIT_MEMO
+
+
 # child interpreters import the pvcgap this process imported, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     str(Path(pvcgap.__file__).parents[1]), os.environ.get("PYTHONPATH")])))

@@ -119,14 +119,14 @@ def test_classes_start_from_the_objective():
     g = Graph(3, ((1, 3), (2, 3)), (1, 2, 1))
     lp = build_pvc_lp(g, 1)
     assert equitable_classes(lp)[0] == [[0], [1], [2], [3], [4]]
-    even = LinearProgram(lp.names, lp.rows, (ONE, ONE, ONE, ZERO, ZERO))
+    even = LinearProgram(lp.rows, (ONE, ONE, ONE, ZERO, ZERO))
     assert equitable_classes(even)[0] == [[0, 1], [2], [3, 4]]
     assert _solved_on_classes(even).value == _plain_solve(even).value == Rat(1, 2)
 
 
 def test_a_repeated_row_shares_its_class():
     lp = build_pvc_lp(make_star(2), 1)
-    twice = LinearProgram(lp.names, lp.rows * 2, lp.objective)
+    twice = LinearProgram(lp.rows * 2, lp.objective)
     var_classes, row_classes = equitable_classes(lp)
     assert equitable_classes(twice) == (
         var_classes, [cls + [i + lp.n_rows for i in cls] for cls in row_classes])

@@ -37,7 +37,7 @@ GRAPHS = {
 }
 
 
-def _oracle_scan_pair(cache, params, rows, y, n):
+def _oracle_scan_pair(cache, params, rows, _passed, y, n):
     """`_scan_pair` on the direct weights, cached per pair for the scans of one test."""
     if (y, n) not in cache:
         wyn, w = weights_per_code(params, y, n)
@@ -185,29 +185,32 @@ def _row_checks(monkeypatch):
 
 def test_rows_are_checked_once_per_orbit(monkeypatch):
     """K8 at r = 2: all 2,593 pairs are scanned and counted, but rows are
-    checked at the 22 orbit keys only; at p = 1/100 the first pair fails,
-    and it checks its own rows after its key's (the pair is its key)."""
+    checked at the first pair of each of the 22 orbits only; at p = 1/100
+    the first pair fails, and only it checks its rows."""
     g = make_clique(8)
     counts, checked = _row_checks(monkeypatch)
     verdict = verify_sa(DistParams(g, Rat(1, comb(4, 2))), 1, 2)
     assert verdict.feasible and verdict.constraints_checked == 2593 * 101 == 261893
     assert counts["_scan_pair"] == yn_pair_count(g.var_count, 2) == 2593
     group = _twin_group(g)
-    assert len(checked) == len(set(checked)) == 22
-    assert all(_canonical_pair(group, *pair)[0] == pair for pair in checked)
+    assert len(checked) == len({_canonical_pair(group, *pair)[0] for pair in checked}) == 22
     counts["_scan_pair"], checked[:] = 0, []
     verdict = verify_sa(DistParams(g, Rat(1, 100)), 1, 2)
     v = verdict.violated
     assert (v.constraint, v.y, v.n, verdict.constraints_checked) == ("demand", (), (), 29)
-    assert counts["_scan_pair"] == 1 and checked == [((), ()), ((), ())]
+    assert counts["_scan_pair"] == 1 and checked == [((), ())]
 
 
 @pytest.mark.parametrize("n,r,t,p", [(5, 2, 1, Rat(1, 10)), (6, 2, 5, Rat(1, 3))])
 def test_a_failing_orbit_checks_the_witness_pair_itself(monkeypatch, n, r, t, p):
+    """Of the failing orbit, only the witness pair, the first the scan meets,
+    checks rows; the orbit's key, met later, never does."""
     checked = _row_checks(monkeypatch)[1]
     v = verify_sa(DistParams(make_clique(n), p), t, r).violated
-    key = _canonical_pair(_twin_group(make_clique(n)), v.y, v.n)[0]
-    assert checked[-2:] == [key, (v.y, v.n)] and key != (v.y, v.n)
+    group = _twin_group(make_clique(n))
+    key = _canonical_pair(group, v.y, v.n)[0]
+    orbit = [pair for pair in checked if _canonical_pair(group, *pair)[0] == key]
+    assert orbit == checked[-1:] == [(v.y, v.n)] and key != (v.y, v.n)
 
 
 def test_the_row_verdicts_are_kept_with_their_rows():
@@ -290,11 +293,11 @@ def _direct_matrix(cache, params, y, n):
     return SymMatrix.from_function(1 + nvars, entry)
 
 
-def _oracle_check_matrix(cache, params, y, n, name):
+def _oracle_check_matrix(cache, params, _passed, name, y, n):
     """`_check_matrix` on the direct matrix, factorised for every pair: the
     per-pair check the scan ran before it took one verdict per twin orbit."""
     verdict = linalg.psd_check(_direct_matrix(cache, params, y, n))
-    return None if verdict.is_psd else hierarchy.Violation(name, y, n, verdict.value, ZERO)
+    return None if verdict.is_psd else hierarchy.Violation(name, y, n, verdict.value, ZERO), 1
 
 
 @pytest.mark.parametrize("name", GRAPHS)
@@ -435,13 +438,12 @@ def _memoised_keys(params, build) -> set:
 
 def test_the_orbit_memo_holds_only_build_and_key_entries():
     """After a row scan and a matrix family on K6, every entry of `params._orbits`
-    is (build, key) for one of the four builds, its key a twin-orbit key; a
+    is (build, key) for one of the two builds, its key a twin-orbit key; a
     lookup leaves the memo as it found it."""
     g = make_clique(6)
     params = DistParams(g, Rat(1, 7))
     assert verify_sa(params, 1, 2).feasible and verify_xyn_family(params, 1, 2).feasible
-    builds = {moments._weights_at, moments._matrix_rows, hierarchy._key_violation,
-              hierarchy._key_is_psd}
+    builds = {moments._weights_at, moments._matrix_rows}
     group = moments._group(params)
     for entry in params._orbits:
         build, key = entry
@@ -455,8 +457,8 @@ def test_the_orbit_memo_holds_only_build_and_key_entries():
 
 def test_a_twin_free_graph_memoizes_each_pair_as_its_own_key(monkeypatch):
     """P8 has no twins, so its twin group is trivial: the scans keep one weight
-    row and one row verdict for each pair they scan, one matrix and one PSD
-    verdict for each pair of the family, each under the pair itself."""
+    row for each pair they scan and one matrix for each pair of the family,
+    each under the pair itself."""
     g = PATH8
     assert least_twins(g) == []
     sa, xyn = DistParams(g, Rat(1, 7)), DistParams(g, Rat(1, 7))
@@ -465,10 +467,8 @@ def test_a_twin_free_graph_memoizes_each_pair_as_its_own_key(monkeypatch):
     scanned = set(pairs[:pairs.index((v.y, v.n)) + 1])
     assert len(scanned) == 372
     assert _memoised_keys(sa, moments._weights_at) == scanned
-    assert _memoised_keys(sa, hierarchy._key_violation) == scanned
     family = set(yn_pairs(g.var_count, 1))
     assert _memoised_keys(xyn, moments._matrix_rows) == family
-    assert _memoised_keys(xyn, hierarchy._key_is_psd) == family
     group = moments._group(xyn)
     for key in _memoised_keys(xyn, moments._weights_at):
         assert _canonical_pair(group, *key)[0] == key
@@ -492,7 +492,7 @@ def test_each_twin_orbit_is_factorised_once(monkeypatch):
     """K8 at r = 2: 73 matrices are built, one per pair, and the 5 twin orbits
     they fall into are factorised once each.  `_check_matrix` looks each
     pair's key up once, outside the build, and hands it to the build and to
-    the orbit verdict: 73 canonical forms outside builds, and inside them at
+    the scan's passed keys: 73 canonical forms outside builds, and inside them at
     most one for each of the 183 weight rows of the 5 keys' matrices.  A
     second lookup per pair made 146 outside builds."""
     counts = {"psd_check": 0, "build_cond_matrix": 0}

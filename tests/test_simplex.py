@@ -16,9 +16,7 @@ PER_ROW = simplex._Tableau
 
 def _lp(rows, objective):
     """The LP of sparse rows (((j, c), ...), rhs) and a dense objective."""
-    n = len(objective)
     return LinearProgram(
-        names=tuple(f"x{k}" for k in range(n)),
         rows=tuple((tuple((j, Rat(c)) for j, c in coeffs), Rat(r)) for coeffs, r in rows),
         objective=tuple(Rat(c) for c in objective),
     )
@@ -26,7 +24,6 @@ def _lp(rows, objective):
 
 def test_single_variable_interval():
     lp = LinearProgram(
-        names=("x",),
         rows=((((0, Rat(1)),), Rat(3, 7)), (((0, Rat(-1)),), Rat(-1))),
         objective=(Rat(1),),
     )
@@ -140,11 +137,7 @@ def _random_boxed_programs():
             rows.append((((j, ONE),), -ONE))
             rows.append((((j, -ONE),), -ONE))
         objective = tuple(rand_rational(rng, -2, 2, 3) for _ in range(n))
-        yield LinearProgram(
-            names=tuple(f"x{j}" for j in range(n)),
-            rows=tuple(rows),
-            objective=objective,
-        )
+        yield LinearProgram(rows=tuple(rows), objective=objective)
 
 
 def test_matches_vertex_enumeration_on_random_boxed_programs():
@@ -267,10 +260,4 @@ def test_a_cycling_program_falls_back_to_bland_as_the_oracle_does(monkeypatch):
 def test_row_entries_are_validated(coeffs):
     # a repeated or zero entry would also make `_equitable_classes` tell equal rows apart
     with pytest.raises(ValueError, match="row 1 needs distinct variables"):
-        LinearProgram(names=("x", "y"), rows=((((0, ONE),), ZERO), (coeffs, ZERO)),
-                      objective=(ONE, ONE))
-
-
-def test_objective_length_is_validated():
-    with pytest.raises(ValueError, match="objective length != variable count"):
-        LinearProgram(names=("x", "y"), rows=(), objective=(ONE,))
+        LinearProgram(rows=((((0, ONE),), ZERO), (coeffs, ZERO)), objective=(ONE, ONE))
