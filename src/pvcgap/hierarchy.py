@@ -113,12 +113,14 @@ def yn_pairs(m: int, max_size: int, indices=None):
     for k in range(max_size + 1):
         size = comb(m, k) << k
         unions, at = combinations(range(m), k), 0  # at: unions of size k taken so far
+        splits = [[[i for i in range(k) if (ymask >> i & 1) == side] for side in (1, 0)]
+                  for ymask in range(1 << k)]  # (Y positions, N positions) of each Y-mask
         while flat is not None and flat < first + size:
             u, ymask = divmod(flat - first, 1 << k)
             if u >= at:
                 union, at = next(islice(unions, u - at, None)), u + 1
-            yield (tuple(union[i] for i in range(k) if ymask >> i & 1),
-                   tuple(union[i] for i in range(k) if not ymask >> i & 1))
+            ys, ns = splits[ymask]
+            yield tuple(map(union.__getitem__, ys)), tuple(map(union.__getitem__, ns))
             flat = next(wanted, None)
         first += size
 

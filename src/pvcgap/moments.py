@@ -30,12 +30,13 @@ Relabelling twin vertices maps (Y, N) pairs onto each other and keeps their
 weights, so `_weights_at` evaluates them once per orbit (on K_n 5, 22 and 104
 at |Y u N| <= 1, 2, 3, for any n); a conditioned moment matrix stacks its rows:
 row {a} at (Y, N) is that of (Y u {a}, N), zeros for a in N or an empty event.
-An orbit's key is its least pair under those relabellings (`_canonical_pair`).
-The search for it runs once per pre-sorted image (the pair mapped in its own
-order onto the least vertices of its classes), kept in the twin group: on K8,
-22 searches for the 2,593 pairs at r = 2 and 115 for the 59,713 at r = 3.
-A lookup (`_orbit_key`) keeps nothing: `build_cond_matrix` takes the one
-its caller made as `found`.  The verdicts are each scan's own (`hierarchy`).
+An orbit's key is its least pair under those relabellings (`_canonical_pair`),
+kept per first-appearance image (each vertex, in the pair's order, to the least
+unused member of its class).  A new image's key is searched once per pre-sorted
+image: on K8, 25 new images and 22 searches for the 2,593 pairs at r = 2, and
+179 and 115 for the 59,713 at r = 3.
+A lookup (`_orbit_key`) adds nothing to `params._orbits`: `build_cond_matrix`
+takes the one its caller made as `found`.  The verdicts are each scan's own (`hierarchy`).
 At a key, w(Y+{q}, N) is computed once per stabiliser class of q: permuting
 the twins (Y, N) does not touch fixes the pair, so the codes it maps onto
 each other share one weight: on K_n at r = 2 the 22 keys compute 195
@@ -177,8 +178,8 @@ def _weight_overlap_ok(params: DistParams, ys: tuple, ns: tuple) -> int:
 def _twin_group(g: Graph) -> tuple:
     """(twin class of each vertex, members of each class (none but for its
     least vertex), code table with vertex codes on its diagonal, ends of each
-    code, the `_least_image` memo).  A vertex's least twin, from `least_twins`,
-    is the least of its class.
+    code, the `_canonical_pair` memo of images' keys).  A vertex's least twin,
+    from `least_twins`, is the least of its class.
     """
     cls = list(range(g.n))
     for a, b in least_twins(g):
@@ -210,6 +211,27 @@ def _least_image(group: tuple, image: tuple, cells: list) -> tuple:
 
 
 def _canonical_pair(group: tuple, y: tuple, n: tuple) -> tuple:
+    """(key, fmap, relabel): the pair's twin-orbit key, `fmap` of its vertices onto its
+    first-appearance image, and `relabel` of the image's onto the key's (`_code_perm`
+    composes them).  The image takes each vertex, met in Y's codes, then N's, end by end,
+    to the least unused member of its twin class: a twin relabelling, so it is a pair of the
+    orbit.  The memo keeps each image's key and `relabel`; `_labelled_key` finds new ones."""
+    cls, members, code, ends, memo = group
+    fmap, used = {}, {}
+    for c in chain(y, n):
+        for v in ends[c]:
+            if v not in fmap:
+                k = used[cls[v]] = used.get(cls[v], -1) + 1
+                fmap[v] = members[cls[v]][k]
+    image = (tuple([code[fmap[i]][fmap[j]] for i, j in map(ends.__getitem__, y)]),
+             tuple([code[fmap[i]][fmap[j]] for i, j in map(ends.__getitem__, n)]))
+    found = memo.get(image)
+    if found is None:
+        found = memo[image] = _labelled_key(group, *image)
+    return found[0], fmap, found[1]
+
+
+def _labelled_key(group: tuple, y: tuple, n: tuple) -> tuple:
     """(key, vmap): the least image (Y', N') of the pair when its touched
     vertices, sorted by (twin class, signature), go to the least members of
     their class in every order inside each cell of equal (class, signature),
@@ -218,8 +240,8 @@ def _canonical_pair(group: tuple, y: tuple, n: tuple) -> tuple:
 
     The pair is first mapped in its own order inside the cells.  That
     pre-sorted image fixes the cells, so the search over the cells' orders
-    (`_least_image`) runs once per pre-sorted image, kept in the twin group,
-    and a later pair with that image reads it.
+    (`_least_image`) runs once per pre-sorted image, kept in the twin group's
+    memo, and a later pair with that image reads it.
     """
     cls, members, _, ends, searched = group
     sides, label = [[ends[c] for c in codes] for codes in (y, n)], {}
@@ -238,10 +260,11 @@ def _canonical_pair(group: tuple, y: tuple, n: tuple) -> tuple:
     return key, {v: relabel[w] for v, w in vmap.items()}
 
 
-def _code_perm(group: tuple, vmap: dict) -> list:
-    """The relabelling of the V u E codes by a `_canonical_pair` vertex map: the
+def _code_perm(group: tuple, fmap: dict, relabel: dict) -> list:
+    """The relabelling of the V u E codes by a `_canonical_pair`'s maps, composed: the
     untouched vertices of each class, in order, take its other members."""
     _, members, code, ends, _ = group
+    vmap = {v: relabel[w] for v, w in fmap.items()}
     dst = set(vmap.values())
     free = (w for vs in members for w in vs if w not in dst)
     perm = dict(zip((v for vs in members for v in vs if v not in vmap), free)) | vmap
@@ -256,7 +279,7 @@ def _group(params: DistParams) -> tuple:
 
 
 def _orbit_key(params: DistParams, ys: tuple, ns: tuple) -> tuple:
-    """(key, vmap): `_canonical_pair` of the pair under the twin group."""
+    """(key, fmap, relabel): `_canonical_pair` of the pair under the twin group."""
     return _canonical_pair(_group(params), ys, ns)
 
 
@@ -296,9 +319,9 @@ def _pair_weights(params: DistParams, y: tuple, n: tuple) -> tuple:
     """`_weights_at` the pair, once per twin orbit: the orbit's other pairs
     relabel its key's weights, w(Y+{q}, N) = w_key[perm[q]], perm the
     `_code_perm` of their `_orbit_key`."""
-    key, vmap = _orbit_key(params, y, n)
+    key, *maps = _orbit_key(params, y, n)
     wyn, w = _key_value(params, _weights_at, key)
-    return (wyn, w) if w is None else (wyn, [w[q] for q in _code_perm(_group(params), vmap)])
+    return (wyn, w) if w is None else (wyn, [w[q] for q in _code_perm(_group(params), *maps)])
 
 
 def _matrix_rows(params: DistParams, ys: tuple, ns: tuple) -> list:
@@ -330,7 +353,7 @@ def build_cond_matrix(params: DistParams, y, n, found=None) -> SymMatrix:
 
     ys, ns = _disjoint_pair(params.graph, y, n)
     check_size(1 + params.graph.var_count)  # over its size cap, refused before any entry
-    key, vmap = found or _orbit_key(params, ys, ns)
+    key, *maps = found or _orbit_key(params, ys, ns)
     rows = _key_value(params, _matrix_rows, key)
-    pi = [0, *(1 + c for c in _code_perm(_group(params), vmap))]
+    pi = [0, *(1 + c for c in _code_perm(_group(params), *maps))]
     return SymMatrix(params.den, [list(map(rows[a].__getitem__, pi)) for a in pi])

@@ -2,7 +2,7 @@ import os
 import pickle
 import random
 from functools import partial
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 import pytest
@@ -41,6 +41,30 @@ def test_pair_enumeration_count_and_order():
     # sizes ascending; within a union, Y-mask ascending
     sizes = [len(y) + len(n) for y, n in pairs]
     assert sizes == sorted(sizes)
+
+
+def _oracle_pairs(m, max_size):
+    """(Y, N) by |Y u N|, then the union in lex order, then the Y-mask: bit i
+    of the mask puts the union's i-th code in Y."""
+    for k in range(max_size + 1):
+        for union in combinations(range(m), k):
+            for ymask in range(1 << k):
+                bits = [ymask >> i & 1 for i in range(k)]
+                yield tuple(compress(union, bits)), tuple(compress(union, [1 - b for b in bits]))
+
+
+def test_the_pair_walk_is_the_itertools_oracle():
+    """The full walk, each of the 8 chunks of a `--threads 2` scan and sorted
+    sparse indices give the oracle's pairs, for m <= 9 and max_size <= 3."""
+    rng = random.Random(0)
+    for m in range(10):
+        for max_size in range(4):
+            oracle = list(_oracle_pairs(m, max_size))
+            assert list(yn_pairs(m, max_size)) == oracle, (m, max_size)
+            for lo, hi in hierarchy._chunk_ranges(len(oracle), 8):
+                assert list(yn_pairs(m, max_size, range(lo, hi))) == oracle[lo:hi]
+            sparse = sorted(rng.sample(range(len(oracle)), min(len(oracle), 30)))
+            assert list(yn_pairs(m, max_size, sparse)) == [oracle[k] for k in sparse]
 
 
 def _record_pair(seen, y, n):

@@ -1,6 +1,7 @@
 """The lifted-row scan and the conditioned moment matrices on twin-vertex
 orbits against the per-pair weights and matrices they replaced."""
 
+import random
 import re
 from functools import partial
 from itertools import chain, groupby, permutations, product
@@ -104,8 +105,9 @@ def test_on_a_twin_free_graph_every_pair_is_its_own_key():
     assert least_twins(PATH6) == []
     group, codes = _twin_group(PATH6), list(range(PATH6.var_count))
     for y, n in yn_pairs(PATH6.var_count, 2):
-        key, vmap = _canonical_pair(group, y, n)
-        assert (key, _code_perm(group, vmap)) == ((y, n), codes)
+        key, *maps = _canonical_pair(group, y, n)
+        assert (key, _code_perm(group, *maps)) == ((y, n), codes)
+    assert len(group[4]) <= yn_pair_count(PATH6.var_count, 2)
 
 
 @pytest.mark.parametrize("size,r,orbits", [(size, 1, 5) for size in range(6, 10)]
@@ -115,8 +117,8 @@ def test_orbit_counts_on_cliques(size, r, orbits):
     g = make_clique(size)
     group, keys = _twin_group(g), set()
     for y, n in yn_pairs(g.var_count, r):
-        key, vmap = _canonical_pair(group, y, n)
-        perm = _code_perm(group, vmap)
+        key, *maps = _canonical_pair(group, y, n)
+        perm = _code_perm(group, *maps)
         assert sorted(perm) == list(range(g.var_count))
         assert key == (tuple(sorted(perm[c] for c in y)), tuple(sorted(perm[c] for c in n)))
         keys.add(key)
@@ -148,25 +150,62 @@ def test_the_memoised_canonical_form_is_the_searched_one(name, r):
     g = GRAPHS[name]
     group = _twin_group(g)
     for y, n in yn_pairs(g.var_count, r):
-        key, vmap = _canonical_pair(group, y, n)
+        key, *maps = _canonical_pair(group, y, n)
         assert key == _searched_canonical_pair(group, y, n), (y, n)
-        perm = _code_perm(group, vmap)
+        perm = _code_perm(group, *maps)
         assert sorted(perm) == list(range(g.var_count))
         assert key == (tuple(sorted(perm[c] for c in y)), tuple(sorted(perm[c] for c in n)))
 
 
 def test_the_search_runs_once_per_pre_sorted_image(monkeypatch):
+    """K8 at r = 2: 22 searches, one per pre-sorted image, and 25 labellings,
+    one per first-appearance image; the memo keeps both kinds of image, 10 of
+    the first-appearance images being pre-sorted ones too: 37 entries."""
     g = make_clique(8)
-    calls, least_image = [0], moments._least_image
-
-    def counted(*args):
-        calls[0] += 1
-        return least_image(*args)
-
-    monkeypatch.setattr(moments, "_least_image", counted)
+    counts = {"_least_image": 0, "_labelled_key": 0}
+    _counted(monkeypatch, moments, "_least_image", counts)
+    _counted(monkeypatch, moments, "_labelled_key", counts)
     group = _twin_group(g)
     keys = {_canonical_pair(group, y, n)[0] for y, n in yn_pairs(g.var_count, 2)}
-    assert calls[0] == len(group[4]) == len(keys) == 22
+    assert counts == {"_least_image": len(keys), "_labelled_key": 25} and len(keys) == 22
+    assert len(group[4]) == 37
+
+
+def _twin_relabelling(group, rng) -> list:
+    """A random permutation of the vertices inside each twin class, as a
+    relabelling of the V u E codes."""
+    _, members, code, ends, _ = group
+    sigma = list(range(len(members)))
+    for vs in members:
+        for v, w in zip(vs, rng.sample(vs, len(vs))):
+            sigma[v] = w
+    return [code[sigma[i]][sigma[j]] for i, j in ends]
+
+
+KEY_GRAPHS = {"K8": make_clique(8), "star6": make_star(6), "K3,3": K33, "P6": PATH6,
+              "K7": make_clique(7)}
+
+
+@pytest.mark.parametrize("name,r", [("K8", 2), ("star6", 2), ("K3,3", 2), ("P6", 2), ("K7", 3)])
+def test_the_key_does_not_depend_on_labels_or_on_the_memo(name, r):
+    """Random pairs and random twin relabellings of them get one key, on the
+    memo warmed by the walk and on a fresh one, and it is the searched key;
+    each pair's `_code_perm` maps it onto that key."""
+    g, rng = KEY_GRAPHS[name], random.Random(r)
+    group = _twin_group(g)
+    pairs = list(yn_pairs(g.var_count, r))
+    for y, n in pairs:
+        _canonical_pair(group, y, n)
+    for y, n in rng.sample(pairs, 150):
+        key = _searched_canonical_pair(group, y, n)
+        perm = _twin_relabelling(group, rng)
+        moved = tuple(sorted(perm[c] for c in y)), tuple(sorted(perm[c] for c in n))
+        for pair in ((y, n), moved):
+            for twins in (group, _twin_group(g)):  # a warm memo and a fresh one
+                got, *maps = _canonical_pair(twins, *pair)
+                assert got == key, (pair, key)
+                to_key = _code_perm(twins, *maps)
+                assert tuple(tuple(sorted(to_key[c] for c in side)) for side in pair) == key
 
 
 def _row_checks(monkeypatch):
@@ -213,10 +252,11 @@ def test_a_failing_orbit_checks_the_witness_pair_itself(monkeypatch, n, r, t, p)
     assert orbit == checked[-1:] == [(v.y, v.n)] and key != (v.y, v.n)
 
 
-def test_the_row_verdicts_are_kept_with_their_rows():
+def test_a_params_scanned_twice_gives_fresh_verdicts():
     """One params scanned at t = 1 (feasible) and then at t = 6, where the
-    demand row fails, finds at t = 6 what a fresh params finds; so does a
-    `verify_sap` after a `verify_sa` on one params."""
+    demand row fails, finds at t = 6 what a fresh params finds: each scan
+    keeps its passed keys to itself.  So does a `verify_sap` after a
+    `verify_sa` on one params."""
     g, p, q = make_clique(8), Rat(1, 10), Rat(1, comb(4, 2))
     params = DistParams(g, p)
     assert verify_sa(params, 1, 1).feasible
@@ -396,8 +436,8 @@ def test_a_corrupted_representative_matrix_entry_fails_the_cross_check(monkeypat
     assert _canonical_pair(group, (), (v1,))[0] == ((), (v1,))
     # entry (e2_3, e4_5) of the key ((), (v1,))'s matrix is w({e2_3, e4_5}, {v1}),
     # read from the weight row of ((e2_3,), (v1,))'s orbit key at the image of e4_5
-    (ky, kn), vmap = _canonical_pair(group, (e23,), (v1,))
-    perm = _code_perm(group, vmap)
+    (ky, kn), *maps = _canonical_pair(group, (e23,), (v1,))
+    perm = _code_perm(group, *maps)
     event = (tuple(sorted({*ky, perm[e45]})), kn)
     # no family pair's own w(Y+{q}, N) at r = 2 is that event
     assert all((tuple(sorted({*y, q})), n) != event
